@@ -125,9 +125,7 @@ def _guarded(out: str, payload_fn, body) -> None:
         if sink is None:
             sink = _Sink(out, "unresolved")
         sink.discard()
-        sink.write_json("error.json",
-                        {"record": "error", "kind": type(exc).__name__,
-                         "message": str(exc)})
+        sink.write_json("error.json", {"record": "error", **KamlabError.as_record(exc)})
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         raise SystemExit(2)
     for path in sink.written:
@@ -157,6 +155,8 @@ def freq(omega_file, qmax, eps_values, alpha, cbar, out):
                 "eps": list(eps_values), "alpha": alpha, "cbar": cbar}
 
     def body(sink: _Sink):
+        if qmax < 1:
+            raise ValueError(f"--qmax must be at least 1, got {qmax}")
         omega = _load_frequency(omega_file)
         records = fa.psi_table(omega, qmax)
         rows = [(r.Q, r.psi, r.min_divisor,
@@ -313,23 +313,24 @@ def probe(spec_file, t_final, step, i0, points, out):
             raise ValueError(f"--i0 needs {n} components, got {act0.size}")
         total_steps = max(1, int(round(t_final / step)))
         every = max(1, total_steps // 256)
+        theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
+        flow = integrate_flow(spec, PhaseState(theta0, np.tile(act0, (points, 1))),
+                              t_final, step, record_every=every)
         rows = []
         summary = []
         for p in range(points):
-            theta0 = np.full(n, (p + 0.5) / points)
-            flow = integrate_flow(spec, PhaseState(theta0, act0.copy()),
-                                  t_final, step, record_every=every)
-            for t, th, act, en in zip(flow.times, flow.thetas,
-                                      flow.actions, flow.energies):
+            energies = flow.energies[:, p]
+            for t, th, act, en in zip(flow.times, flow.thetas[:, p],
+                                      flow.actions[:, p], energies):
                 rows.append((p, float(t), *map(float, th),
                              *map(float, act), float(en)))
             summary.append({
                 "trajectory": p,
-                "energy_drift": flow.energy_drift,
+                "energy_drift": float(np.max(np.abs(energies - energies[0]))),
                 "max_action_deviation":
-                    float(np.max(np.abs(flow.actions - act0[None, :]))),
+                    float(np.max(np.abs(flow.actions[:, p] - act0[None, :]))),
                 "rotation_estimate":
-                    [float(v) for v in (flow.final.theta - theta0) / t_final],
+                    [float(v) for v in (flow.final.theta[p] - theta0[p]) / t_final],
             })
         cols = (["traj", "t"] + [f"theta_{j + 1}" for j in range(n)]
                 + [f"I_{j + 1}" for j in range(n)] + ["energy"])

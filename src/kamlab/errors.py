@@ -13,7 +13,9 @@ class KamlabError(Exception):
         return type(self).__name__
 
     def as_record(self) -> dict:
-        return {"kind": self.kind, "message": str(self)}
+        """Kind and message.  Reads nothing but the class name and str(), so
+        KamlabError.as_record(exc) also records a foreign exception."""
+        return {"kind": type(self).__name__, "message": str(self)}
 
 
 # -- frequency arithmetic -----------------------------------------------------

@@ -26,8 +26,6 @@ from .errors import (
     StateMismatch,
 )
 
-TWO_PI = 2.0 * math.pi
-
 
 def _as_key(k, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(int(v) for v in k), tuple(int(v) for v in m)
@@ -523,18 +521,24 @@ class HamiltonianSpec:
     def from_record(cls, rec: dict) -> "HamiltonianSpec":
         if rec.get("record") != "hamiltonian_spec":
             raise ValueError("not a hamiltonian_spec record")
-        extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
-        return cls(
-            omega=np.array([float(s) for s in rec["omega"]]),
-            quad=FourierTaylorSeries.from_record(rec["quad"]),
-            rest=FourierTaylorSeries.from_record(rec["rest"]),
-            epsilon=rec["epsilon"],
-            state=rec["state"],
-            omega_prefactor=rec["omega_prefactor"],
-            extra=extra,
-            extra_prefactor=rec.get("extra_prefactor", 0.0),
-            domain_radius=rec.get("domain_radius", 1.0),
-        )
+        try:
+            extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
+            return cls(
+                omega=np.array([float(s) for s in rec["omega"]]),
+                quad=FourierTaylorSeries.from_record(rec["quad"]),
+                rest=FourierTaylorSeries.from_record(rec["rest"]),
+                epsilon=rec["epsilon"],
+                state=rec["state"],
+                omega_prefactor=rec["omega_prefactor"],
+                extra=extra,
+                extra_prefactor=rec.get("extra_prefactor", 0.0),
+                domain_radius=rec.get("domain_radius", 1.0),
+            )
+        except KeyError as exc:
+            raise ValueError(
+                f"hamiltonian_spec record lacks the field {exc.args[0]!r}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed hamiltonian_spec record: {exc}") from exc
 
 
 def quadratic_from_matrices(n: int, constant: np.ndarray,
@@ -611,15 +615,14 @@ def check_kolmogorov(series: FourierTaylorSeries,
 
 @dataclass
 class PhaseState:
+    """One phase-space point (theta and I of shape (n,)) or a stack of N
+    points (each of shape (N, n))."""
     theta: np.ndarray
     I: np.ndarray
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
         self.I = np.asarray(self.I, dtype=np.float64)
-
-    def wrapped(self) -> "PhaseState":
-        return PhaseState(np.mod(self.theta, 1.0), self.I.copy())
 
 
 @dataclass
@@ -634,11 +637,8 @@ class FlowResult:
 
     @property
     def energy_drift(self) -> float:
+        """Largest energy change of any point of the flow."""
         return float(np.max(np.abs(self.energies - self.energies[0])))
-
-
-def _vector_field(comp: CompiledSeries, theta: np.ndarray, I: np.ndarray):
-    return comp.canonical_field(theta, I)
 
 
 def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
@@ -653,6 +653,13 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
     with a fixed-point solve per step; "dop853" delegates to scipy and serves
     as the accuracy oracle.  Angles are not wrapped, so rotation numbers can
     be read off the final state.
+
+    A stacked state0 (theta and I of shape (N, n)) is integrated as one
+    system: the recorded thetas and actions have shape (T, N, n), energies
+    (T, N), and the final state (N, n).  A single point gives (T, n), (T,)
+    and (n,).  The midpoint fixed point is solved per point, each with its
+    own warm start and stopping rule, on the rows still iterating; dop853
+    makes one scipy solve of the whole stack.
     """
     if isinstance(hamiltonian, HamiltonianSpec):
         comp = hamiltonian.combined_series().compile()
@@ -660,13 +667,18 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
         comp = hamiltonian.compile()
     else:
         comp = hamiltonian
-    theta = state0.theta.astype(float).copy()
-    I = state0.I.astype(float).copy()
+    single = state0.theta.ndim == 1
+    theta = np.atleast_2d(state0.theta).astype(float)
+    I = np.atleast_2d(state0.I).astype(float)
+    n_pts, n = theta.shape
     n_steps = int(round(t_final / step))
     if abs(n_steps * step - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("t_final must be an integer number of steps")
 
     rec_t, rec_th, rec_I = [0.0], [theta.copy()], [I.copy()]
+
+    def field(th, act):
+        return comp.batch_grad_I(th, act), -comp.batch_grad_theta(th, act)
 
     def check_domain(Ivec):
         if domain_radius is not None and np.max(np.abs(Ivec)) > domain_radius:
@@ -677,35 +689,33 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
     check_domain(I)
 
     if method == "midpoint":
+        # the fixed point is solved for the half-step increments: they are
+        # small, so theta + 2 * increment rounds once per step.  The first
+        # guess is an explicit half step, later ones each point's previous
+        # increment (an O(h^2) warm start)
         half = 0.5 * step
-        incr_th = incr_I = None
+        gI, gTh = field(theta, I)
+        d_th, d_I = half * gI, half * gTh
         for s in range(1, n_steps + 1):
-            if incr_th is None:
-                gI, gTh = _vector_field(comp, theta, I)
-                th_mid = theta + half * gI
-                I_mid = I + half * gTh
-            else:
-                # warm start: previous half-step increment is an O(h^2) guess
-                th_mid = theta + incr_th
-                I_mid = I + incr_I
-            converged = False
+            live = np.arange(n_pts)
             for _ in range(fixed_point_max_iter):
-                gI, gTh = _vector_field(comp, th_mid, I_mid)
-                th_new = theta + half * gI
-                I_new = I + half * gTh
-                delta = max(np.max(np.abs(th_new - th_mid)),
-                            np.max(np.abs(I_new - I_mid)))
-                th_mid, I_mid = th_new, I_new
-                if delta <= fixed_point_tol * (1.0 + np.max(np.abs(I_mid))):
-                    converged = True
+                I_live = I[live]
+                gI, gTh = field(theta[live] + d_th[live], I_live + d_I[live])
+                new_th, new_I = half * gI, half * gTh
+                delta = np.maximum(np.max(np.abs(new_th - d_th[live]), axis=1),
+                                   np.max(np.abs(new_I - d_I[live]), axis=1))
+                d_th[live] = new_th
+                d_I[live] = new_I
+                live = live[~(delta <= fixed_point_tol
+                              * (1.0 + np.max(np.abs(I_live + new_I), axis=1)))]
+                if not live.size:
                     break
-            if not converged:
+            else:
                 raise NonConvergentStep(
-                    f"implicit midpoint fixed point stalled at step {s}")
-            incr_th = th_mid - theta
-            incr_I = I_mid - I
-            theta = 2.0 * th_mid - theta
-            I = 2.0 * I_mid - I
+                    f"implicit midpoint fixed point stalled at step {s} "
+                    f"for {live.size} of {n_pts} points")
+            theta = theta + 2.0 * d_th
+            I = I + 2.0 * d_I
             check_domain(I)
             if record_every and (s % record_every == 0 or s == n_steps):
                 rec_t.append(s * step)
@@ -714,26 +724,27 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
     elif method == "dop853":
         from scipy.integrate import solve_ivp
 
-        nn = theta.size
+        size = theta.size
 
         def rhs(_t, z):
-            gI, gTh = _vector_field(comp, z[:nn], z[nn:])
-            return np.concatenate([gI, gTh])
+            gI, gTh = field(z[:size].reshape(n_pts, n), z[size:].reshape(n_pts, n))
+            return np.concatenate([gI.ravel(), gTh.ravel()])
 
         t_eval = None
         if record_every:
             t_eval = np.arange(0, n_steps + 1, record_every) * step
             if t_eval[-1] != t_final:
                 t_eval = np.append(t_eval, t_final)
-        sol = solve_ivp(rhs, (0.0, t_final), np.concatenate([theta, I]),
+        sol = solve_ivp(rhs, (0.0, t_final), np.concatenate([theta.ravel(), I.ravel()]),
                         method="DOP853", rtol=1e-12, atol=1e-13, t_eval=t_eval)
         if not sol.success:
             raise NonConvergentStep(f"dop853 failed: {sol.message}")
         for t, z in zip(sol.t[1:], sol.y.T[1:]):
             rec_t.append(float(t))
-            rec_th.append(z[:nn].copy())
-            rec_I.append(z[nn:].copy())
-        theta, I = sol.y[:nn, -1].copy(), sol.y[nn:, -1].copy()
+            rec_th.append(z[:size].reshape(n_pts, n))
+            rec_I.append(z[size:].reshape(n_pts, n))
+        theta = sol.y[:size, -1].reshape(n_pts, n)
+        I = sol.y[size:, -1].reshape(n_pts, n)
         check_domain(I)
         if rec_t[-1] != t_final:
             rec_t.append(t_final)
@@ -748,7 +759,11 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
         rec_I.append(I.copy())
     thetas = np.array(rec_th)
     actions = np.array(rec_I)
-    energies = comp.batch_value(thetas, actions)
+    energies = comp.batch_value(thetas.reshape(-1, n),
+                                actions.reshape(-1, n)).reshape(len(rec_t), n_pts)
+    if single:
+        theta, I = theta[0], I[0]
+        thetas, actions, energies = thetas[:, 0], actions[:, 0], energies[:, 0]
     return FlowResult(final=PhaseState(theta, I), times=np.array(rec_t),
                       thetas=thetas, actions=actions, energies=energies,
                       steps=n_steps, method=method)

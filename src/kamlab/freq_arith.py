@@ -95,11 +95,6 @@ def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
     return s + err
 
 
-def compensated_abs_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """|K @ w| per row; see compensated_dot for the reproducibility contract."""
-    return np.abs(compensated_dot(K, w))
-
-
 class _DivisorTable:
     """Per-shell minima of |k . w| over the half lattice, grown on demand."""
 
@@ -119,7 +114,7 @@ class _DivisorTable:
 
         def merge(block: np.ndarray) -> None:
             shells = np.abs(block).sum(axis=1)
-            div = compensated_abs_dot(block, self.w)
+            div = np.abs(compensated_dot(block, self.w))
             order = np.lexsort((div, shells))
             shells_sorted = shells[order]
             first = np.ones(order.size, dtype=bool)

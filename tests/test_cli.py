@@ -81,6 +81,29 @@ def test_freq_bad_input_writes_error_record(files):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+def test_freq_qmax_zero_writes_error_record(files):
+    out = files / "qmax0"
+    res = invoke("freq", "--omega", files / "golden.json", "--qmax", 0, "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["record"] == "error" and err["kind"] == "ValueError"
+    assert "--qmax" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_nf_spec_without_quad_writes_error_record(files):
+    rec = family_base().to_record()
+    del rec["quad"]
+    (files / "no_quad.json").write_text(json.dumps(rec))
+    out = files / "noquad"
+    res = invoke("nf", "--spec", files / "no_quad.json", "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["record"] == "error" and err["kind"] == "ValueError"
+    assert "'quad'" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 def test_freq_resonant_omega_reports_kind(files):
     rec = {"record": "frequency_vector", "kind": "explicit", "n": 2,
            "components": ["1.0", "0.5"], "q_checked": 30,

@@ -1,8 +1,10 @@
 """Series calculus: bracket convention, evaluators vs finite differences,
 scaling-chain conjugacies, symplectic flow properties."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from kamlab.errors import (
     DomainExceeded,
     KolmogorovDegenerate,
+    NonConvergentStep,
     StateMismatch,
 )
 from kamlab.fourier_taylor import (
@@ -289,3 +292,113 @@ def test_time_reversibility():
     back = integrate_flow(spec.combined_series().scale(-1.0), fwd.final, 3.0, 0.01)
     assert np.max(np.abs(back.final.theta - TH)) < 1e-11
     assert np.max(np.abs(back.final.I - II)) < 1e-11
+
+
+# -- stacked flows -------------------------------------------------------------------
+
+STACK_TH = np.array([[0.23, 0.71], [0.9, 0.05], [0.41, 0.33], [0.6, 0.1]])
+STACK_I = np.array([[0.4, -0.2], [-0.1, 0.3], [0.05, 0.02], [1.2, -0.9]])
+
+
+def rows_per_grad_I_call(monkeypatch) -> list:
+    rows = []
+    raw = CompiledSeries.batch_grad_I
+
+    def counted(comp, theta, I):
+        rows.append(theta.shape[0])
+        return raw(comp, theta, I)
+    monkeypatch.setattr(CompiledSeries, "batch_grad_I", counted)
+    return rows
+
+
+def test_stacked_midpoint_equals_single_point_flows(monkeypatch):
+    spec = sample_spec()
+    rows = rows_per_grad_I_call(monkeypatch)
+    stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 2.0, 0.01,
+                           record_every=40)
+    stacked_rows, single_rows = sum(rows), 0
+    for p in range(len(STACK_TH)):
+        rows.clear()
+        one = integrate_flow(spec, PhaseState(STACK_TH[p], STACK_I[p]), 2.0, 0.01,
+                             record_every=40)
+        single_rows += sum(rows)
+        assert np.array_equal(stack.times, one.times)
+        assert np.max(np.abs(stack.thetas[:, p] - one.thetas)) <= 1e-13
+        assert np.max(np.abs(stack.actions[:, p] - one.actions)) <= 1e-13
+        assert np.max(np.abs(stack.energies[:, p] - one.energies)) <= 1e-13
+    # the stack evaluates every point exactly as often as its own flow does:
+    # same warm starts, same fixed-point iterations per step
+    assert stacked_rows == single_rows
+
+
+def test_stacked_dop853_matches_single_point_flows():
+    spec = sample_spec()
+    stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 2.0, 0.02,
+                           method="dop853", record_every=25)
+    for p in range(len(STACK_TH)):
+        one = integrate_flow(spec, PhaseState(STACK_TH[p], STACK_I[p]), 2.0, 0.02,
+                             method="dop853", record_every=25)
+        assert np.array_equal(stack.times, one.times)
+        assert np.max(np.abs(stack.thetas[:, p] - one.thetas)) <= 1e-10
+        assert np.max(np.abs(stack.actions[:, p] - one.actions)) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["midpoint", "dop853"])
+@pytest.mark.parametrize("record_every", [0, 5])
+def test_flow_shapes_single_and_stacked(method, record_every):
+    spec = sample_spec()
+    one = integrate_flow(spec, PhaseState(TH, II), 1.0, 0.1, method=method,
+                         record_every=record_every)
+    # unrecorded dop853 keeps every accepted step
+    T = len(one.times)
+    assert T == 3 if record_every else (T == 2 or method == "dop853")
+    assert one.final.theta.shape == one.final.I.shape == (N,)
+    assert one.thetas.shape == one.actions.shape == (T, N)
+    assert one.times.shape == one.energies.shape == (T,)
+    stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 1.0, 0.1,
+                           method=method, record_every=record_every)
+    P, T = len(STACK_TH), len(stack.times)
+    assert stack.final.theta.shape == stack.final.I.shape == (P, N)
+    assert stack.thetas.shape == stack.actions.shape == (T, P, N)
+    assert stack.times.shape == (T,) and stack.energies.shape == (T, P)
+
+
+def test_one_point_leaving_the_domain_stops_the_stack():
+    ham = (FourierTaylorSeries.monomial(N, (1, 0), 1.0)
+           + FourierTaylorSeries.monomial(N, (0, 1), OMEGA[1])
+           + FourierTaylorSeries.cosine(N, (1, 0), amplitude=0.5))
+    theta = np.array([[0.2, 0.0], [0.2, 0.0]])
+    acts = np.array([[0.0, 0.0], [0.9, 0.0]])
+    integrate_flow(ham, PhaseState(theta[0], acts[0]), 5.0, 0.01, domain_radius=1.0)
+    with pytest.raises(DomainExceeded):
+        integrate_flow(ham, PhaseState(theta, acts), 5.0, 0.01, domain_radius=1.0)
+
+
+def test_one_stalled_point_stops_the_stack():
+    # H = I1^2 cos(2 pi th1): the point at I = 0 is at rest and settles in
+    # one iteration, the moving one needs more than the single one allowed
+    ham = FourierTaylorSeries.cosine(N, (1, 0), (2, 0))
+    theta = np.array([[0.1, 0.0], [0.1, 0.0]])
+    acts = np.array([[0.0, 0.0], [0.5, 0.0]])
+    integrate_flow(ham, PhaseState(theta[0], acts[0]), 0.1, 0.01,
+                   fixed_point_max_iter=1)
+    integrate_flow(ham, PhaseState(theta[1], acts[1]), 0.1, 0.01)
+    with pytest.raises(NonConvergentStep, match="1 of 2 points"):
+        integrate_flow(ham, PhaseState(theta, acts), 0.1, 0.01,
+                       fixed_point_max_iter=1)
+
+
+def test_independent_flows_stay_off_the_integrator():
+    # the oracles and the acceptance RK4 are the references the integrator is
+    # judged against, so they must not reach it
+    here = Path(__file__).parent
+    oracles = ast.parse((here / "oracles.py").read_text())
+    acceptance = ast.parse((here / "test_acceptance.py").read_text())
+    rk4 = next(node for node in ast.walk(acceptance)
+               if isinstance(node, ast.FunctionDef) and node.name == "_batch_flow")
+    for tree in (oracles, rk4):
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not names & {"integrate_flow", "PhaseState", "canonical_field"}

@@ -13,6 +13,7 @@ from kamlab.errors import (
     SmallDivisorBreakdown,
 )
 from kamlab.fourier_taylor import (
+    CompiledSeries,
     FourierTaylorSeries,
     HamiltonianSpec,
     quadratic_from_matrices,
@@ -132,6 +133,36 @@ def test_embed_matches_grid_points(solved):
     th_e, I_e = emb.embed(emb.grid_phis())
     assert np.max(np.abs(th_g - th_e)) < 1e-15
     assert np.max(np.abs(I_g - I_e)) < 1e-15
+
+
+def test_grid_evaluations_match_embed(monkeypatch):
+    # invariance_defect (own and doubled grid) and pull_back evaluate the
+    # embedding on grids by inverse FFT; the phase-matrix embed must agree
+    h3, freq = family_spec()
+    emb = ts.solve_torus(h3, I_T, tau=1.5, grid=16)
+    nf = one_step_normal_form(h3, freq)
+    embed = ts.TorusEmbedding.embed
+    seen = []
+    raw = CompiledSeries.batch_grad_I
+
+    def spy(comp, theta, I):
+        seen.append((theta.copy(), I.copy()))
+        return raw(comp, theta, I)
+
+    def refuse(self, phi):
+        raise AssertionError("grid evaluated through embed")
+    monkeypatch.setattr(CompiledSeries, "batch_grad_I", spy)
+    monkeypatch.setattr(ts.TorusEmbedding, "embed", refuse)
+    for run, grid in ((lambda: ts.invariance_defect(h3, emb), 16),
+                      (lambda: ts.invariance_defect(h3, emb, grid=32), 32),
+                      (lambda: ts.pull_back(emb, physical_radius=1.0, nf=nf), 16)):
+        seen.clear()
+        run()
+        theta, acts = seen[0]               # the first evaluation sees the grid
+        want_theta, want_acts = embed(emb, ts._grid_phis(grid, 2))
+        assert theta.shape == (grid * grid, 2)
+        assert np.max(np.abs(theta - want_theta)) <= 1e-14
+        assert np.max(np.abs(acts - want_acts)) <= 1e-14
 
 
 def test_embed_single_equals_batch(solved):
