@@ -85,26 +85,42 @@ class _Sink:
         self.written.clear()
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, object_hook=None) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
-def _load_frequency(path: str) -> FrequencyVector:
-    rec = _load_json(path)
+def _load_record(path: str, parse):
+    """`parse` the record in a JSON file, turning a missing field or a value
+    of the wrong type or size into a ValueError.  A missing field is named;
+    for a bad value the message names the last field the parser read, which
+    the record's objects note as they are indexed."""
+    read = []
+
+    class Fields(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return dict.__getitem__(self, key)
+
+    try:
+        return parse(_load_json(path, Fields))
+    except KeyError as exc:
+        raise ValueError(f"{path}: record lacks the field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+        where = f" at or after the field {read[-1]!r}" if read else ""
+        raise ValueError(f"{path}: malformed record{where}: {exc}") from exc
+
+
+def _frequency(rec: dict) -> FrequencyVector:
     if "name" in rec and rec.get("record") in (None, "frequency_named"):
         extras = {k: rec[k] for k in ("n", "tau") if k in rec}
         return fa.make_test_frequency(rec["name"], **extras)
     return FrequencyVector.from_record(rec)
-
-
-def _load_spec(path: str) -> HamiltonianSpec:
-    return HamiltonianSpec.from_record(_load_json(path))
 
 
 def _time_scaled(spec: HamiltonianSpec) -> HamiltonianSpec:
@@ -157,7 +173,7 @@ def freq(omega_file, qmax, eps_values, alpha, cbar, out):
     def body(sink: _Sink):
         if qmax < 1:
             raise ValueError(f"--qmax must be at least 1, got {qmax}")
-        omega = _load_frequency(omega_file)
+        omega = _load_record(omega_file, _frequency)
         records = fa.psi_table(omega, qmax)
         rows = [(r.Q, r.psi, r.min_divisor,
                  ";".join(str(v) for v in r.argmin_k)) for r in records]
@@ -195,10 +211,10 @@ def nf(spec_file, eps, c, omega_file, alpha, cbar, out):
                 "alpha": alpha, "cbar": cbar}
 
     def body(sink: _Sink):
-        spec = _load_spec(spec_file)
+        spec = _load_record(spec_file, HamiltonianSpec.from_record)
         if eps is not None:
             spec = replace(spec, epsilon=eps)
-        freq_vec = (_load_frequency(omega_file) if omega_file
+        freq_vec = (_load_record(omega_file, _frequency) if omega_file
                     else FrequencyVector(spec.omega))
         result = one_step_normal_form(_time_scaled(spec), freq_vec, c=c,
                                       gevrey_alpha=alpha, gevrey_c_bar=cbar)
@@ -228,7 +244,7 @@ def torus(spec_file, i0, gamma, tau, tol, grid, t_final, out):
                 "t_final": t_final}
 
     def body(sink: _Sink):
-        spec = _load_spec(spec_file)
+        spec = _load_record(spec_file, HamiltonianSpec.from_record)
         I_target = np.array([float(v) for v in i0.split(",")])
         if I_target.size != spec.n:
             raise ValueError(f"--i0 needs {spec.n} components, got {I_target.size}")
@@ -263,7 +279,7 @@ def scan(plan_file, out):
         return {"cmd": "scan", "plan": _load_json(plan_file)}
 
     def body(sink: _Sink):
-        plan = ms.ScanPlan.from_record(_load_json(plan_file))
+        plan = _load_record(plan_file, ms.ScanPlan.from_record)
         reports = ms.run_plan(plan)
         rows = [(r.epsilon, r.mu, r.gamma_used, r.tau_used, r.samples,
                  r.selected, r.converged, r.complement_fraction, r.wall_time)
@@ -305,7 +321,7 @@ def probe(spec_file, t_final, step, i0, points, out):
                 "h": step, "i0": i0, "points": points}
 
     def body(sink: _Sink):
-        spec = _load_spec(spec_file)
+        spec = _load_record(spec_file, HamiltonianSpec.from_record)
         n = spec.n
         act0 = (np.array([float(v) for v in i0.split(",")])
                 if i0 else np.zeros(n))

@@ -232,12 +232,6 @@ class FourierTaylorSeries:
     def evaluate(self, theta, I) -> float:
         return self.compile().value(np.asarray(theta, float), np.asarray(I, float))
 
-    def grad_theta(self, theta, I) -> np.ndarray:
-        return self.compile().grad_theta(np.asarray(theta, float), np.asarray(I, float))
-
-    def grad_I(self, theta, I) -> np.ndarray:
-        return self.compile().grad_I(np.asarray(theta, float), np.asarray(I, float))
-
     # -- records ----------------------------------------------------------------------
 
     def to_record(self) -> dict:
@@ -258,142 +252,90 @@ class FourierTaylorSeries:
 
 
 class CompiledSeries:
-    """Vectorized evaluator: distinct phases and action powers shared across
-    value / gradient / Hessian queries, single-point or batched over grids."""
+    """Vectorized evaluator.  Every query runs one kernel over a batch of N
+    points, (N, n) angles and actions; a single point is the batch N = 1."""
 
     def __init__(self, series: FourierTaylorSeries):
         self.n = series.n
         items = series.sorted_terms()
-        nt = len(items)
+        self.nt = len(items)
         self.coeff = np.array([c for _, c in items], dtype=complex)
         kset: dict = {}
-        mset: dict = {}
-        self.idx_k = np.zeros(nt, dtype=np.intp)
-        self.idx_m = np.zeros(nt, dtype=np.intp)
-        for t, ((k, m), _) in enumerate(items):
-            self.idx_k[t] = kset.setdefault(k, len(kset))
-            self.idx_m[t] = mset.setdefault(m, len(mset))
+        self.idx_k = np.array([kset.setdefault(k, len(kset)) for (k, _), _ in items],
+                              dtype=np.intp)
         self.K = np.array(list(kset), dtype=np.int64).reshape(len(kset), self.n)
-        self.M = np.array(list(mset), dtype=np.int64).reshape(len(mset), self.n)
-        self.Kt = self.K[self.idx_k].astype(np.float64)      # (nt, n)
-        self.Mt = self.M[self.idx_m]                          # (nt, n)
-        # exponent tables for dI and d2I/dIdI, guarded at zero exponent
-        self.Mt_dn1 = np.maximum(self.Mt - 1, 0)
-        self.fac1 = self.Mt.astype(np.float64)                # m_j
-        self.nt = nt
-        # per-dimension exponent tables with the j-th entry lowered once,
-        # precomputed so gradient calls allocate nothing term-shaped
-        self._Mdn = [self.Mt.copy() for _ in range(self.n)]
-        for j in range(self.n):
-            self._Mdn[j][:, j] = self.Mt_dn1[:, j]
-        self._iKt = 2j * math.pi * self.Kt
+        self.Mt = np.array([m for (_, m), _ in items],
+                           dtype=np.int64).reshape(self.nt, self.n)
+        self._emax = [int(e) for e in self.Mt.max(axis=0, initial=0)]
+        self._iKt = 2j * math.pi * self.K[self.idx_k]
 
-    # -- internals -------------------------------------------------------------
-
-    def _phases(self, theta: np.ndarray) -> np.ndarray:
-        # theta: (n,) -> (nk,) or (N, n) -> (N, nk)
-        return np.exp(2j * math.pi * (theta @ self.K.T))
-
-    def _powers(self, I: np.ndarray, M: np.ndarray) -> np.ndarray:
-        # I: (n,) with M (nm, n) -> (nm,);  I: (N, n) -> (N, nm)
-        if I.ndim == 1:
-            return np.prod(I[None, :] ** M, axis=1)
-        return self._powers_batch(I, M)
-
-    def _powers_batch(self, I: np.ndarray, M: np.ndarray) -> np.ndarray:
+    def _evaluate(self, theta: np.ndarray, I: np.ndarray, drops,
+                  reduce=lambda terms: np.sum(terms, axis=1).real) -> list:
+        """For each tuple `drop` of action indices in `drops` (an index listed
+        twice differentiates twice), reduce(terms) of the per-term
+        contributions  c exp(2 pi i k.theta) d^drop(I^m)  at N points, (N, nt);
+        by default the real part of their sum, the derivative d^drop."""
+        N = theta.shape[0]
         # action exponents are tiny ints; cumulative-multiply tables beat
         # N x nt pow calls by an order of magnitude on solver grids
-        out = np.ones((I.shape[0], M.shape[0]))
+        tables = []
         for j in range(self.n):
-            col = np.asarray(M[:, j], dtype=np.int64)
-            emax = int(col.max()) if col.size else 0
-            if emax == 0:
-                continue
-            tab = np.empty((I.shape[0], emax + 1))
+            tab = np.empty((N, self._emax[j] + 1))
             tab[:, 0] = 1.0
-            for e in range(1, emax + 1):
+            for e in range(1, self._emax[j] + 1):
                 tab[:, e] = tab[:, e - 1] * I[:, j]
-            out *= tab[:, col]
+            tables.append(tab)
+        base = self.coeff * np.exp(2j * math.pi * (theta @ self.K.T))[:, self.idx_k]
+        out = []
+        for drop in drops:
+            exps = list(self.Mt.T)
+            fac = 1.0
+            for j in drop:
+                fac = fac * exps[j]
+                exps[j] = np.maximum(exps[j] - 1, 0)
+            pw = np.ones((N, self.nt))
+            for j in range(self.n):
+                if self._emax[j]:
+                    pw *= tables[j][:, exps[j]]
+            # reduced at once, so one term-shaped array lives at a time
+            out.append(reduce((base * fac if drop else base) * pw))
         return out
 
-    def _weights(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        """coeff * phase * I^m per term: (nt,) or (N, nt)."""
-        ph = self._phases(theta)
-        pw_t = self._powers(I, self.Mt)
-        if theta.ndim == 1:
-            return self.coeff * ph[self.idx_k] * pw_t
-        return self.coeff[None, :] * ph[:, self.idx_k] * pw_t
-
-    # -- queries -----------------------------------------------------------------
-
-    def value(self, theta: np.ndarray, I: np.ndarray) -> float:
-        return float(np.sum(self._weights(theta, I)).real)
+    # -- queries: batches of N points ------------------------------------------
 
     def batch_value(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        return np.sum(self._weights(theta, I), axis=1).real
-
-    def grad_theta(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        w = self._weights(theta, I)
-        return (w @ (2j * math.pi * self.Kt)).real
+        return self._evaluate(theta, I, [()])[0]
 
     def batch_grad_theta(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        w = self._weights(theta, I)
-        return (w @ (2j * math.pi * self.Kt)).real
-
-    def grad_I(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        ph = self._phases(theta)
-        base = self.coeff * ph[self.idx_k]
-        out = np.empty(self.n)
-        for j in range(self.n):
-            pw = np.prod(I[None, :] ** self._Mdn[j], axis=1)
-            out[j] = np.sum(base * self.fac1[:, j] * pw).real
-        return out
-
-    def canonical_field(self, theta: np.ndarray, I: np.ndarray):
-        """(dH/dI, -dH/dtheta) at one point, phases computed once."""
-        ph = self._phases(theta)
-        base = self.coeff * ph[self.idx_k]
-        gI = np.empty(self.n)
-        for j in range(self.n):
-            pw = np.prod(I[None, :] ** self._Mdn[j], axis=1)
-            gI[j] = np.sum(base * self.fac1[:, j] * pw).real
-        w = base * np.prod(I[None, :] ** self.Mt, axis=1)
-        gTh = (w @ self._iKt).real
-        return gI, -gTh
+        return self._evaluate(theta, I, [()], lambda terms: (terms @ self._iKt).real)[0]
 
     def batch_grad_I(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        ph = self._phases(theta)
-        base = self.coeff[None, :] * ph[:, self.idx_k]
-        N = theta.shape[0]
-        out = np.empty((N, self.n))
-        for j in range(self.n):
-            pw = self._powers_batch(I, self._Mdn[j])
-            out[:, j] = np.sum(base * self.fac1[None, :, j] * pw, axis=1).real
-        return out
-
-    def hess_II(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        return self.batch_hess_II(theta[None, :], I[None, :])[0]
+        return np.stack(self._evaluate(theta, I, [(j,) for j in range(self.n)]), axis=1)
 
     def batch_hess_II(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        ph = self._phases(theta)
-        base = self.coeff[None, :] * ph[:, self.idx_k]
-        N = theta.shape[0]
-        out = np.empty((N, self.n, self.n))
-        for j in range(self.n):
-            for l in range(j, self.n):
-                Mj = self.Mt.copy()
-                if j == l:
-                    fac = self.fac1[:, j] * np.maximum(self.fac1[:, j] - 1.0, 0.0)
-                    Mj[:, j] = np.maximum(self.Mt[:, j] - 2, 0)
-                else:
-                    fac = self.fac1[:, j] * self.fac1[:, l]
-                    Mj[:, j] = self.Mt_dn1[:, j]
-                    Mj[:, l] = self.Mt_dn1[:, l]
-                pw = self._powers_batch(I, Mj)
-                val = np.sum(base * fac[None, :] * pw, axis=1).real
-                out[:, j, l] = val
-                out[:, l, j] = val
+        pairs = [(j, l) for j in range(self.n) for l in range(j, self.n)]
+        out = np.empty((theta.shape[0], self.n, self.n))
+        for (j, l), d in zip(pairs, self._evaluate(theta, I, pairs)):
+            out[:, j, l] = out[:, l, j] = d
         return out
+
+    # -- queries: one point, theta and I of shape (n,) ---------------------------
+
+    def value(self, theta: np.ndarray, I: np.ndarray) -> float:
+        return float(self.batch_value(theta[None], I[None])[0])
+
+    def grad_theta(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
+        return self.batch_grad_theta(theta[None], I[None])[0]
+
+    def grad_I(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
+        return self.batch_grad_I(theta[None], I[None])[0]
+
+    def hess_II(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
+        return self.batch_hess_II(theta[None], I[None])[0]
+
+    def canonical_field(self, theta: np.ndarray, I: np.ndarray):
+        """(dH/dI, -dH/dtheta) at one point."""
+        return self.grad_I(theta, I), -self.grad_theta(theta, I)
 
 
 # ---------------------------------------------------------------------------
@@ -521,24 +463,18 @@ class HamiltonianSpec:
     def from_record(cls, rec: dict) -> "HamiltonianSpec":
         if rec.get("record") != "hamiltonian_spec":
             raise ValueError("not a hamiltonian_spec record")
-        try:
-            extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
-            return cls(
-                omega=np.array([float(s) for s in rec["omega"]]),
-                quad=FourierTaylorSeries.from_record(rec["quad"]),
-                rest=FourierTaylorSeries.from_record(rec["rest"]),
-                epsilon=rec["epsilon"],
-                state=rec["state"],
-                omega_prefactor=rec["omega_prefactor"],
-                extra=extra,
-                extra_prefactor=rec.get("extra_prefactor", 0.0),
-                domain_radius=rec.get("domain_radius", 1.0),
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"hamiltonian_spec record lacks the field {exc.args[0]!r}") from exc
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed hamiltonian_spec record: {exc}") from exc
+        extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
+        return cls(
+            omega=np.array([float(s) for s in rec["omega"]]),
+            quad=FourierTaylorSeries.from_record(rec["quad"]),
+            rest=FourierTaylorSeries.from_record(rec["rest"]),
+            epsilon=rec["epsilon"],
+            state=rec["state"],
+            omega_prefactor=rec["omega_prefactor"],
+            extra=extra,
+            extra_prefactor=rec.get("extra_prefactor", 0.0),
+            domain_radius=rec.get("domain_radius", 1.0),
+        )
 
 
 def quadratic_from_matrices(n: int, constant: np.ndarray,

@@ -92,6 +92,24 @@ def _grid_values(hat: np.ndarray, grid: int) -> np.ndarray:
                     axis=1)
 
 
+def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
+            Omega: np.ndarray, drift: np.ndarray, grid: int):
+    """Grid points of K and the invariance defects, each (grid^n, n), on a
+    grid at least as fine as the embedding's own:
+        E_ang = dF/dI (K) - drift - L_Omega u,   E_act = dF/dtheta (K) + L_Omega v,
+    with F the compiled perturbation `comp`, L_Omega = Omega . d/dphi and
+    drift = Omega - dH_lin/dI, so the base frequency cancels analytically."""
+    n = I0.size
+    own = u_hat.shape[1]
+    theta = _grid_phis(grid, n) + _grid_values(u_hat, grid)
+    acts = I0[None, :] + _grid_values(v_hat, grid)
+    kdot = (2j * math.pi * compensated_dot(_wavevectors(own, n), Omega)).reshape((own,) * n)
+    E_ang = (comp.batch_grad_I(theta, acts) - drift[None, :]
+             - _grid_values(u_hat * kdot, grid))
+    E_act = comp.batch_grad_theta(theta, acts) + _grid_values(v_hat * kdot, grid)
+    return theta, acts, E_ang, E_act
+
+
 @dataclass(eq=False)
 class TargetFrequency:
     """Certified internal frequency of a torus.
@@ -293,7 +311,6 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     if target is None:
         target = certify_target(spec, I_target, gamma=gamma, tau=tau, grid=grid)
     Omega = target.Omega
-    shift = target.shift
 
     K = _wavevectors(grid, n)
     shape = (grid,) * n
@@ -319,11 +336,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
         sol = np.where(live, c / denom, 0.0)
         return sol, _unhat(sol).real
 
-    def directional(hat: np.ndarray) -> np.ndarray:
-        return _unhat(hat * np.where(live, 2j * math.pi * kdot, 0.0)).real
-
     comp = spec.perturbation(include_extra=True).compile()
-    phis = _grid_phis(grid, n)
 
     u_hat = np.zeros((n,) + shape, dtype=complex)
     v_hat = np.zeros((n,) + shape, dtype=complex)
@@ -333,17 +346,8 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     best = math.inf
     stall = 0
     for iteration in range(max_iter):
-        theta = phis + _grid_values(u_hat, grid)
-        v_vals = _grid_values(v_hat, grid)
-        acts = I0[None, :] + v_vals
-
-        g_I = comp.batch_grad_I(theta, acts)
-        g_th = comp.batch_grad_theta(theta, acts)
-        Lu = np.stack([directional(u_hat[j]).ravel() for j in range(n)], axis=1)
-        Lv = np.stack([directional(v_hat[j]).ravel() for j in range(n)], axis=1)
-
-        E_ang = g_I - shift[None, :] - Lu            # base frequency cancelled
-        E_act = g_th + Lv
+        theta, acts, E_ang, E_act = _defect(comp, u_hat, v_hat, I0, Omega,
+                                            target.shift, grid)
         defect = max(np.max(np.abs(E_ang)), np.max(np.abs(E_act)))
         history.append(float(defect))
         if defect <= tol:
@@ -370,7 +374,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
 
         # action correction: L_Omega dv = -(E_act - <E_act>)
         dv_hat = np.empty_like(v_hat)
-        dv_vals = np.empty_like(v_vals)
+        dv_vals = np.empty_like(acts)
         act_mean = E_act.mean(axis=0)
         for j in range(n):
             rhs = -(E_act[:, j] - act_mean[j]).reshape(shape)
@@ -461,30 +465,23 @@ def lagrangian_defect(emb: TorusEmbedding) -> float:
 # ---------------------------------------------------------------------------
 
 def invariance_defect(spec: HamiltonianSpec, emb: TorusEmbedding,
-                      Omega: Optional[np.ndarray] = None,
                       grid: Optional[int] = None) -> float:
     """Sup norm of X_H(K(phi)) - DK(phi) Omega on an evaluation grid.
 
-    Works for any frame: Omega defaults to the fast target frequency in the
-    scaled frame and to omega_slow for a pulled-back physical embedding.
-    Passing a finer grid than the embedding's own re-evaluates the defect
-    between collocation points (spectral-accuracy check)."""
-    if Omega is None:
-        Omega = (emb.target.omega_slow if emb.frame == "physical"
-                 else emb.target.Omega)
-    n = emb.n
-    N = emb.grid if grid is None else grid
-    theta = _grid_phis(N, n) + _grid_values(emb.u_hat, N)
-    acts = emb.I0[None, :] + _grid_values(emb.v_hat, N)
-    comp = spec.perturbation(include_extra=True).compile()
-    g_I = comp.batch_grad_I(theta, acts)
-    g_th = comp.batch_grad_theta(theta, acts)
-    K = _wavevectors(emb.grid, n)
-    kdot = (2j * math.pi * compensated_dot(K, Omega)).reshape((emb.grid,) * n)
-    Lu = _grid_values(emb.u_hat * kdot, N)
-    Lv = _grid_values(emb.v_hat * kdot, N)
-    E_ang = spec.frequency_vector()[None, :] + g_I - Omega[None, :] - Lu
-    E_act = -g_th - Lv
+    Works for either frame; the linear part of H enters only through the
+    drift Omega - frequency_vector().  A scaled-frame torus carries Omega
+    with drift target.shift, as in the Newton sweep, so on its own grid this
+    is emb.defect_norm exactly; a pulled-back physical torus carries
+    omega_slow.  Passing a finer grid than the embedding's own re-evaluates
+    the defect between collocation points (spectral-accuracy check)."""
+    if emb.frame == "physical":
+        Omega = emb.target.omega_slow
+        drift = Omega - spec.frequency_vector()
+    else:
+        Omega, drift = emb.target.Omega, emb.target.shift
+    _, _, E_ang, E_act = _defect(spec.perturbation(include_extra=True).compile(),
+                                 emb.u_hat, emb.v_hat, emb.I0, Omega, drift,
+                                 emb.grid if grid is None else grid)
     return max(float(np.max(np.abs(E_ang))), float(np.max(np.abs(E_act))))
 
 

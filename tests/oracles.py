@@ -5,11 +5,14 @@ full lattice ball is generated here by itertools-style recursion and the
 minimum divisor is taken over every vector, so agreement with the package's
 half-lattice shell tables is a two-route check.  The compensated dot product
 is re-implemented inline, op for op, which makes the minima bit-identical
-(|(-k) . w| equals |k . w| exactly in IEEE arithmetic).
+(|(-k) . w| equals |k . w| exactly in IEEE arithmetic).  The series jet
+sums Fourier-Taylor terms one at a time in Python complex arithmetic, away
+from the package's compiled evaluator.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -87,3 +90,31 @@ def exact_min_divisor_n2(alpha: Fraction, Q: int) -> Fraction:
             if best is None or v < best:
                 best = v
     return best
+
+
+def series_jet(terms: dict, theta, I):
+    """Value, d/dtheta, d/dI and d2/dI2 of  sum c exp(2 pi i k.theta) I^m  at
+    one point, term by term: d^d I^m = prod_j m_j!/(m_j-d_j)! I_j^(m_j-d_j)."""
+    n = len(theta)
+
+    def d_monomial(m, d):
+        if any(dj > mj for mj, dj in zip(m, d)):
+            return 0.0
+        return math.prod(math.perm(mj, dj) * float(I[j]) ** (mj - dj)
+                         for j, (mj, dj) in enumerate(zip(m, d)))
+
+    def unit(*js):
+        return tuple(sum(1 for j in js if j == i) for i in range(n))
+
+    value, d_th, d_I = 0j, [0j] * n, [0j] * n
+    hess = [[0j] * n for _ in range(n)]
+    for (k, m), c in terms.items():
+        w = c * cmath.exp(2j * math.pi * sum(kj * float(tj) for kj, tj in zip(k, theta)))
+        value += w * d_monomial(m, unit())
+        for j in range(n):
+            d_th[j] += 2j * math.pi * k[j] * w * d_monomial(m, unit())
+            d_I[j] += w * d_monomial(m, unit(j))
+            for l in range(n):
+                hess[j][l] += w * d_monomial(m, unit(j, l))
+    return (value.real, np.array(d_th).real, np.array(d_I).real,
+            np.array(hess).real)

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kamlab import cli
 from kamlab import freq_arith as fa
 from kamlab import measure_scan as ms
+from kamlab.errors import KamlabError
 from kamlab.fourier_taylor import (
     FourierTaylorSeries,
     HamiltonianSpec,
@@ -91,17 +94,74 @@ def test_freq_qmax_zero_writes_error_record(files):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
-def test_nf_spec_without_quad_writes_error_record(files):
-    rec = family_base().to_record()
-    del rec["quad"]
-    (files / "no_quad.json").write_text(json.dumps(rec))
-    out = files / "noquad"
-    res = invoke("nf", "--spec", files / "no_quad.json", "--out", out)
+def _records(files) -> dict:
+    """A valid record for each record-reading option."""
+    return {"--spec": family_base().to_record(),
+            "--omega": fa.make_test_frequency("golden").to_record(),
+            "--plan": json.loads((files / "plan.json").read_text())}
+
+
+@pytest.mark.parametrize("cmd, option, edit, field", [
+    ("nf", "--spec", lambda rec: rec.pop("quad"), "quad"),
+    ("freq", "--omega", lambda rec: rec.pop("components"), "components"),
+    ("freq", "--omega", lambda rec: rec.update(components=3), "components"),
+    ("scan", "--plan", lambda rec: rec.pop("base"), "base"),
+    ("scan", "--plan", lambda rec: rec["freq"].pop("components"), "components"),
+    ("scan", "--plan", lambda rec: rec.update(epsilons=5), "epsilons"),
+], ids=["nf-spec-without-quad", "freq-omega-without-components",
+        "freq-omega-components-3", "scan-plan-without-base",
+        "scan-plan-freq-without-components", "scan-plan-epsilons-5"])
+def test_malformed_record_writes_error_record(files, cmd, option, edit, field):
+    rec = _records(files)[option]
+    edit(rec)
+    (files / "malformed.json").write_text(json.dumps(rec))
+    out = files / "malformed"
+    res = invoke(cmd, option, files / "malformed.json", "--out", out)
     assert res.exit_code == 2
     err = json.loads((out / "error.json").read_text())
     assert err["record"] == "error" and err["kind"] == "ValueError"
-    assert "'quad'" in err["message"]
+    assert repr(field) in err["message"]
     assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+_DROP = object()
+_PARSERS = {"--spec": HamiltonianSpec.from_record, "--omega": cli._frequency,
+            "--plan": ms.ScanPlan.from_record}
+
+
+def _field_paths(rec: dict, prefix=()):
+    for key, value in rec.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_loader_refuses_a_dropped_or_retyped_field(files, data):
+    # every record the CLI reads either parses or ends in a ValueError (or a
+    # kamlab error), so the command writes error.json instead of a traceback
+    option = data.draw(st.sampled_from(sorted(_PARSERS)))
+    rec = _records(files)[option]
+    path = data.draw(st.sampled_from(list(_field_paths(rec))))
+    value = data.draw(st.sampled_from(
+        [_DROP, None, True, 0, -1, 2.5, "x", [], {}, [1], ["x"], [[1]], 10 ** 400]))
+    parent = rec
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    (files / "fuzzed.json").write_text(json.dumps(rec))
+    try:
+        cli._load_record(str(files / "fuzzed.json"), _PARSERS[option])
+    except KamlabError:
+        pass
+    except ValueError as exc:
+        if "lacks the field" in str(exc):
+            assert repr(path[-1]) in str(exc)
 
 
 def test_freq_resonant_omega_reports_kind(files):

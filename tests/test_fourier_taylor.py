@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import series_jet
 
 from kamlab.errors import (
     DomainExceeded,
@@ -100,6 +101,42 @@ def test_batched_evaluators_match_single_point():
         assert np.allclose(bg[i], c.grad_theta(TH_b[i], II_b[i]), atol=1e-13)
         assert np.allclose(bgI[i], c.grad_I(TH_b[i], II_b[i]), atol=1e-13)
         assert np.allclose(bh[i], c.hess_II(TH_b[i], II_b[i]), atol=1e-13)
+    # a single point is the batch of one, bit for bit (rows of a larger
+    # batch may round differently: BLAS and reductions block by size)
+    th, act = TH_b[0], II_b[0]
+    for name in ("value", "grad_theta", "grad_I", "hess_II"):
+        one = getattr(c, "batch_" + name)(th[None], act[None])[0]
+        assert np.array_equal(getattr(c, name)(th, act), one)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluators_match_term_by_term_oracle(n):
+    rng = np.random.default_rng(n)
+    series = FourierTaylorSeries.monomial(n, (4,) * n, 0.3)
+    for i in range(12):
+        make = FourierTaylorSeries.cosine if i % 2 else FourierTaylorSeries.sine
+        series = series + make(n, rng.integers(-3, 4, n), rng.integers(0, 5, n),
+                               rng.normal())
+    c = series.compile()
+    TH_b = rng.uniform(0, 1, (5, n))
+    II_b = rng.uniform(-0.9, 0.9, (5, n))
+    jets = [series_jet(series.terms(), th, act) for th, act in zip(TH_b, II_b)]
+    want = [np.array(q) for q in zip(*jets)]
+    value, g_th, g_I, hess = want
+    field = [np.concatenate(c.canonical_field(th, act)) for th, act in zip(TH_b, II_b)]
+    got = {
+        "batch_value": (c.batch_value(TH_b, II_b), value),
+        "batch_grad_theta": (c.batch_grad_theta(TH_b, II_b), g_th),
+        "batch_grad_I": (c.batch_grad_I(TH_b, II_b), g_I),
+        "batch_hess_II": (c.batch_hess_II(TH_b, II_b), hess),
+        "canonical_field": (np.array(field), np.concatenate([g_I, -g_th], axis=1)),
+    }
+    for name, expected in zip(("value", "grad_theta", "grad_I", "hess_II"), want):
+        point = getattr(c, name)
+        got[name] = (np.array([point(th, act) for th, act in zip(TH_b, II_b)]), expected)
+    for name, (have, expected) in got.items():
+        err = np.max(np.abs(have - expected)) / np.max(np.abs(expected))
+        assert err <= 1e-12, name
 
 
 def test_canonical_field_consistent():
@@ -111,7 +148,7 @@ def test_canonical_field_consistent():
 
 def test_evaluate_is_real_for_real_series():
     f = sample_series()
-    w = f.compile()._weights(TH, II)
+    w = f.compile()._evaluate(TH[None], II[None], [()], reduce=lambda terms: terms)[0]
     assert abs(np.sum(w).imag) < 1e-14
 
 
@@ -402,3 +439,6 @@ def test_independent_flows_stay_off_the_integrator():
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert not names & {"integrate_flow", "PhaseState", "canonical_field"}
+    # the series jet checks the compiled evaluator, so the oracles import
+    # nothing from the package
+    assert "kamlab" not in (here / "oracles.py").read_text()

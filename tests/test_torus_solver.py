@@ -313,6 +313,8 @@ def test_invariance_defect_stable_under_grid_doubling(solved):
     d_own = ts.invariance_defect(h3, emb)
     d_fine = ts.invariance_defect(h3, emb, grid=128)
     assert d_own < 1e-10 and d_fine < 1e-10
+    # on its own grid the checker computes the Newton sweep's defect
+    assert d_own == emb.defect_norm
     # the torus is fully resolved, so refining the quadrature grid can
     # only move the measured defect at roundoff level
     assert abs(d_own - d_fine) < 1e-12
