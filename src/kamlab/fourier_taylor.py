@@ -14,6 +14,7 @@ F' = {F, chi} along the flow of chi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -35,7 +36,8 @@ class FourierTaylorSeries:
     """Immutable-by-convention container of (k, m) -> complex coefficients.
 
     All algebraic operations return new instances; the term dict should not
-    be mutated after construction (compiled evaluators are cached).
+    be mutated after construction (the compiled evaluator and the angle
+    average are cached).
     """
 
     def __init__(self, n: int, terms: Optional[dict] = None):
@@ -52,6 +54,7 @@ class FourierTaylorSeries:
                 if c != 0:
                     self._terms[key] = self._terms.get(key, 0j) + c
         self._compiled: Optional["CompiledSeries"] = None
+        self._average: Optional["FourierTaylorSeries"] = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -188,9 +191,11 @@ class FourierTaylorSeries:
 
     def average(self) -> "FourierTaylorSeries":
         """Angle average: the k = 0 terms."""
-        zero = tuple([0] * self.n)
-        return FourierTaylorSeries(
-            self.n, {key: c for key, c in self._terms.items() if key[0] == zero})
+        if self._average is None:
+            zero = tuple([0] * self.n)
+            self._average = FourierTaylorSeries(
+                self.n, {key: c for key, c in self._terms.items() if key[0] == zero})
+        return self._average
 
     def oscillating(self) -> "FourierTaylorSeries":
         zero = tuple([0] * self.n)
@@ -252,70 +257,91 @@ class FourierTaylorSeries:
 
 
 class CompiledSeries:
-    """Vectorized evaluator.  Every query runs one kernel over a batch of N
-    points, (N, n) angles and actions; a single point is the batch N = 1."""
+    """Vectorized evaluator of the series grouped by wavevector,
+        sum_k exp(2 pi i k.theta) P_k(I),
+    over its distinct wavevectors k.  Every query runs one kernel over a batch
+    of N points, (N, n) angles and actions; a single point is the batch N = 1."""
 
     def __init__(self, series: FourierTaylorSeries):
         self.n = series.n
-        items = series.sorted_terms()
-        self.nt = len(items)
-        self.coeff = np.array([c for _, c in items], dtype=complex)
         kset: dict = {}
-        self.idx_k = np.array([kset.setdefault(k, len(kset)) for (k, _), _ in items],
-                              dtype=np.intp)
+        self._terms = [(kset.setdefault(k, len(kset)), m, c)
+                       for (k, m), c in series.sorted_terms()]
         self.K = np.array(list(kset), dtype=np.int64).reshape(len(kset), self.n)
-        self.Mt = np.array([m for (_, m), _ in items],
-                           dtype=np.int64).reshape(self.nt, self.n)
-        self._emax = [int(e) for e in self.Mt.max(axis=0, initial=0)]
-        self._iKt = 2j * math.pi * self.K[self.idx_k]
+        self._dK = 2j * math.pi * self.K
+        self._plans: dict = {}
 
-    def _evaluate(self, theta: np.ndarray, I: np.ndarray, drops,
-                  reduce=lambda terms: np.sum(terms, axis=1).real) -> list:
-        """For each tuple `drop` of action indices in `drops` (an index listed
-        twice differentiates twice), reduce(terms) of the per-term
-        contributions  c exp(2 pi i k.theta) d^drop(I^m)  at N points, (N, nt);
-        by default the real part of their sum, the derivative d^drop."""
+    def _plan(self, drops: tuple):
+        """The monomials and coefficient matrices of the derivatives
+        d^drop P_k, one matrix per tuple `drop` of action indices (an index
+        listed twice differentiates twice), built on first use and cached.
+        Row r of `exps` is the exponent of the r-th distinct monomial they
+        use, `top` its largest entry; a matrix is (rows, 2 nK) real and holds
+        the coefficient of k = K[i], its d^drop factor folded in, as real and
+        imaginary parts in columns 2i and 2i + 1."""
+        plan = self._plans.get(drops)
+        if plan is None:
+            rows: dict = {}
+            entries = []
+            for drop in drops:
+                entries.append([])
+                for ik, m, c in self._terms:
+                    e, fac = list(m), 1
+                    for j in drop:
+                        fac *= e[j]
+                        e[j] -= 1
+                    if fac:
+                        entries[-1].append((rows.setdefault(tuple(e), len(rows)), ik,
+                                            c * fac))
+            exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), self.n)
+            mats = []
+            for drop_entries in entries:
+                coeff = np.zeros((len(rows), len(self.K)), dtype=complex)
+                for r, ik, c in drop_entries:
+                    coeff[r, ik] = c
+                mats.append(coeff.view(np.float64))
+            plan = self._plans[drops] = (exps, int(exps.max(initial=0)), mats)
+        return plan
+
+    def _evaluate(self, theta: np.ndarray, I: np.ndarray, drops: tuple) -> list:
+        """For each tuple `drop` in `drops`, exp(2 pi i k.theta) d^drop P_k(I)
+        at N points, (N, nK) complex: the phase table times one real GEMM of
+        the monomial table against the drop's coefficient matrix."""
+        exps, top, mats = self._plan(drops)
         N = theta.shape[0]
-        # action exponents are tiny ints; cumulative-multiply tables beat
-        # N x nt pow calls by an order of magnitude on solver grids
-        tables = []
+        # action exponents are tiny ints: a cumulative product I_j^0..I_j^top
+        # per action beats a pow call per entry on solver grids
+        tab = np.empty((N, self.n, top + 1))
+        tab[:, :, 0] = 1.0
+        np.cumprod(np.broadcast_to(I[:, :, None], (N, self.n, top)), axis=2,
+                   out=tab[:, :, 1:])
+        mono = np.ones((N, len(exps)))
         for j in range(self.n):
-            tab = np.empty((N, self._emax[j] + 1))
-            tab[:, 0] = 1.0
-            for e in range(1, self._emax[j] + 1):
-                tab[:, e] = tab[:, e - 1] * I[:, j]
-            tables.append(tab)
-        base = self.coeff * np.exp(2j * math.pi * (theta @ self.K.T))[:, self.idx_k]
-        out = []
-        for drop in drops:
-            exps = list(self.Mt.T)
-            fac = 1.0
-            for j in drop:
-                fac = fac * exps[j]
-                exps[j] = np.maximum(exps[j] - 1, 0)
-            pw = np.ones((N, self.nt))
-            for j in range(self.n):
-                if self._emax[j]:
-                    pw *= tables[j][:, exps[j]]
-            # reduced at once, so one term-shaped array lives at a time
-            out.append(reduce((base * fac if drop else base) * pw))
-        return out
+            mono *= tab[:, j, exps[:, j]]
+        phase = np.exp(2j * math.pi * (theta @ self.K.T))
+        return [phase * (mono @ coeff).view(complex) for coeff in mats]
+
+    def _derivatives(self, theta: np.ndarray, I: np.ndarray, drops: tuple) -> list:
+        """The derivatives d^drop of the series at N points, one (N,) array
+        per drop."""
+        return [z.sum(axis=1).real for z in self._evaluate(theta, I, drops)]
 
     # -- queries: batches of N points ------------------------------------------
 
     def batch_value(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        return self._evaluate(theta, I, [()])[0]
+        return self._derivatives(theta, I, ((),))[0]
 
     def batch_grad_theta(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        return self._evaluate(theta, I, [()], lambda terms: (terms @ self._iKt).real)[0]
+        return (self._evaluate(theta, I, ((),))[0] @ self._dK).real
 
     def batch_grad_I(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        return np.stack(self._evaluate(theta, I, [(j,) for j in range(self.n)]), axis=1)
+        drops = tuple((j,) for j in range(self.n))
+        return np.stack(self._derivatives(theta, I, drops), axis=1)
 
     def batch_hess_II(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        pairs = [(j, l) for j in range(self.n) for l in range(j, self.n)]
+        pairs = tuple((j, l) for j in range(self.n) for l in range(j, self.n))
         out = np.empty((theta.shape[0], self.n, self.n))
-        for (j, l), d in zip(pairs, self._evaluate(theta, I, pairs)):
+        for (j, l), d in zip(pairs, self._derivatives(theta, I, pairs)):
             out[:, j, l] = out[:, l, j] = d
         return out
 
@@ -358,6 +384,9 @@ class HamiltonianSpec:
 
     `extra` is the slot for a remainder produced by a normal-form step
     (stored with its own explicit prefactor so bookkeeping stays exact).
+
+    Immutable by convention: no field is reassigned after construction
+    (dataclasses.replace makes a variant), since perturbation() is cached.
     """
     omega: np.ndarray
     quad: FourierTaylorSeries
@@ -373,6 +402,7 @@ class HamiltonianSpec:
         self.omega = np.asarray(self.omega, dtype=np.float64)
         if self.quad.n != self.omega.size or self.rest.n != self.omega.size:
             raise ValueError("series dimension does not match omega")
+        self._perturbation: dict = {}
 
     @property
     def n(self) -> int:
@@ -413,10 +443,12 @@ class HamiltonianSpec:
 
     def perturbation(self, include_extra: bool = True) -> FourierTaylorSeries:
         """Everything except the linear omega term."""
-        f = self.quad + self.rest
-        if include_extra and self.extra is not None and self.extra_prefactor:
-            f = f + self.extra.scale(self.extra_prefactor)
-        return f
+        if include_extra not in self._perturbation:
+            f = self.quad + self.rest
+            if include_extra and self.extra is not None and self.extra_prefactor:
+                f = f + self.extra.scale(self.extra_prefactor)
+            self._perturbation[include_extra] = f
+        return self._perturbation[include_extra]
 
     def linear_series(self, scale: float = 1.0) -> FourierTaylorSeries:
         terms = {}
@@ -464,17 +496,26 @@ class HamiltonianSpec:
         if rec.get("record") != "hamiltonian_spec":
             raise ValueError("not a hamiltonian_spec record")
         extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
+        scalars = {"epsilon": rec["epsilon"],
+                   "omega_prefactor": rec["omega_prefactor"],
+                   "extra_prefactor": rec.get("extra_prefactor", 0.0),
+                   "domain_radius": rec.get("domain_radius", 1.0)}
+        for name, value in scalars.items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"field {name!r} must be a finite real number, "
+                                 f"got {value!r}")
+        for name in ("epsilon", "domain_radius"):
+            if scalars[name] <= 0:
+                raise ValueError(f"field {name!r} must be positive, got {scalars[name]!r}")
+        if rec["state"] not in (PHYSICAL, ACTION_SCALED, TIME_SCALED):
+            raise ValueError(f"field 'state' must be one of {PHYSICAL!r}, "
+                             f"{ACTION_SCALED!r}, {TIME_SCALED!r}, got {rec['state']!r}")
         return cls(
             omega=np.array([float(s) for s in rec["omega"]]),
             quad=FourierTaylorSeries.from_record(rec["quad"]),
             rest=FourierTaylorSeries.from_record(rec["rest"]),
-            epsilon=rec["epsilon"],
-            state=rec["state"],
-            omega_prefactor=rec["omega_prefactor"],
-            extra=extra,
-            extra_prefactor=rec.get("extra_prefactor", 0.0),
-            domain_radius=rec.get("domain_radius", 1.0),
-        )
+            state=rec["state"], extra=extra, **scalars)
 
 
 def quadratic_from_matrices(n: int, constant: np.ndarray,

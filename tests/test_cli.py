@@ -1,6 +1,7 @@
 """CLI: artifact contents, stamps, determinism, error records and cleanup."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,13 @@ def _records(files) -> dict:
             "--plan": json.loads((files / "plan.json").read_text())}
 
 
+# scalar spec fields of the wrong type or range; unrefused, each ends in a
+# traceback, in written artifacts or (epsilon NaN) in a divisor enumeration
+# without end
+_BAD_SPEC_FIELDS = [("epsilon", "x"), ("domain_radius", "x"), ("omega_prefactor", "x"),
+                    ("state", "x"), ("epsilon", 0.0), ("epsilon", math.nan)]
+
+
 @pytest.mark.parametrize("cmd, option, edit, field", [
     ("nf", "--spec", lambda rec: rec.pop("quad"), "quad"),
     ("freq", "--omega", lambda rec: rec.pop("components"), "components"),
@@ -108,15 +116,20 @@ def _records(files) -> dict:
     ("scan", "--plan", lambda rec: rec.pop("base"), "base"),
     ("scan", "--plan", lambda rec: rec["freq"].pop("components"), "components"),
     ("scan", "--plan", lambda rec: rec.update(epsilons=5), "epsilons"),
-], ids=["nf-spec-without-quad", "freq-omega-without-components",
-        "freq-omega-components-3", "scan-plan-without-base",
-        "scan-plan-freq-without-components", "scan-plan-epsilons-5"])
+] + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), field)
+     for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS],
+    ids=["nf-spec-without-quad", "freq-omega-without-components",
+         "freq-omega-components-3", "scan-plan-without-base",
+         "scan-plan-freq-without-components", "scan-plan-epsilons-5"]
+    + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
+       for field, value in _BAD_SPEC_FIELDS])
 def test_malformed_record_writes_error_record(files, cmd, option, edit, field):
     rec = _records(files)[option]
     edit(rec)
     (files / "malformed.json").write_text(json.dumps(rec))
     out = files / "malformed"
-    res = invoke(cmd, option, files / "malformed.json", "--out", out)
+    flow = ("--t", 1, "--h", 0.01, "--i0", "0.001,-0.0005") if cmd == "probe" else ()
+    res = invoke(cmd, *flow, option, files / "malformed.json", "--out", out)
     assert res.exit_code == 2
     err = json.loads((out / "error.json").read_text())
     assert err["record"] == "error" and err["kind"] == "ValueError"

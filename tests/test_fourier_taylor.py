@@ -109,14 +109,29 @@ def test_batched_evaluators_match_single_point():
         assert np.array_equal(getattr(c, name)(th, act), one)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_evaluators_match_term_by_term_oracle(n):
-    rng = np.random.default_rng(n)
-    series = FourierTaylorSeries.monomial(n, (4,) * n, 0.3)
+def _random_series(rng, n, constant_axis=None):
+    series = FourierTaylorSeries.zero(n)
     for i in range(12):
         make = FourierTaylorSeries.cosine if i % 2 else FourierTaylorSeries.sine
-        series = series + make(n, rng.integers(-3, 4, n), rng.integers(0, 5, n),
-                               rng.normal())
+        k, m = rng.integers(-3, 4, n), rng.integers(0, 5, n)
+        if constant_axis is not None:
+            m[constant_axis] = 0
+        series = series + make(n, k, m, rng.normal())
+    return series
+
+
+@pytest.mark.parametrize("case", [2, 3, "zero", "constant-in-I2", "n1"])
+def test_evaluators_match_term_by_term_oracle(case):
+    # the nine evaluators against the term-by-term oracle, for random series
+    # with n = 2, 3 and 1, the zero series, and one constant in I_2; each
+    # single point is also the batch of one, bit for bit
+    n = {"zero": 2, "constant-in-I2": 2, "n1": 1}.get(case, case)
+    rng = np.random.default_rng(n)
+    series = {"zero": lambda: FourierTaylorSeries.zero(n),
+              "constant-in-I2": lambda: _random_series(rng, n, constant_axis=1),
+              "n1": lambda: _random_series(rng, n)}.get(
+        case, lambda: FourierTaylorSeries.monomial(n, (4,) * n, 0.3)
+        + _random_series(rng, n))()
     c = series.compile()
     TH_b = rng.uniform(0, 1, (5, n))
     II_b = rng.uniform(-0.9, 0.9, (5, n))
@@ -134,8 +149,14 @@ def test_evaluators_match_term_by_term_oracle(n):
     for name, expected in zip(("value", "grad_theta", "grad_I", "hess_II"), want):
         point = getattr(c, name)
         got[name] = (np.array([point(th, act) for th, act in zip(TH_b, II_b)]), expected)
+        for th, act in zip(TH_b, II_b):
+            assert np.array_equal(point(th, act),
+                                  getattr(c, "batch_" + name)(th[None], act[None])[0])
     for name, (have, expected) in got.items():
-        err = np.max(np.abs(have - expected)) / np.max(np.abs(expected))
+        assert have.shape == expected.shape, name
+        # exact zeros where the oracle's are exact
+        assert np.all(have[expected == 0] == 0), name
+        err = np.max(np.abs(have - expected)) / (np.max(np.abs(expected)) or 1.0)
         assert err <= 1e-12, name
 
 
@@ -148,7 +169,7 @@ def test_canonical_field_consistent():
 
 def test_evaluate_is_real_for_real_series():
     f = sample_series()
-    w = f.compile()._evaluate(TH[None], II[None], [()], reduce=lambda terms: terms)[0]
+    w = f.compile()._evaluate(TH[None], II[None], ((),))[0]
     assert abs(np.sum(w).imag) < 1e-14
 
 
@@ -158,6 +179,16 @@ def test_average_and_oscillating_partition():
     f = sample_series()
     assert (f.average() + f.oscillating() - f).leading_size() == 0.0
     assert f.average().max_harmonic() == 0
+
+
+def test_perturbation_and_average_are_built_once():
+    f = sample_series()
+    assert f.average() is f.average()
+    spec = HamiltonianSpec(omega=np.array([1.0, 0.6]), quad=f.action_slice(2, 2),
+                           rest=f.action_slice(3), epsilon=0.1)
+    assert spec.perturbation() is spec.perturbation()
+    assert spec.perturbation(include_extra=False) is spec.perturbation(include_extra=False)
+    assert spec.perturbation().compile() is spec.perturbation().compile()
 
 
 def test_harmonic_truncation_partition():

@@ -9,6 +9,7 @@ from kamlab import freq_arith as fa
 from kamlab import measure_scan as ms
 from kamlab.errors import GateFailed, InsufficientSpan
 from kamlab.fourier_taylor import (
+    CompiledSeries,
     FourierTaylorSeries,
     HamiltonianSpec,
     quadratic_from_matrices,
@@ -57,6 +58,26 @@ def test_sweep_counts_frozen(sweep):
                    (113, 113, 15, 0), (120, 120, 8, 0)]
     assert reports[0].complement_fraction == 75 / 128
     assert reports[-1].complement_fraction == 8 / 128
+
+
+def test_slice_compiles_independent_of_density(monkeypatch):
+    # the perturbation and its angle average are compiled once per epsilon,
+    # not once per sample
+    built = []
+    init = CompiledSeries.__init__
+
+    def counting(self, series):
+        built.append(len(series))
+        init(self, series)
+
+    monkeypatch.setattr(CompiledSeries, "__init__", counting)
+    counts = []
+    for density in (16, 64):
+        built.clear()
+        report = ms.scan_epsilon(family_plan(density=density), 1e-3)
+        assert report.converged > 0
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_counting_identity_and_properties(sweep):
