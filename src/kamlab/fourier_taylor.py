@@ -402,6 +402,17 @@ class HamiltonianSpec:
         self.omega = np.asarray(self.omega, dtype=np.float64)
         if self.quad.n != self.omega.size or self.rest.n != self.omega.size:
             raise ValueError("series dimension does not match omega")
+        for name in ("epsilon", "domain_radius", "omega_prefactor", "extra_prefactor"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"field {name!r} must be a finite real number, "
+                                 f"got {value!r}")
+            if value <= 0 and name in ("epsilon", "domain_radius"):
+                raise ValueError(f"field {name!r} must be positive, got {value!r}")
+        if self.state not in (PHYSICAL, ACTION_SCALED, TIME_SCALED):
+            raise ValueError(f"field 'state' must be one of {PHYSICAL!r}, "
+                             f"{ACTION_SCALED!r}, {TIME_SCALED!r}, got {self.state!r}")
         self._perturbation: dict = {}
 
     @property
@@ -496,26 +507,14 @@ class HamiltonianSpec:
         if rec.get("record") != "hamiltonian_spec":
             raise ValueError("not a hamiltonian_spec record")
         extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
-        scalars = {"epsilon": rec["epsilon"],
-                   "omega_prefactor": rec["omega_prefactor"],
-                   "extra_prefactor": rec.get("extra_prefactor", 0.0),
-                   "domain_radius": rec.get("domain_radius", 1.0)}
-        for name, value in scalars.items():
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"field {name!r} must be a finite real number, "
-                                 f"got {value!r}")
-        for name in ("epsilon", "domain_radius"):
-            if scalars[name] <= 0:
-                raise ValueError(f"field {name!r} must be positive, got {scalars[name]!r}")
-        if rec["state"] not in (PHYSICAL, ACTION_SCALED, TIME_SCALED):
-            raise ValueError(f"field 'state' must be one of {PHYSICAL!r}, "
-                             f"{ACTION_SCALED!r}, {TIME_SCALED!r}, got {rec['state']!r}")
         return cls(
             omega=np.array([float(s) for s in rec["omega"]]),
             quad=FourierTaylorSeries.from_record(rec["quad"]),
             rest=FourierTaylorSeries.from_record(rec["rest"]),
-            state=rec["state"], extra=extra, **scalars)
+            epsilon=rec["epsilon"], state=rec["state"],
+            omega_prefactor=rec["omega_prefactor"], extra=extra,
+            extra_prefactor=rec.get("extra_prefactor", 0.0),
+            domain_radius=rec.get("domain_radius", 1.0))
 
 
 def quadratic_from_matrices(n: int, constant: np.ndarray,

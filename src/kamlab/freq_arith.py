@@ -19,6 +19,7 @@ convergent windows, which stay meaningful far beyond float64 resolution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -39,41 +40,50 @@ RESONANCE_TOL = 1e-14
 # exact tag (ball size grows like Q^n).
 ENUMERATION_CAP = 200_000
 
+# Lattice rows gathered per sort-and-merge pass of the divisor table.
+_CHUNK = 65536
+
 
 # ---------------------------------------------------------------------------
 # lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _ball_blocks(d: int, radius: int) -> Iterator[np.ndarray]:
-    """Yield int64 arrays jointly covering all k in Z^d with |k|_1 <= radius."""
-    if radius < 0:
-        return
-    if d == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-    elif d == 1:
-        yield np.arange(-radius, radius + 1, dtype=np.int64)[:, None]
+def _ball_blocks(d: int, lo: int, hi: int, positive: bool = False) -> Iterator[np.ndarray]:
+    """Yield int64 blocks covering {k in Z^d : lo < |k|_1 <= hi}, d >= 1, in
+    lexicographic order.
+
+    `positive` keeps only k with first component >= 1.  Blocks for d <= 2 are
+    built without a loop over lattice points and hold at most _CHUNK rows.
+    """
+    first = 1 if positive else -hi
+    if d == 1:
+        k = np.arange(first, hi + 1, dtype=np.int64)
+        yield k[np.abs(k) > lo, None]
     elif d == 2:
-        a = np.arange(-radius, radius + 1, dtype=np.int64)
-        k1, k2 = np.meshgrid(a, a, indexing="ij")
-        mask = np.abs(k1) + np.abs(k2) <= radius
-        yield np.stack([k1[mask], k2[mask]], axis=1)
+        step = max(1, _CHUNK // (2 * min(hi, hi - lo) + 1))
+        for start in range(first, hi + 1, step):
+            a = np.arange(start, min(start + step, hi + 1), dtype=np.int64)
+            # per lead, k_2 runs over [-top, -low] and then [max(low, 1), top]
+            top, low = hi - np.abs(a), np.maximum(lo + 1 - np.abs(a), 0)
+            starts = np.stack([-top, np.maximum(low, 1)], axis=1).ravel()
+            lens = np.maximum(np.stack([1 - low, top + 1], axis=1).ravel() - starts, 0)
+            k2 = np.arange(lens.sum(), dtype=np.int64)
+            k2 += np.repeat(starts - np.cumsum(lens) + lens, lens)
+            yield np.stack([np.repeat(np.repeat(a, 2), lens), k2], axis=1)
     else:
-        for lead in range(-radius, radius + 1):
-            for tail in _ball_blocks(d - 1, radius - abs(lead)):
+        for lead in range(first, hi + 1):
+            for tail in _ball_blocks(d - 1, lo - abs(lead), hi - abs(lead)):
                 lead_col = np.full((tail.shape[0], 1), lead, dtype=np.int64)
                 yield np.concatenate([lead_col, tail], axis=1)
 
 
-def _halfspace_blocks(n: int, radius: int) -> Iterator[np.ndarray]:
-    """Yield blocks covering {k : 0 < |k|_1 <= radius, first nonzero > 0}."""
+def _halfspace_blocks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield blocks covering {k : lo < |k|_1 <= hi, first nonzero > 0}."""
     for j in range(n):
-        for lead in range(1, radius + 1):
-            for tail in _ball_blocks(n - j - 1, radius - lead):
-                block = np.zeros((tail.shape[0], n), dtype=np.int64)
-                block[:, j] = lead
-                if n - j - 1:
-                    block[:, j + 1:] = tail
-                yield block
+        for tail in _ball_blocks(n - j, lo, hi, positive=True):
+            block = np.zeros((tail.shape[0], n), dtype=np.int64)
+            block[:, j:] = tail
+            yield block
 
 
 def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -106,50 +116,49 @@ class _DivisorTable:
         self.shell_arg = np.empty((0, self.n), dtype=np.int64)
 
     def ensure(self, Q: int) -> None:
+        """Grow the table to exactly Q shells, enumerating only (q_built, Q]."""
         if Q <= self.q_built:
             return
-        target = max(Q, 2 * self.q_built, 16)
-        smin = np.full(target, np.inf)
-        sarg = np.zeros((target, self.n), dtype=np.int64)
+        grow = Q - self.q_built
+        smin = np.concatenate([self.shell_min, np.full(grow, np.inf)])
+        sarg = np.concatenate([self.shell_arg, np.zeros((grow, self.n), dtype=np.int64)])
 
         def merge(block: np.ndarray) -> None:
+            # per shell, the block's smallest divisor, earliest row first (stable
+            # lexsort); only a strictly smaller one replaces the table's, so exact
+            # ties resolve to the earliest row in yield order
             shells = np.abs(block).sum(axis=1)
             div = np.abs(compensated_dot(block, self.w))
             order = np.lexsort((div, shells))
-            shells_sorted = shells[order]
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = shells_sorted[1:] != shells_sorted[:-1]
-            for idx in order[first]:
-                s = shells[idx] - 1
-                if div[idx] < smin[s]:
-                    smin[s] = div[idx]
-                    sarg[s] = block[idx]
+            ranked = shells[order]
+            best = order[np.r_[True, ranked[1:] != ranked[:-1]]]
+            best = best[div[best] < smin[shells[best] - 1]]
+            smin[shells[best] - 1] = div[best]
+            sarg[shells[best] - 1] = block[best]
 
-        # generator blocks are tiny at large radii; gather them into ~64k-row
-        # chunks before sorting.  concatenation keeps the yield order and the
-        # lexsort is stable, so exact divisor ties resolve to the same argmin
-        # as one-block-at-a-time merging
+        # generator blocks are tiny at large radii; gather them into chunks
+        # of at most _CHUNK rows before sorting
         pending, rows = [], 0
-        for block in _halfspace_blocks(self.n, target):
-            if block.shape[0] == 0:
-                continue
-            pending.append(block)
-            rows += block.shape[0]
-            if rows >= 65536:
+        for block in _halfspace_blocks(self.n, self.q_built, Q):
+            if rows and rows + block.shape[0] > _CHUNK:
                 merge(np.concatenate(pending, axis=0))
                 pending, rows = [], 0
-        if pending:
+            pending.append(block)
+            rows += block.shape[0]
+        if rows:
             merge(np.concatenate(pending, axis=0))
-        self.shell_min = smin
-        self.shell_arg = sarg
-        self.q_built = target
+        self.shell_min, self.shell_arg, self.q_built = smin, sarg, Q
         self._prefix_min = np.minimum.accumulate(smin)
-        self._prefix_arg = np.zeros(target, dtype=np.int64)
-        best = 0
-        for s in range(1, target):
-            if smin[s] < self.shell_min[best]:
-                best = s
-            self._prefix_arg[s] = best
+        # first shell attaining each prefix minimum
+        record = np.r_[True, smin[1:] < self._prefix_min[:-1]]
+        self._prefix_arg = np.maximum.accumulate(np.where(record, np.arange(Q), 0))
+
+    def floor(self, q_max: int, tau: float) -> tuple[float, np.ndarray]:
+        """min over shells s <= q_max of shell_min[s] * s**tau, with its argmin k."""
+        self.ensure(q_max)
+        prod = self.shell_min[:q_max] * np.arange(1, q_max + 1, dtype=np.float64) ** tau
+        idx = int(np.argmin(prod))
+        return float(prod[idx]), self.shell_arg[idx]
 
     def min_divisor(self, Q: int) -> tuple[float, np.ndarray]:
         self.ensure(Q)
@@ -478,6 +487,7 @@ def psi(omega: FrequencyVector, Q: int) -> DivisorRecord:
 
 def psi_table(omega: FrequencyVector, Q: int) -> list[DivisorRecord]:
     """DivisorRecord for every Q' = 1..Q."""
+    omega._table.ensure(int(Q))
     return [psi(omega, q) for q in range(1, int(Q) + 1)]
 
 
@@ -490,21 +500,18 @@ def delta(omega: FrequencyVector, x: float) -> int:
     """
     if omega.exact is not None and omega.exact.use_for_delta:
         return omega.exact.delta_exact(Fraction(x))
-    table = omega._table
-    arr = table.q_psi_array(1)
-    if arr[0] > x:
-        raise BelowThreshold(f"x={x:g} is below 1*Psi(1)={arr[0]:.12g}")
-    q_hi = 2
-    while True:
+    if not x <= sys.float_info.max:      # NaN, infinite, or beyond float range
+        raise ConstructionFailed("delta needs x finite in float64")
+    x, table, q_hi = float(x), omega._table, 1
+    while (arr := table.q_psi_array(q_hi))[-1] <= x:
+        q_hi *= 2
         if q_hi > ENUMERATION_CAP:
             raise ConstructionFailed(
                 "delta search exceeded the enumeration cap; "
                 "use an exact-tagged vector for this scale"
             )
-        arr = table.q_psi_array(q_hi)
-        if arr[-1] > x:
-            break
-        q_hi *= 2
+    if arr[0] > x:
+        raise BelowThreshold(f"x={x:g} is below 1*Psi(1)={arr[0]:.12g}")
     D = int(np.searchsorted(arr, x, side="right"))
     table.min_divisor(min(D + 1, q_hi))   # refuse answers built on resonant shells
     return D
@@ -538,12 +545,10 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
     When `alpha` (and optionally `c_bar`, default 1) are given, attaches the
     Gevrey scale nu = exp(-c_bar * mu**(-1/alpha)).
     """
-    if epsilon <= 0 or c <= 0:
-        raise BelowThreshold("mu_nu needs epsilon > 0 and c > 0")
-    if omega.exact is not None and omega.exact.use_for_delta:
-        D = omega.exact.delta_exact(Fraction(c) / Fraction(epsilon))
-    else:
-        D = delta(omega, c / epsilon)
+    if not (0 < epsilon < math.inf and 0 < c < math.inf):
+        raise BelowThreshold(f"mu_nu needs finite epsilon > 0 and c > 0, "
+                             f"got epsilon={epsilon!r}, c={c!r}")
+    D = delta(omega, Fraction(c) / Fraction(epsilon))
     mu = 1.0 / D
     nu = None
     if alpha is not None:
@@ -581,15 +586,11 @@ def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,
         return DiophReport(ok=margin_log10 >= 0, gamma=gamma, tau=tau, q_max=q_max,
                            witness=witness if margin_log10 < 0 else None,
                            margin_log10=margin_log10, method="cf")
-    table = omega._table
-    table.ensure(q_max)
-    shells = np.arange(1, q_max + 1, dtype=np.float64)
-    prod = table.shell_min[:q_max] * shells ** tau
-    idx = int(np.argmin(prod))
-    ok = prod[idx] >= gamma
-    margin_log10 = math.log10(prod[idx] / gamma) if prod[idx] > 0 else float("-inf")
-    return DiophReport(ok=bool(ok), gamma=gamma, tau=tau, q_max=q_max,
-                       witness=None if ok else tuple(int(v) for v in table.shell_arg[idx]),
+    prod, k = omega._table.floor(q_max, tau)
+    ok = prod >= gamma
+    margin_log10 = math.log10(prod / gamma) if prod > 0 else float("-inf")
+    return DiophReport(ok=ok, gamma=gamma, tau=tau, q_max=q_max,
+                       witness=None if ok else tuple(int(v) for v in k),
                        margin_log10=margin_log10, method="enumerate")
 
 

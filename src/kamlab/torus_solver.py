@@ -159,18 +159,13 @@ def certify_target(spec: HamiltonianSpec, I_target: np.ndarray,
     omega_slow = spec.epsilon * Omega
     if q_max is None:
         q_max = 4 * (grid // 2)
-    table = _DivisorTable(omega_slow)
-    table.ensure(q_max)
-    shells = np.arange(1, q_max + 1, dtype=np.float64)
-    prods = table.shell_min[:q_max] * shells ** tau
-    idx = int(np.argmin(prods))
-    floor_measured = float(prods[idx])
+    floor_measured, k = _DivisorTable(omega_slow).floor(q_max, tau)
     if gamma is None:
         gamma = 0.99 * floor_measured
     if floor_measured < gamma:
         raise SmallDivisorBreakdown(
             f"target frequency fails ({gamma:g}, {tau:g}) certification at "
-            f"k={tuple(int(v) for v in table.shell_arg[idx])}: "
+            f"k={tuple(int(v) for v in k)}: "
             f"min |k.w| |k|^tau = {floor_measured:.6e}")
     margin = floor_measured / gamma if gamma > 0 else math.inf
     return TargetFrequency(I0=I_target, Omega=Omega, shift=shift,

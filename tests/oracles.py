@@ -40,6 +40,33 @@ def neumaier_abs_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.abs(s + err)
 
 
+def half_lattice(n: int, Q: int) -> list[tuple[int, ...]]:
+    """k with 0 < |k|_1 <= Q and first nonzero component positive, ordered by
+    the position of that component, then lexicographically."""
+    def lead(k):
+        return next(j for j, v in enumerate(k) if v)
+    ks = [tuple(int(v) for v in k) for k in full_ball(n, Q)]
+    return sorted((k for k in ks if k[lead(k)] > 0), key=lambda k: (lead(k), k))
+
+
+def shell_table(w: np.ndarray, Q: int) -> tuple[np.ndarray, ...]:
+    """Per-shell minimum divisor and its first argmin in half_lattice order,
+    the prefix minima and the first shell attaining each, by plain loops."""
+    ks = half_lattice(w.size, Q)
+    div = neumaier_abs_dot(np.array(ks, dtype=np.int64), w)
+    shell_min = np.full(Q, np.inf)
+    shell_arg = np.zeros((Q, w.size), dtype=np.int64)
+    for k, d in zip(ks, div):
+        s = sum(abs(v) for v in k) - 1
+        if d < shell_min[s]:
+            shell_min[s], shell_arg[s] = d, k
+    prefix_arg = np.zeros(Q, dtype=np.int64)
+    for s in range(1, Q):
+        better = shell_min[s] < shell_min[prefix_arg[s - 1]]
+        prefix_arg[s] = s if better else prefix_arg[s - 1]
+    return shell_min, shell_arg, shell_min[prefix_arg], prefix_arg
+
+
 def brute_min_divisor(w: np.ndarray, Q: int) -> tuple[float, tuple[int, ...]]:
     K = full_ball(w.size, Q)
     d = neumaier_abs_dot(K, w)

@@ -108,32 +108,42 @@ def _records(files) -> dict:
 _BAD_SPEC_FIELDS = [("epsilon", "x"), ("domain_radius", "x"), ("omega_prefactor", "x"),
                     ("state", "x"), ("epsilon", 0.0), ("epsilon", math.nan)]
 
+# an --eps option bypasses the record loader; unrefused, `freq --eps nan|inf`
+# runs a divisor enumeration without end and `nf --eps 0` ends in a traceback
+_BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("nan", "inf")] \
+    + [("nf", "--spec", eps, "ValueError", "'epsilon'") for eps in ("0", "nan", "inf")]
 
-@pytest.mark.parametrize("cmd, option, edit, field", [
-    ("nf", "--spec", lambda rec: rec.pop("quad"), "quad"),
-    ("freq", "--omega", lambda rec: rec.pop("components"), "components"),
-    ("freq", "--omega", lambda rec: rec.update(components=3), "components"),
-    ("scan", "--plan", lambda rec: rec.pop("base"), "base"),
-    ("scan", "--plan", lambda rec: rec["freq"].pop("components"), "components"),
-    ("scan", "--plan", lambda rec: rec.update(epsilons=5), "epsilons"),
-] + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), field)
-     for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS],
+
+@pytest.mark.parametrize("cmd, option, edit, args, kind, text", [
+    ("nf", "--spec", lambda rec: rec.pop("quad"), (), "ValueError", "'quad'"),
+    ("freq", "--omega", lambda rec: rec.pop("components"), (), "ValueError", "'components'"),
+    ("freq", "--omega", lambda rec: rec.update(components=3), (), "ValueError",
+     "'components'"),
+    ("scan", "--plan", lambda rec: rec.pop("base"), (), "ValueError", "'base'"),
+    ("scan", "--plan", lambda rec: rec["freq"].pop("components"), (), "ValueError",
+     "'components'"),
+    ("scan", "--plan", lambda rec: rec.update(epsilons=5), (), "ValueError", "'epsilons'"),
+] + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
+      repr(field)) for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS]
+  + [(cmd, option, lambda rec: None, ("--eps", eps), kind, text)
+     for cmd, option, eps, kind, text in _BAD_EPS],
     ids=["nf-spec-without-quad", "freq-omega-without-components",
          "freq-omega-components-3", "scan-plan-without-base",
          "scan-plan-freq-without-components", "scan-plan-epsilons-5"]
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
-       for field, value in _BAD_SPEC_FIELDS])
-def test_malformed_record_writes_error_record(files, cmd, option, edit, field):
+       for field, value in _BAD_SPEC_FIELDS]
+    + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS])
+def test_malformed_record_writes_error_record(files, cmd, option, edit, args, kind, text):
     rec = _records(files)[option]
     edit(rec)
     (files / "malformed.json").write_text(json.dumps(rec))
     out = files / "malformed"
     flow = ("--t", 1, "--h", 0.01, "--i0", "0.001,-0.0005") if cmd == "probe" else ()
-    res = invoke(cmd, *flow, option, files / "malformed.json", "--out", out)
+    res = invoke(cmd, *flow, *args, option, files / "malformed.json", "--out", out)
     assert res.exit_code == 2
     err = json.loads((out / "error.json").read_text())
-    assert err["record"] == "error" and err["kind"] == "ValueError"
-    assert repr(field) in err["message"]
+    assert err["record"] == "error" and err["kind"] == kind
+    assert text in err["message"]
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 

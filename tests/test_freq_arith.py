@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kamlab import (
     BelowThreshold,
@@ -20,13 +22,16 @@ from kamlab import (
     psi,
     psi_table,
 )
-from kamlab.freq_arith import ExactCF
+from kamlab import freq_arith as fa
+from kamlab.freq_arith import ExactCF, _DivisorTable
 
 from oracles import (
     brute_delta,
     brute_dioph_min,
     brute_min_divisor,
     exact_min_divisor_n2,
+    half_lattice,
+    shell_table,
 )
 
 
@@ -169,6 +174,16 @@ def test_dioph_matches_brute_force(golden):
     assert rep.ok
     rep = diophantine_check(golden, gamma=prod * 1.001, tau=1.5, q_max=40)
     assert not rep.ok
+
+
+def test_enumerated_dioph_values_frozen(golden):
+    # frozen before the table and the torus certificate shared one floor routine
+    rep = diophantine_check(golden, 1.0, 0.5, 200, method="enumerate")
+    assert rep.witness == (55, -89) and rep.margin_log10 == -1.2196827967018768
+    w = make_test_frequency("explicit", components=[1.0, 0.7548776662466927,
+                                                    0.5698402909980532])
+    rep = diophantine_check(w, 1.0, 1.0, 40, method="enumerate")
+    assert rep.witness == (1, 10, -15) and rep.margin_log10 == -1.515988814637004
 
 
 def test_liouville_constant_dioph_exact_path():
@@ -329,3 +344,66 @@ def test_bad_constructions_rejected():
         make_test_frequency("golden", n=3)
     with pytest.raises(ConstructionFailed):
         FrequencyVector([0.0, 0.0])
+
+
+# -- divisor table growth -----------------------------------------------------------
+
+# (1, 0.5) and (1, 0.25, 0.5) are resonant: exact divisor ties on every shell
+# exercise the argmin order
+_GROWTH_VECTORS = [(1.0, 0.5), (1.0, 0.25, 0.5), (1.0, 0.6180339887498949),
+                   (0.81, -1.0, 0.37), (1.0, 0.3, -0.55, 0.71), (1.0, 0.5, 0.25, 0.125)]
+_GROWTH_DEPTH = {2: 120, 3: 20, 4: 9}
+
+
+def _table_state(table: _DivisorTable) -> list[bytes]:
+    return [a.tobytes() for a in (table.shell_min, table.shell_arg,
+                                  table._prefix_min, table._prefix_arg)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_growth_order_is_irrelevant(data):
+    w = np.array(data.draw(st.one_of(
+        st.sampled_from(_GROWTH_VECTORS),
+        st.integers(2, 4).flatmap(lambda n: st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=n, max_size=n)))))
+    Q = data.draw(st.integers(1, _GROWTH_DEPTH[w.size]))
+    steps = sorted(data.draw(st.sets(st.integers(1, Q), max_size=6)) | {Q})
+    grown, once = _DivisorTable(w), _DivisorTable(w)
+    for q in steps:
+        grown.ensure(q)
+        assert grown.q_built == q
+    once.ensure(Q)
+    assert _table_state(grown) == _table_state(once)
+    assert _table_state(once) == [a.tobytes() for a in shell_table(w, Q)]
+
+
+@pytest.mark.parametrize("chunk", [7, 50, 1000])
+@pytest.mark.parametrize("w, Q", [((1.0, 1.0), 60), ((1.0, 0.25, 0.5), 16)])
+def test_table_ties_across_merge_chunks_match_loop_reference(monkeypatch, chunk, w, Q):
+    # small merge chunks: shells span many merges, single blocks outgrow a
+    # chunk, and an exact tie in a later merge must not replace the earlier row
+    monkeypatch.setattr(fa, "_CHUNK", chunk)
+    w = np.array(w)
+    table = _DivisorTable(w)
+    table.ensure(Q)
+    assert _table_state(table) == [a.tobytes() for a in shell_table(w, Q)]
+
+
+@pytest.mark.parametrize("w, steps", [((1.0, 0.6180339887498949), (3, 16, 17, 40)),
+                                      ((1.0, 0.25, 0.5), (1, 2, 9, 12)),
+                                      ((1.0, 0.3, -0.55, 0.71), (7,)),
+                                      ((1.0, 0.3, -0.55, 0.71), (2, 5, 6, 7))])
+def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
+    rows = []
+
+    def counting_dot(K, w):
+        rows.extend(map(tuple, K.tolist()))
+        return dot(K, w)
+
+    dot = fa.compensated_dot
+    monkeypatch.setattr(fa, "compensated_dot", counting_dot)
+    table = _DivisorTable(np.array(w))
+    for q in steps:
+        table.ensure(q)
+    assert sorted(rows) == sorted(half_lattice(len(w), steps[-1]))
