@@ -30,6 +30,7 @@ from .fourier_taylor import (
     TIME_SCALED,
     HamiltonianSpec,
     PhaseState,
+    flow_steps,
     integrate_flow,
 )
 from .freq_arith import FrequencyVector
@@ -327,8 +328,9 @@ def probe(spec_file, t_final, step, i0, points, out):
                 if i0 else np.zeros(n))
         if act0.size != n:
             raise ValueError(f"--i0 needs {n} components, got {act0.size}")
-        total_steps = max(1, int(round(t_final / step)))
-        every = max(1, total_steps // 256)
+        if points < 1:
+            raise ValueError(f"--points must be at least 1, got {points}")
+        every = max(1, flow_steps(t_final, step) // 256)
         theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
         flow = integrate_flow(spec, PhaseState(theta0, np.tile(act0, (points, 1))),
                               t_final, step, record_every=every)

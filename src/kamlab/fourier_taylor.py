@@ -189,43 +189,36 @@ class FourierTaylorSeries:
 
     # -- filters ------------------------------------------------------------------
 
+    def _select(self, keep) -> "FourierTaylorSeries":
+        """The terms whose (k, m) key and coefficient pass `keep`, in order."""
+        return FourierTaylorSeries(
+            self.n, {key: c for key, c in self._terms.items() if keep(key, c)})
+
     def average(self) -> "FourierTaylorSeries":
         """Angle average: the k = 0 terms."""
         if self._average is None:
             zero = tuple([0] * self.n)
-            self._average = FourierTaylorSeries(
-                self.n, {key: c for key, c in self._terms.items() if key[0] == zero})
+            self._average = self._select(lambda key, c: key[0] == zero)
         return self._average
 
     def oscillating(self) -> "FourierTaylorSeries":
         zero = tuple([0] * self.n)
-        return FourierTaylorSeries(
-            self.n, {key: c for key, c in self._terms.items() if key[0] != zero})
+        return self._select(lambda key, c: key[0] != zero)
 
     def truncate_harmonics(self, K: int) -> "FourierTaylorSeries":
         """Keep terms with |k|_1 <= K."""
-        return FourierTaylorSeries(
-            self.n,
-            {key: c for key, c in self._terms.items()
-             if sum(abs(v) for v in key[0]) <= K})
+        return self._select(lambda key, c: sum(abs(v) for v in key[0]) <= K)
 
     def high_harmonics(self, K: int) -> "FourierTaylorSeries":
-        return FourierTaylorSeries(
-            self.n,
-            {key: c for key, c in self._terms.items()
-             if sum(abs(v) for v in key[0]) > K})
+        return self._select(lambda key, c: sum(abs(v) for v in key[0]) > K)
 
     def action_slice(self, min_degree: int = 0,
                      max_degree: Optional[int] = None) -> "FourierTaylorSeries":
         hi = math.inf if max_degree is None else max_degree
-        return FourierTaylorSeries(
-            self.n,
-            {key: c for key, c in self._terms.items()
-             if min_degree <= sum(key[1]) <= hi})
+        return self._select(lambda key, c: min_degree <= sum(key[1]) <= hi)
 
     def prune(self, tol_abs: float) -> "FourierTaylorSeries":
-        return FourierTaylorSeries(
-            self.n, {key: c for key, c in self._terms.items() if abs(c) > tol_abs})
+        return self._select(lambda key, c: abs(c) > tol_abs)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -617,6 +610,20 @@ class FlowResult:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
 
+def flow_steps(t_final: float, step: float) -> int:
+    """Number of steps of size `step` in `t_final`.  Raises ValueError unless
+    both are positive, their ratio is finite and t_final is a whole number of
+    steps."""
+    steps = t_final / step if 0 < step < math.inf else math.nan
+    if not (t_final > 0 and math.isfinite(steps)):
+        raise ValueError(f"t_final and step must be positive with a finite ratio, "
+                         f"got t_final={t_final!r}, step={step!r}")
+    n_steps = int(round(steps))
+    if abs(n_steps * step - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError("t_final must be an integer number of steps")
+    return n_steps
+
+
 def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
                    method: str = "midpoint", domain_radius: Optional[float] = None,
                    record_every: int = 0,
@@ -647,9 +654,7 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
     theta = np.atleast_2d(state0.theta).astype(float)
     I = np.atleast_2d(state0.I).astype(float)
     n_pts, n = theta.shape
-    n_steps = int(round(t_final / step))
-    if abs(n_steps * step - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer number of steps")
+    n_steps = flow_steps(t_final, step)
 
     rec_t, rec_th, rec_I = [0.0], [theta.copy()], [I.copy()]
 

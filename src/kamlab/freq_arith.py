@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -599,15 +599,16 @@ def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,
 # ---------------------------------------------------------------------------
 
 def _golden() -> FrequencyVector:
-    import mpmath
-    with mpmath.workdps(50):
-        alpha = (mpmath.sqrt(5) - 1) / 2
-        dec = mpmath.nstr(alpha, 36, strip_zeros=False)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        alpha = (Decimal(5).sqrt() - 1) / 2
+        ctx.prec = 36
+        dec = format(+alpha, "f")
     return FrequencyVector(
         [1.0, float(dec)],
         kind="golden",
         q_check=200,
-        decimal_components=["1." + "0" * 35, dec],
+        decimal_components=[_decimal_string(1.0), dec],
         construction={"cf_terms": "[0; 1, 1, 1, ...]"},
     )
 
@@ -638,7 +639,7 @@ def _diophantine(tau: float, q_target: int = 10 ** 6) -> FrequencyVector:
         [1.0, p / q],
         kind="diophantine",
         q_check=200,
-        decimal_components=["1." + "0" * 35, _decimal_string(p / q)],
+        decimal_components=[_decimal_string(1.0), _decimal_string(p / q)],
         exact=exact,
         construction={"tau": tau, "cf_terms": [str(t) for t in terms],
                       "gamma_effective": gamma_eff},
@@ -701,7 +702,7 @@ def _liouville_n2(schedule_exponent: float, levels: int, c: float) -> FrequencyV
         [1.0, pc / qc],
         kind="liouville",
         q_check=200,
-        decimal_components=["1." + "0" * 35, _decimal_string(pc / qc)],
+        decimal_components=[_decimal_string(1.0), _decimal_string(pc / qc)],
         exact=exact,
         construction={
             "schedule_exponent": p,
@@ -729,7 +730,7 @@ def _liouville_constant(truncation_level: int = 4) -> FrequencyVector:
         [1.0, float(L)],
         kind="liouville_constant",
         q_check=200,
-        decimal_components=["1." + "0" * 35, dec + "0" * max(0, 36 - len(dec))],
+        decimal_components=[_decimal_string(1.0), dec + "0" * max(0, 36 - len(dec))],
         exact=exact,
         construction={"series": "sum of 10^(-j!)", "truncation_level": truncation_level},
     )

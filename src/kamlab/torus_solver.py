@@ -44,69 +44,62 @@ PULLBACK_MARGIN = 0.9
 # spectral helpers
 # ---------------------------------------------------------------------------
 
-def _wavevectors(grid: int, n: int) -> np.ndarray:
-    """Integer wavevectors in fftn layout, shape (grid^n, n)."""
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid).astype(np.int64)
-    mesh = np.meshgrid(*([freqs] * n), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _grid_phis(grid: int, n: int) -> np.ndarray:
-    """(grid^n, n) collocation angles in [0, 1)."""
-    axis = np.arange(grid) / grid
+def _mesh(axis: np.ndarray, n: int) -> np.ndarray:
+    """(len(axis)^n, n) points of the n-fold product of `axis`, in C order."""
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _pad_hat(coeffs: np.ndarray, grid_to: int) -> np.ndarray:
-    """Zero-pad fftn-layout coefficients onto a finer grid (same values)."""
-    n = coeffs.ndim
-    grid = coeffs.shape[0]
-    if grid_to == grid:
-        return coeffs
-    if grid_to < grid:
-        raise ValueError("padding target must not be coarser")
-    out = np.zeros((grid_to,) * n, dtype=complex)
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid).astype(np.int64)
-    idx = np.where(freqs >= 0, freqs, grid_to + freqs)
-    out[np.ix_(*([idx] * n))] = coeffs
-    return out
+def _wavevectors(grid: int, n: int) -> np.ndarray:
+    """Integer wavevectors in fftn layout, shape (grid^n, n)."""
+    return _mesh(np.fft.fftfreq(grid, d=1.0 / grid).astype(np.int64), n)
 
 
-def _hat(values: np.ndarray) -> np.ndarray:
-    """Fourier coefficients c_k with values = sum c_k exp(2 pi i k.phi)."""
-    n_pts = np.prod(values.shape)
-    return np.fft.fftn(values) / n_pts
+def _grid_phis(grid: int, n: int) -> np.ndarray:
+    """(grid^n, n) collocation angles in [0, 1)."""
+    return _mesh(np.arange(grid) / grid, n)
 
 
-def _unhat(coeffs: np.ndarray) -> np.ndarray:
-    n_pts = np.prod(coeffs.shape)
-    return np.fft.ifftn(coeffs) * n_pts
+def _hat(values: np.ndarray, n: int) -> np.ndarray:
+    """Fourier coefficients c_k with values = sum c_k exp(2 pi i k.phi), taken
+    over the trailing n axes of a stack of grid functions."""
+    return np.fft.fftn(values, axes=tuple(range(-n, 0))) / np.prod(values.shape[-n:])
 
 
 def _grid_values(hat: np.ndarray, grid: int) -> np.ndarray:
-    """(grid^n, n) values of the n components of `hat` on a grid at least
-    as fine as their own, by inverse FFT of the zero-padded coefficients."""
+    """Values of a coefficient stack lead + (own,)*n, n = hat.shape[0], on a
+    grid at least as fine as its own, by inverse FFT of the zero-padded
+    coefficients.  Shape (grid^n,) + lead, C-contiguous: einsum and BLAS sum
+    three or more terms in an order set by the memory layout."""
     n = hat.shape[0]
-    return np.stack([_unhat(_pad_hat(hat[j], grid)).real.ravel() for j in range(n)],
-                    axis=1)
+    lead, own = hat.shape[:-n], hat.shape[-1]
+    if grid != own:
+        if grid < own:
+            raise ValueError("padding target must not be coarser")
+        freqs = np.fft.fftfreq(own, d=1.0 / own).astype(np.int64)
+        idx = np.where(freqs >= 0, freqs, grid + freqs)
+        padded = np.zeros(lead + (grid,) * n, dtype=complex)
+        padded[(Ellipsis,) + np.ix_(*([idx] * n))] = hat
+        hat = padded
+    values = (np.fft.ifftn(hat, axes=tuple(range(-n, 0))) * grid ** n).real
+    return np.ascontiguousarray(values.reshape(-1, grid ** n).T).reshape(
+        (grid ** n,) + lead)
 
 
 def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
-            Omega: np.ndarray, drift: np.ndarray, grid: int):
+            L_Omega: np.ndarray, drift: np.ndarray, grid: int):
     """Grid points of K and the invariance defects, each (grid^n, n), on a
     grid at least as fine as the embedding's own:
         E_ang = dF/dI (K) - drift - L_Omega u,   E_act = dF/dtheta (K) + L_Omega v,
-    with F the compiled perturbation `comp`, L_Omega = Omega . d/dphi and
-    drift = Omega - dH_lin/dI, so the base frequency cancels analytically."""
+    with F the compiled perturbation `comp`, L_Omega = Omega . d/dphi given by
+    its symbol 2 pi i k.Omega on the embedding's grid, and drift =
+    Omega - dH_lin/dI, so the base frequency cancels analytically."""
     n = I0.size
-    own = u_hat.shape[1]
     theta = _grid_phis(grid, n) + _grid_values(u_hat, grid)
     acts = I0[None, :] + _grid_values(v_hat, grid)
-    kdot = (2j * math.pi * compensated_dot(_wavevectors(own, n), Omega)).reshape((own,) * n)
     E_ang = (comp.batch_grad_I(theta, acts) - drift[None, :]
-             - _grid_values(u_hat * kdot, grid))
-    E_act = comp.batch_grad_theta(theta, acts) + _grid_values(v_hat * kdot, grid)
+             - _grid_values(u_hat * L_Omega, grid))
+    E_act = comp.batch_grad_theta(theta, acts) + _grid_values(v_hat * L_Omega, grid)
     return theta, acts, E_ang, E_act
 
 
@@ -179,7 +172,11 @@ def certify_target(spec: HamiltonianSpec, I_target: np.ndarray,
 
 @dataclass(eq=False)
 class TorusEmbedding:
-    """Fourier data of K(phi) = (phi + u(phi), I0 + v(phi))."""
+    """Fourier data of K(phi) = (phi + u(phi), I0 + v(phi)).
+
+    u_hat and v_hat stack the n components: shape (n,) + (grid,)*n, complex,
+    with u_hat[j] the fftn-layout coefficients of u_j, so the (n, grid^n)
+    view holds component j's wavevectors in `_wavevectors` order."""
     grid: int
     I0: np.ndarray                    # (n,)
     u_hat: np.ndarray                 # (n,) + (grid,)*n complex
@@ -230,15 +227,12 @@ class TorusEmbedding:
         return float(np.max(np.abs(_grid_values(self.v_hat, self.grid))))
 
     def to_record(self, coeff_tol: float = 1e-16) -> dict:
+        K = _wavevectors(self.grid, self.n)
+
         def sparse(hat):
-            K = _wavevectors(self.grid, self.n)
-            out = []
-            for j in range(self.n):
-                flat = hat[j].ravel()
-                for idx in np.nonzero(np.abs(flat) > coeff_tol)[0]:
-                    out.append([[int(v) for v in K[idx]], j,
-                                flat[idx].real, flat[idx].imag])
-            return out
+            flat = hat.reshape(self.n, -1)
+            return [[[int(v) for v in K[i]], int(j), flat[j, i].real, flat[j, i].imag]
+                    for j, i in zip(*np.nonzero(np.abs(flat) > coeff_tol))]
         return {
             "record": "torus_embedding",
             "n": self.n,
@@ -261,13 +255,11 @@ class TorusEmbedding:
         shape = (n,) + (grid,) * n
         u_hat = np.zeros(shape, dtype=complex)
         v_hat = np.zeros(shape, dtype=complex)
-        K = _wavevectors(grid, n)
-        index = {tuple(k): i for i, k in enumerate(K)}
-        for target_arr, key in ((u_hat, "u_coeffs"), (v_hat, "v_coeffs")):
+        index = {tuple(k): i for i, k in enumerate(_wavevectors(grid, n))}
+        for hat, key in ((u_hat, "u_coeffs"), (v_hat, "v_coeffs")):
+            flat = hat.reshape(n, -1)
             for kvec, j, re, im in rec[key]:
-                flat = target_arr[j].ravel()
-                flat[index[tuple(kvec)]] = complex(re, im)
-                target_arr[j] = flat.reshape((grid,) * n)
+                flat[j, index[tuple(kvec)]] = complex(re, im)
         t = rec["target"]
         target = TargetFrequency(
             I0=np.array([float(s) for s in t["I0"]]),
@@ -310,6 +302,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     K = _wavevectors(grid, n)
     shape = (grid,) * n
     kdot = compensated_dot(K, Omega).reshape(shape)
+    L_Omega = 2j * math.pi * kdot
     knorm = np.abs(K).sum(axis=1).reshape(shape)
     nyquist = np.any(K == -(grid // 2), axis=1).reshape(shape)
 
@@ -324,12 +317,12 @@ def solve_torus(spec: HamiltonianSpec, I_target,
             f"divisor at k={tuple(int(v) for v in kb)} below half the "
             f"certified floor")
 
-    denom = np.where(live, 2j * math.pi * kdot, 1.0)
+    denom = np.where(live, L_Omega, 1.0)
 
-    def cohomological(rhs_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = _hat(rhs_values)
-        sol = np.where(live, c / denom, 0.0)
-        return sol, _unhat(sol).real
+    def cohomological(rhs: np.ndarray) -> np.ndarray:
+        """Coefficients of the zero-mean w with L_Omega w = rhs, (grid^n, n)."""
+        c = _hat(rhs.T.reshape((n,) + shape), n)
+        return np.where(live, c / denom, 0.0)
 
     comp = spec.perturbation(include_extra=True).compile()
 
@@ -341,7 +334,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     best = math.inf
     stall = 0
     for iteration in range(max_iter):
-        theta, acts, E_ang, E_act = _defect(comp, u_hat, v_hat, I0, Omega,
+        theta, acts, E_ang, E_act = _defect(comp, u_hat, v_hat, I0, L_Omega,
                                             target.shift, grid)
         defect = max(np.max(np.abs(E_ang)), np.max(np.abs(E_act)))
         history.append(float(defect))
@@ -368,13 +361,8 @@ def solve_torus(spec: HamiltonianSpec, I_target,
                 f"(limit {cond_max:g}); counterterm is unreliable")
 
         # action correction: L_Omega dv = -(E_act - <E_act>)
-        dv_hat = np.empty_like(v_hat)
-        dv_vals = np.empty_like(acts)
-        act_mean = E_act.mean(axis=0)
-        for j in range(n):
-            rhs = -(E_act[:, j] - act_mean[j]).reshape(shape)
-            dv_hat[j], sol = cohomological(rhs)
-            dv_vals[:, j] = sol.ravel()
+        dv_hat = cohomological(-(E_act - E_act.mean(axis=0)))
+        dv_vals = _grid_values(dv_hat, grid)
 
         # counterterm from Kolmogorov non-degeneracy
         Tdv = np.einsum("pij,pj->pi", T, dv_vals)
@@ -387,11 +375,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
 
         # angle correction: L_Omega du = E_ang + T (dv + dI0), mean removed
         ang_rhs = E_ang + Tdv + np.einsum("pij,j->pi", T, dI0)
-        ang_mean = ang_rhs.mean(axis=0)
-        du_hat = np.empty_like(u_hat)
-        for j in range(n):
-            rhs = (ang_rhs[:, j] - ang_mean[j]).reshape(shape)
-            du_hat[j], _ = cohomological(rhs)
+        du_hat = cohomological(ang_rhs - ang_rhs.mean(axis=0))
 
         u_hat = u_hat + du_hat
         v_hat = v_hat + dv_hat
@@ -425,10 +409,8 @@ def _post_diagnostics(spec: HamiltonianSpec, emb: TorusEmbedding,
         "sup_v": emb.sup_v(),
         "energy_variation": float(np.ptp(energies)) / e_scale,
         "lagrangian_defect": lagrangian_defect(emb),
-        "mean_u": float(np.max(np.abs(
-            [emb.u_hat[j].ravel()[0].real for j in range(emb.n)]))),
-        "mean_v": float(np.max(np.abs(
-            [emb.v_hat[j].ravel()[0].real for j in range(emb.n)]))),
+        "mean_u": float(np.max(np.abs(emb.u_hat.reshape(emb.n, -1)[:, 0].real))),
+        "mean_v": float(np.max(np.abs(emb.v_hat.reshape(emb.n, -1)[:, 0].real))),
     }
     return diag
 
@@ -440,15 +422,10 @@ def lagrangian_defect(emb: TorusEmbedding) -> float:
     this parametrization means (Id+Du)^T Dv symmetric; the residual decays
     with the Newton defect."""
     n, grid = emb.n, emb.grid
-    shape = (grid,) * n
-    K = _wavevectors(grid, n)
-    Du = np.empty((grid ** n, n, n))
-    Dv = np.empty((grid ** n, n, n))
-    for j in range(n):
-        for l in range(n):
-            kfac = (2j * math.pi * K[:, l]).reshape(shape)
-            Du[:, j, l] = _unhat(emb.u_hat[j] * kfac).real.ravel()
-            Dv[:, j, l] = _unhat(emb.v_hat[j] * kfac).real.ravel()
+    # dK[l] is the symbol 2 pi i k_l of d/dphi_l; D[:, j, l] = d_l of component j
+    dK = (2j * math.pi * _wavevectors(grid, n)).T.reshape((n,) + (grid,) * n)
+    Du = _grid_values(emb.u_hat[:, None] * dK, grid)
+    Dv = _grid_values(emb.v_hat[:, None] * dK, grid)
     A = Du + np.eye(n)[None, :, :]
     M = np.einsum("pji,pjl->pil", A, Dv)
     asym = M - np.transpose(M, (0, 2, 1))
@@ -474,8 +451,10 @@ def invariance_defect(spec: HamiltonianSpec, emb: TorusEmbedding,
         drift = Omega - spec.frequency_vector()
     else:
         Omega, drift = emb.target.Omega, emb.target.shift
+    L_Omega = (2j * math.pi * compensated_dot(_wavevectors(emb.grid, emb.n), Omega)
+               ).reshape((emb.grid,) * emb.n)
     _, _, E_ang, E_act = _defect(spec.perturbation(include_extra=True).compile(),
-                                 emb.u_hat, emb.v_hat, emb.I0, Omega, drift,
+                                 emb.u_hat, emb.v_hat, emb.I0, L_Omega, drift,
                                  emb.grid if grid is None else grid)
     return max(float(np.max(np.abs(E_ang))), float(np.max(np.abs(E_act))))
 
@@ -550,23 +529,19 @@ def pull_back(emb: TorusEmbedding, physical_radius: float,
                 f"boundary, inside the sqrt(mu) margin {margin:.6g}")
         final = integrate_flow(nf.flow_generator(), PhaseState(theta, acts), 1.0,
                                flow_step).final
-        phis = emb.grid_phis()
-        shape = (grid,) * n
-        u_hat = np.stack([_hat((final.theta[:, j] - phis[:, j]).reshape(shape))
-                          for j in range(n)])
-        v_hat = np.stack([_hat(final.I[:, j].reshape(shape)) for j in range(n)])
+        stack = (n,) + (grid,) * n
+        u_hat = _hat((final.theta - emb.grid_phis()).T.reshape(stack), n)
+        v_hat = _hat(final.I.T.reshape(stack), n)
         # re-gauge: move the angle means into the parameter origin and the
         # action means into I0 (exact phase shift, no interpolation)
-        zero = (0,) * n
-        u_bar = np.array([u_hat[j][zero].real for j in range(n)])
-        I0 = np.array([v_hat[j][zero].real for j in range(n)])
-        K = _wavevectors(grid, n)
-        phase = np.exp(-2j * math.pi * (K @ u_bar)).reshape(shape)
-        u_hat = u_hat * phase[None]
-        v_hat = v_hat * phase[None]
-        for j in range(n):
-            u_hat[j][zero] = 0.0
-            v_hat[j][zero] = 0.0
+        mean = (slice(None),) + (0,) * n
+        u_bar = u_hat[mean].real.copy()
+        I0 = v_hat[mean].real
+        phase = np.exp(-2j * math.pi * (_wavevectors(grid, n) @ u_bar)).reshape(stack[1:])
+        u_hat = u_hat * phase
+        v_hat = v_hat * phase
+        u_hat[mean] = 0.0
+        v_hat[mean] = 0.0
     sup_act = float(np.max(np.abs(I0))) + float(np.max(np.abs(_grid_values(v_hat, grid))))
     if eps * sup_act > PULLBACK_MARGIN * physical_radius:
         raise OutsideImage(

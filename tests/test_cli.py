@@ -113,6 +113,14 @@ _BAD_SPEC_FIELDS = [("epsilon", "x"), ("domain_radius", "x"), ("omega_prefactor"
 _BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("nan", "inf")] \
     + [("nf", "--spec", eps, "ValueError", "'epsilon'") for eps in ("0", "nan", "inf")]
 
+# integration options bypass the record loader too; unrefused, `probe --h 0`
+# and `probe --t inf` end in a traceback, `torus --t-final 0` in a traceback
+# that leaves torus.json behind, and `probe --h -0.01` and `probe --points 0`
+# in meaningless tables
+_BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_final=inf"),
+             ("probe", ("--h", -0.01), "step=-0.01"), ("probe", ("--points", 0), "--points"),
+             ("torus", ("--i0", "0.3,-0.2", "--grid", 16, "--t-final", 0), "t_final=0.0")]
+
 
 @pytest.mark.parametrize("cmd, option, edit, args, kind, text", [
     ("nf", "--spec", lambda rec: rec.pop("quad"), (), "ValueError", "'quad'"),
@@ -126,13 +134,17 @@ _BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("n
 ] + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
       repr(field)) for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS]
   + [(cmd, option, lambda rec: None, ("--eps", eps), kind, text)
-     for cmd, option, eps, kind, text in _BAD_EPS],
+     for cmd, option, eps, kind, text in _BAD_EPS]
+  + [(cmd, "--spec", lambda rec: None, args, "ValueError", text)
+     for cmd, args, text in _BAD_FLOW],
     ids=["nf-spec-without-quad", "freq-omega-without-components",
          "freq-omega-components-3", "scan-plan-without-base",
          "scan-plan-freq-without-components", "scan-plan-epsilons-5"]
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
        for field, value in _BAD_SPEC_FIELDS]
-    + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS])
+    + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS]
+    + ["probe-h-0", "probe-t-inf", "probe-h-negative", "probe-points-0",
+       "torus-t-final-0"])
 def test_malformed_record_writes_error_record(files, cmd, option, edit, args, kind, text):
     rec = _records(files)[option]
     edit(rec)

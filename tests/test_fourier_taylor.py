@@ -337,6 +337,15 @@ def test_flow_domain_guard():
                        5.0, 0.01, domain_radius=1.0)
 
 
+@pytest.mark.parametrize("method", ["midpoint", "dop853"])
+@pytest.mark.parametrize("t_final, step", [(0.0, 0.01), (-1.0, 0.01), (math.inf, 0.01),
+                                           (1.0, 0.0), (1.0, -0.01), (1.0, math.nan),
+                                           (1.0, math.inf), (1e300, 1e-300), (1.0, 0.3)])
+def test_flow_refuses_a_horizon_that_is_no_positive_step_count(method, t_final, step):
+    with pytest.raises(ValueError, match="t_final"):
+        integrate_flow(sample_spec(), PhaseState(TH, II), t_final, step, method=method)
+
+
 def test_flow_initial_state_outside_domain():
     spec = sample_spec()
     with pytest.raises(DomainExceeded):

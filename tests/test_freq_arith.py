@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +322,21 @@ def test_decimal_components_reconstruct_floats(golden):
         digits = s.replace("-", "").replace(".", "").lstrip("0")
         assert len(digits) >= 30
         assert float(s) == v
+
+
+def test_golden_digits_frozen_without_mpmath():
+    # 36 digits of (sqrt(5) - 1) / 2, as mpmath printed them at 50-digit
+    # working precision; the construction must not import mpmath
+    code = ("import sys; from kamlab import make_test_frequency; "
+            "w = make_test_frequency('golden'); "
+            "print(w.decimal_components, 'mpmath' in sys.modules)")
+    src = str(Path(fa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["['1.00000000000000000000000000000000000',",
+                           "'0.618033988749894848204586834365638118']", "False"]
 
 
 def test_record_round_trip(golden):

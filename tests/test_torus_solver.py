@@ -358,3 +358,59 @@ def test_pull_back_rejects_torus_inside_margin():
         ts.pull_back(emb, physical_radius=1.0, nf=nf)
     ok = ts.pull_back(emb, physical_radius=1.0, nf=nf, margin_coeff=0.2)
     assert ok.frame == "physical"
+
+
+def cubic_spec(eps=1e-3):
+    """n=3 family over the cubic-field frequency (1, 2^(1/3), 4^(1/3))."""
+    omega = np.array([1.0, 2 ** (1 / 3), 4 ** (1 / 3)])
+    A = np.array([[1.0, 0.2, 0.1], [0.2, 0.9, 0.15], [0.1, 0.15, 0.8]])
+    B3 = np.array([[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.1]])
+    quad = quadratic_from_matrices(3, A, [((1, 0, 0), B3, None),
+                                          ((0, 1, -1), 0.5 * B3, None)])
+    rest = FourierTaylorSeries.monomial(3, (3, 0, 0), 0.05) \
+        + FourierTaylorSeries.cosine(3, (0, 1, 1), (0, 2, 1), 0.02)
+    return prepare_time_scaled(HamiltonianSpec(omega=omega, quad=quad, rest=rest,
+                                               epsilon=eps, state="physical"))
+
+
+def test_n3_torus_spectral_paths():
+    # every stacked FFT path at n=3: the solve, the record, the defect on its
+    # own and a doubled grid, grid evaluation and the Lagrangian check
+    h3 = cubic_spec()
+    emb = ts.solve_torus(h3, np.array([0.2, -0.1, 0.15]), tau=1.5, grid=8)
+    assert emb.diagnostics["iterations"] <= 6 and emb.defect_norm < 1e-11
+    rec = emb.to_record()
+    assert ts.TorusEmbedding.from_record(rec).to_record() == rec
+    assert ts.invariance_defect(h3, emb) == emb.defect_norm
+    assert abs(ts.invariance_defect(h3, emb, grid=16) - emb.defect_norm) < 1e-13
+    th_g, I_g = emb.grid_points()
+    th_e, I_e = emb.embed(emb.grid_phis())
+    assert th_g.shape == (8 ** 3, 3)
+    assert np.max(np.abs(th_g - th_e)) < 1e-14
+    assert np.max(np.abs(I_g - I_e)) < 1e-14
+    assert ts.lagrangian_defect(emb) < 1e-12
+
+
+def test_lagrangian_defect_closed_form():
+    # u = (a cos 2 pi phi_2, c sin 2 pi phi_1), v = (b sin 2 pi phi_1,
+    # d cos 2 pi phi_2): with s2 = sin 2 pi phi_2 and c1 = cos 2 pi phi_1,
+    #   Du = 2 pi [[0, -a s2], [c c1, 0]],  Dv = 2 pi [[b c1, 0], [0, -d s2]],
+    # and (Id + Du)^T Dv minus its transpose has off-diagonal entries
+    # +-4 pi^2 (ab - cd) c1 s2, whose largest size on a grid of 8 is at
+    # phi = (0, 1/4)
+    a, b, c, d = 0.01, 0.02, 0.03, 0.005
+    u_hat = np.zeros((2, 8, 8), dtype=complex)
+    v_hat = np.zeros((2, 8, 8), dtype=complex)
+    u_hat[0, 0, 1] = u_hat[0, 0, -1] = a / 2
+    u_hat[1, 1, 0], u_hat[1, -1, 0] = c / 2j, -c / 2j
+    v_hat[0, 1, 0], v_hat[0, -1, 0] = b / 2j, -b / 2j
+    v_hat[1, 0, 1] = v_hat[1, 0, -1] = d / 2
+    emb = ts.TorusEmbedding(grid=8, I0=np.zeros(2), u_hat=u_hat, v_hat=v_hat,
+                            target=None, epsilon=1.0)
+    phis = emb.grid_phis()
+    theta, acts = emb.grid_points()
+    assert np.max(np.abs(theta - phis - np.stack(
+        [a * np.cos(2 * math.pi * phis[:, 1]), c * np.sin(2 * math.pi * phis[:, 0])],
+        axis=1))) < 1e-15
+    expected = 4 * math.pi ** 2 * abs(a * b - c * d)
+    assert abs(ts.lagrangian_defect(emb) - expected) < 1e-12
