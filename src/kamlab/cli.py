@@ -249,6 +249,9 @@ def torus(spec_file, i0, gamma, tau, tol, grid, t_final, out):
         I_target = np.array([float(v) for v in i0.split(",")])
         if I_target.size != spec.n:
             raise ValueError(f"--i0 needs {spec.n} components, got {I_target.size}")
+        # a horizon the verification cannot step is refused before the solve
+        step = 1e-2
+        flow_steps(t_final, step)
         # non-resonance guard on the base frequency, depth = solve grid
         FrequencyVector(spec.omega, q_check=grid)
         h3 = _time_scaled(spec)
@@ -263,7 +266,7 @@ def torus(spec_file, i0, gamma, tau, tol, grid, t_final, out):
         rows = [tuple(map(float, np.concatenate(triple)))
                 for triple in zip(phis, theta, act)]
         sink.write_csv("torus_surface.csv", cols, rows)
-        report = verify_by_integration(h3, emb, t_final=t_final, step=1e-2,
+        report = verify_by_integration(h3, emb, t_final=t_final, step=step,
                                        method="dop853")
         sink.write_json("verification.json",
                         {"record": "torus_verification", **report})

@@ -56,6 +56,20 @@ class FourierTaylorSeries:
         self._compiled: Optional["CompiledSeries"] = None
         self._average: Optional["FourierTaylorSeries"] = None
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "FourierTaylorSeries":
+        """The series of the algebra's own results, whose keys are already
+        distinct (k, m) tuples of n ints with m >= 0: skips the key checks of
+        __init__ but, like it, drops exact zeros and stores each coefficient
+        as 0j + complex(c) (a -0.0 real part becomes +0.0, which to_record
+        writes)."""
+        out = cls.__new__(cls)
+        out.n = n
+        out._terms = {key: 0j + complex(c) for key, c in terms.items() if c != 0}
+        out._compiled = None
+        out._average = None
+        return out
+
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
@@ -131,7 +145,7 @@ class FourierTaylorSeries:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0j) + sign * c
-        return FourierTaylorSeries(self.n, out)
+        return FourierTaylorSeries._trusted(self.n, out)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -143,7 +157,8 @@ class FourierTaylorSeries:
         return self.scale(-1.0)
 
     def scale(self, factor: complex) -> "FourierTaylorSeries":
-        return FourierTaylorSeries(self.n, {key: factor * c for key, c in self._terms.items()})
+        return FourierTaylorSeries._trusted(
+            self.n, {key: factor * c for key, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FourierTaylorSeries):
@@ -161,14 +176,14 @@ class FourierTaylorSeries:
                 key = (tuple(a + b for a, b in zip(k1, k2)),
                        tuple(a + b for a, b in zip(m1, m2)))
                 out[key] = out.get(key, 0j) + c1 * c2
-        return FourierTaylorSeries(self.n, out)
+        return FourierTaylorSeries._trusted(self.n, out)
 
     def dtheta(self, j: int) -> "FourierTaylorSeries":
         out = {}
         for (k, m), c in self._terms.items():
             if k[j]:
                 out[(k, m)] = c * (2j * math.pi * k[j])
-        return FourierTaylorSeries(self.n, out)
+        return FourierTaylorSeries._trusted(self.n, out)
 
     def dI(self, j: int) -> "FourierTaylorSeries":
         out = {}
@@ -177,7 +192,7 @@ class FourierTaylorSeries:
                 md = list(m)
                 md[j] -= 1
                 out[(k, tuple(md))] = out.get((k, tuple(md)), 0j) + c * m[j]
-        return FourierTaylorSeries(self.n, out)
+        return FourierTaylorSeries._trusted(self.n, out)
 
     def poisson(self, other: "FourierTaylorSeries") -> "FourierTaylorSeries":
         """{self, other} = sum_j d_theta_j self * d_I_j other - d_I_j self * d_theta_j other."""
@@ -191,7 +206,7 @@ class FourierTaylorSeries:
 
     def _select(self, keep) -> "FourierTaylorSeries":
         """The terms whose (k, m) key and coefficient pass `keep`, in order."""
-        return FourierTaylorSeries(
+        return FourierTaylorSeries._trusted(
             self.n, {key: c for key, c in self._terms.items() if keep(key, c)})
 
     def average(self) -> "FourierTaylorSeries":
@@ -302,12 +317,15 @@ class CompiledSeries:
         the monomial table against the drop's coefficient matrix."""
         exps, top, mats = self._plan(drops)
         N = theta.shape[0]
-        # action exponents are tiny ints: a cumulative product I_j^0..I_j^top
-        # per action beats a pow call per entry on solver grids
+        # action exponents are tiny ints: the powers I_j^0..I_j^top by
+        # repeated multiplication beat a pow call per entry on solver grids,
+        # and whole planes beat a cumulative product along the short axis
         tab = np.empty((N, self.n, top + 1))
         tab[:, :, 0] = 1.0
-        np.cumprod(np.broadcast_to(I[:, :, None], (N, self.n, top)), axis=2,
-                   out=tab[:, :, 1:])
+        if top:
+            tab[:, :, 1] = I
+        for e in range(2, top + 1):
+            np.multiply(tab[:, :, e - 1], I, out=tab[:, :, e])
         mono = np.ones((N, len(exps)))
         for j in range(self.n):
             mono *= tab[:, j, exps[:, j]]

@@ -89,14 +89,18 @@ def _halfspace_blocks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
 def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
     """K @ w per row with Neumaier-compensated summation.
 
-    The op-for-op order (products in column order, running compensated sum)
-    is part of the reproducibility contract: any code path that evaluates the
-    same k through this expression gets bit-identical divisors.
+    `w` is one vector (n,), giving (rows,), or S vectors as the columns of an
+    (n, S) array, giving (rows, S).  The op-for-op order (products in column
+    order, running compensated sum) is part of the reproducibility contract:
+    any code path that evaluates the same k and w through this expression,
+    one vector or many, gets bit-identical divisors.
     """
     Kf = K.astype(np.float64)
+    if w.ndim == 2:
+        Kf = Kf[:, :, None]
     s = Kf[:, 0] * w[0]
     err = np.zeros_like(s)
-    for j in range(1, w.size):
+    for j in range(1, w.shape[0]):
         p = Kf[:, j] * w[j]
         t = s + p
         big = np.abs(s) >= np.abs(p)
@@ -176,6 +180,32 @@ class _DivisorTable:
         self.ensure(Q)
         qs = np.arange(1, Q + 1, dtype=np.float64)
         return qs / self._prefix_min[:Q]
+
+
+def _lattice_floors(W: np.ndarray, q_max: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_DivisorTable(w).floor(q_max, tau)` for every column w of W (n, S), bit
+    for bit, from one enumeration of the half lattice to q_max.
+
+    Shells are enumerated one at a time (so memory stays bounded by one
+    shell times a block of columns); per shell the smallest divisor is the
+    first one in yield order, and the floor the first smallest over the
+    shells, the table's tie rules.  Returns the floors (S,) and their
+    witnesses k (S, n)."""
+    n, S = W.shape
+    shell_min = np.empty((q_max, S))
+    shell_arg = np.empty((q_max, S, n), dtype=np.int64)
+    for s in range(1, q_max + 1):
+        K = np.concatenate(list(_halfspace_blocks(n, s - 1, s)), axis=0)
+        step = max(1, 16 * _CHUNK // K.shape[0])      # columns per divisor pass
+        for c0 in range(0, S, step):
+            cols = np.arange(c0, min(c0 + step, S))
+            div = np.abs(compensated_dot(K, W[:, cols]))
+            arg = np.argmin(div, axis=0)
+            shell_min[s - 1, cols] = div[arg, cols - c0]
+            shell_arg[s - 1, cols] = K[arg]
+    prod = shell_min * (np.arange(1, q_max + 1, dtype=np.float64) ** tau)[:, None]
+    idx = np.argmin(prod, axis=0)
+    return prod[idx, np.arange(S)], shell_arg[idx, np.arange(S)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 For each epsilon the unit action ball is walked with a fixed low-discrepancy
 sequence and every sample runs the same pipeline: boundary-margin rule,
 Diophantine certification of its frequency-map image at gamma = a*sqrt(mu),
-then a Newton solve on the normal-form output.  Everything the pipeline
-cannot construct counts toward the complement, so the reported fraction is
-a conservative sampled stand-in for the measure of the bad set.
+then a Newton solve on the normal-form output.  Each step runs once per
+slice on the stack of samples left by the one before; per sample it gives
+what a one-sample run gives, bit for bit.  Everything the pipeline cannot
+construct counts toward the complement, so the reported fraction is a
+conservative sampled stand-in for the measure of the bad set.
 
 The selection rule has two parts (stay b*sqrt(mu) away from the boundary of
 the ball, certify the target frequency) and both rejections land in the
@@ -27,20 +29,13 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import freq_arith as fa
-from .errors import (
-    GateFailed,
-    InsufficientSpan,
-    KolmogorovDegenerate,
-    NonConvergence,
-    SmallDivisorBreakdown,
-)
+from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
 from .fourier_taylor import PHYSICAL, HamiltonianSpec
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled
-from .torus_solver import certify_target, solve_torus
+from .torus_solver import _certify_stack, _solve_stack
 
 __all__ = [
     "MeasureReport",
@@ -54,23 +49,55 @@ __all__ = [
 ]
 
 
+def _radical_inverse(base: int, index: np.ndarray) -> np.ndarray:
+    """Van der Corput radical inverse of each index in `base`: the digits
+    summed from the least significant one, each times a power of 1/base
+    taken by repeated division."""
+    out = np.zeros(index.shape)
+    weight = 1.0 / base
+    index = index.copy()
+    while np.any(index > 0):
+        out += weight * (index % base)
+        index //= base
+        weight /= base
+    return out
+
+
+def _primes(n: int) -> list:
+    """The first n primes."""
+    primes = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def ball_samples(n: int, count: int) -> np.ndarray:
-    """First `count` points of the unscrambled Halton sequence inside the
-    open unit ball, mapped from [0,1)^n to (-1,1)^n by rejection.
+    """First `count` points of the unscrambled Halton sequence (radical
+    inverses in the first n prime bases, index 0 the origin of [0,1)^n)
+    inside the open unit ball, mapped from [0,1)^n to (-1,1)^n by rejection
+    in blocks of 256 indices.
 
     The sequence is a fixed mathematical object, so every call with the
     same arguments returns bit-identical points.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    engine = qmc.Halton(d=n, scramble=False)
+    bases = _primes(n)
     kept = []
     total = 0
+    start = 0
     while total < count:
-        block = 2.0 * engine.random(256) - 1.0
+        index = np.arange(start, start + 256)
+        # coordinate-major, so the norm sums each point's squares in the
+        # same order for every block
+        block = 2.0 * np.array([_radical_inverse(b, index) for b in bases]).T - 1.0
         inside = block[np.linalg.norm(block, axis=1) < 1.0]
         kept.append(inside)
         total += inside.shape[0]
+        start += 256
     return np.concatenate(kept, axis=0)[:count]
 
 
@@ -79,7 +106,8 @@ class MeasureReport:
     """One epsilon slice of a scan.
 
     `detail` keeps the audit split of the rejected samples
-    (margin_rejected / dioph_rejected / newton_failed); the headline
+    (margin_rejected / dioph_rejected / newton_failed) and the Newton sweeps
+    of the slice, failed samples included (newton_sweeps); the headline
     counters follow the counting identity exactly.
     """
     epsilon: float
@@ -256,34 +284,23 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
     gamma = max(plan.gamma_coeff * math.sqrt(mu), plan.gamma_floor)
     margin = plan.margin_coeff * math.sqrt(mu)
     points = ball_samples(plan.n, plan.density)
-    radii = np.linalg.norm(points, axis=1)
+    inside = points[np.linalg.norm(points, axis=1) <= 1.0 - margin]
+    targets = _certify_stack(spec, inside, gamma, plan.tau, None, plan.grid)
+    certified = [i for i, t in enumerate(targets)
+                 if not isinstance(t, SmallDivisorBreakdown)]
+    # the twist limit is solve_torus's default; the divisor floor is checked
+    # at the tau the targets were certified at
+    outcomes = _solve_stack(spec, [targets[i] for i in certified], inside[certified],
+                            grid=plan.grid, tol=plan.tol, max_iter=plan.max_iter,
+                            cond_max=1e8, tau=plan.tau)
+    # certification covered every wavevector the solve grid can represent,
+    # so a divisor trip in the solve is a pipeline bug and is raised
+    for out in outcomes:
+        if isinstance(out.error, SmallDivisorBreakdown):
+            raise out.error
+    converged = sum(out.error is None for out in outcomes)
 
-    margin_rejected = 0
-    dioph_rejected = 0
-    newton_failed = 0
-    converged = 0
-    for I0, r in zip(points, radii):
-        if r > 1.0 - margin:
-            margin_rejected += 1
-            continue
-        try:
-            target = certify_target(spec, I0, gamma=gamma, tau=plan.tau,
-                                    grid=plan.grid)
-        except SmallDivisorBreakdown:
-            dioph_rejected += 1
-            continue
-        # certification covered every wavevector the solve grid can
-        # represent, so a mid-solve divisor trip is a pipeline bug and
-        # is deliberately not caught here
-        try:
-            solve_torus(spec, I0, grid=plan.grid, tol=plan.tol,
-                        max_iter=plan.max_iter, target=target,
-                        full_diagnostics=False)
-            converged += 1
-        except (NonConvergence, KolmogorovDegenerate):
-            newton_failed += 1
-
-    selected = plan.density - margin_rejected - dioph_rejected
+    selected = len(certified)
     elapsed = time.perf_counter() - t0
     return MeasureReport(
         epsilon=epsilon, mu=mu, gamma_used=gamma, tau_used=plan.tau,
@@ -291,9 +308,10 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
         complement_fraction=(plan.density - converged) / plan.density,
         wall_time=elapsed if plan.record_timings else 0.0,
         nu=profile.nu,
-        detail={"margin_rejected": margin_rejected,
-                "dioph_rejected": dioph_rejected,
-                "newton_failed": newton_failed})
+        detail={"margin_rejected": plan.density - len(inside),
+                "dioph_rejected": len(inside) - selected,
+                "newton_failed": selected - converged,
+                "newton_sweeps": sum(len(out.history) for out in outcomes)})
 
 
 def run_plan(plan: ScanPlan) -> list:

@@ -17,7 +17,12 @@ which is where Kolmogorov non-degeneracy (<T> invertible) is used.
 
 The target frequency is certified Diophantine before solving: the slow
 vector eps * Omega must satisfy |k . w| >= gamma |k|_1^(-tau) for every
-representable grid mode.  Divisors are rechecked against half that floor."""
+representable grid mode.  Divisors are rechecked against half that floor.
+
+Certification and the Newton sweep both run on stacks of tori of one
+Hamiltonian (a scan slice certifies and solves all its samples at once);
+each torus of a stack gets what it would get alone, bit for bit, and
+certify_target and solve_torus are the stacks of one."""
 
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from .errors import (
     SmallDivisorBreakdown,
 )
 from .fourier_taylor import HamiltonianSpec, PhaseState, integrate_flow
-from .freq_arith import _DivisorTable, compensated_dot
+from .freq_arith import _lattice_floors, compensated_dot
 
 # pulled-back tori must stay inside this fraction of the declared domain
 PULLBACK_MARGIN = 0.9
@@ -66,12 +71,13 @@ def _hat(values: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fftn(values, axes=tuple(range(-n, 0))) / np.prod(values.shape[-n:])
 
 
-def _grid_values(hat: np.ndarray, grid: int) -> np.ndarray:
-    """Values of a coefficient stack lead + (own,)*n, n = hat.shape[0], on a
-    grid at least as fine as its own, by inverse FFT of the zero-padded
-    coefficients.  Shape (grid^n,) + lead, C-contiguous: einsum and BLAS sum
-    three or more terms in an order set by the memory layout."""
-    n = hat.shape[0]
+def _grid_values(hat: np.ndarray, grid: int, stack: int = 0) -> np.ndarray:
+    """Values of a coefficient stack lead + (own,)*n, n = hat.shape[stack], on
+    a grid at least as fine as its own, by inverse FFT of the zero-padded
+    coefficients.  Shape lead[:stack] + (grid^n,) + lead[stack:], so the first
+    `stack` axes (samples) stay in front of the points; C-contiguous: einsum
+    and BLAS sum three or more terms in an order set by the memory layout."""
+    n = hat.shape[stack]
     lead, own = hat.shape[:-n], hat.shape[-1]
     if grid != own:
         if grid < own:
@@ -82,24 +88,44 @@ def _grid_values(hat: np.ndarray, grid: int) -> np.ndarray:
         padded[(Ellipsis,) + np.ix_(*([idx] * n))] = hat
         hat = padded
     values = (np.fft.ifftn(hat, axes=tuple(range(-n, 0))) * grid ** n).real
-    return np.ascontiguousarray(values.reshape(-1, grid ** n).T).reshape(
-        (grid ** n,) + lead)
+    front = math.prod(lead[:stack])
+    values = values.reshape(front, -1, grid ** n).transpose(0, 2, 1)
+    return np.ascontiguousarray(values).reshape(lead[:stack] + (grid ** n,) + lead[stack:])
+
+
+# rows per call of a batch evaluator in a Newton sweep: past about 1024 rows
+# the cost per point grows 3-6x (page faults on fresh temporaries over
+# 128 KB, and a threaded tiny GEMM)
+_EVAL_ROWS = 1024
+
+
+def _evaluate_blocks(method, theta: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """method(theta, acts) at the (S, P, n) points of a stack, in blocks of at
+    most _EVAL_ROWS points; shape (S, P) + the method's own trailing shape."""
+    lead, n = theta.shape[:-1], theta.shape[-1]
+    theta, acts = theta.reshape(-1, n), acts.reshape(-1, n)
+    out = np.concatenate([method(theta[i:i + _EVAL_ROWS], acts[i:i + _EVAL_ROWS])
+                          for i in range(0, theta.shape[0], _EVAL_ROWS)])
+    return out.reshape(lead + out.shape[1:])
 
 
 def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
             L_Omega: np.ndarray, drift: np.ndarray, grid: int):
-    """Grid points of K and the invariance defects, each (grid^n, n), on a
-    grid at least as fine as the embedding's own:
+    """Grid points of K and the invariance defects, each (S, grid^n, n), for a
+    stack of S embeddings (u_hat, v_hat (S, n) + (own,)*n; I0, drift (S, n);
+    L_Omega (S,) + (own,)*n) on a grid at least as fine as their own:
         E_ang = dF/dI (K) - drift - L_Omega u,   E_act = dF/dtheta (K) + L_Omega v,
     with F the compiled perturbation `comp`, L_Omega = Omega . d/dphi given by
     its symbol 2 pi i k.Omega on the embedding's grid, and drift =
     Omega - dH_lin/dI, so the base frequency cancels analytically."""
-    n = I0.size
-    theta = _grid_phis(grid, n) + _grid_values(u_hat, grid)
-    acts = I0[None, :] + _grid_values(v_hat, grid)
-    E_ang = (comp.batch_grad_I(theta, acts) - drift[None, :]
-             - _grid_values(u_hat * L_Omega, grid))
-    E_act = comp.batch_grad_theta(theta, acts) + _grid_values(v_hat * L_Omega, grid)
+    n = I0.shape[1]
+    L_Omega = L_Omega[:, None]
+    theta = _grid_phis(grid, n) + _grid_values(u_hat, grid, 1)
+    acts = I0[:, None, :] + _grid_values(v_hat, grid, 1)
+    E_ang = (_evaluate_blocks(comp.batch_grad_I, theta, acts) - drift[:, None, :]
+             - _grid_values(u_hat * L_Omega, grid, 1))
+    E_act = (_evaluate_blocks(comp.batch_grad_theta, theta, acts)
+             + _grid_values(v_hat * L_Omega, grid, 1))
     return theta, acts, E_ang, E_act
 
 
@@ -146,24 +172,45 @@ def certify_target(spec: HamiltonianSpec, I_target: np.ndarray,
     SmallDivisorBreakdown when the check fails.
     """
     I_target = np.asarray(I_target, dtype=np.float64)
+    out, = _certify_stack(spec, I_target[None], gamma, tau, q_max, grid)
+    if isinstance(out, SmallDivisorBreakdown):
+        raise out
+    return out
+
+
+def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
+                   gamma: Optional[float], tau: float, q_max: Optional[int],
+                   grid: int) -> list:
+    """certify_target for S target actions (S, n) of one Hamiltonian, with one
+    lattice enumeration for all of them.  Entry s is the TargetFrequency
+    certify_target returns for I_targets[s], or the SmallDivisorBreakdown it
+    raises."""
+    if not len(I_targets):
+        return []
     f_avg = spec.perturbation(include_extra=True).average().compile()
-    shift = f_avg.grad_I(np.zeros(spec.n), I_target)
+    # one point per call, as a single certification evaluates it: a one-row
+    # product may round differently from a many-row one
+    zero = np.zeros(spec.n)
+    shift = np.stack([f_avg.grad_I(zero, I) for I in I_targets])
     Omega = spec.frequency_vector() + shift
     omega_slow = spec.epsilon * Omega
     if q_max is None:
         q_max = 4 * (grid // 2)
-    floor_measured, k = _DivisorTable(omega_slow).floor(q_max, tau)
-    if gamma is None:
-        gamma = 0.99 * floor_measured
-    if floor_measured < gamma:
-        raise SmallDivisorBreakdown(
-            f"target frequency fails ({gamma:g}, {tau:g}) certification at "
-            f"k={tuple(int(v) for v in k)}: "
-            f"min |k.w| |k|^tau = {floor_measured:.6e}")
-    margin = floor_measured / gamma if gamma > 0 else math.inf
-    return TargetFrequency(I0=I_target, Omega=Omega, shift=shift,
-                           omega_slow=omega_slow, gamma=float(gamma),
-                           tau=float(tau), q_max=int(q_max), margin=margin)
+    floors, witnesses = _lattice_floors(omega_slow.T, q_max, tau)
+    out = []
+    for s, floor_measured in enumerate(floors.tolist()):
+        g = 0.99 * floor_measured if gamma is None else gamma
+        if floor_measured < g:
+            out.append(SmallDivisorBreakdown(
+                f"target frequency fails ({g:g}, {tau:g}) certification at "
+                f"k={tuple(int(v) for v in witnesses[s])}: "
+                f"min |k.w| |k|^tau = {floor_measured:.6e}"))
+            continue
+        out.append(TargetFrequency(
+            I0=I_targets[s], Omega=Omega[s], shift=shift[s],
+            omega_slow=omega_slow[s], gamma=float(g), tau=float(tau),
+            q_max=int(q_max), margin=floor_measured / g if g > 0 else math.inf))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,100 +338,17 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     (defect stagnates above tol).  `full_diagnostics=False` skips the
     energy-variation and Lagrangian checks (bulk scans call in volume).
     """
-    n = spec.n
     if grid % 2 or grid < 4:
         raise ValueError("grid must be even and at least 4")
     I_target = np.asarray(I_target, dtype=np.float64)
     if target is None:
         target = certify_target(spec, I_target, gamma=gamma, tau=tau, grid=grid)
-    Omega = target.Omega
-
-    K = _wavevectors(grid, n)
-    shape = (grid,) * n
-    kdot = compensated_dot(K, Omega).reshape(shape)
-    L_Omega = 2j * math.pi * kdot
-    knorm = np.abs(K).sum(axis=1).reshape(shape)
-    nyquist = np.any(K == -(grid // 2), axis=1).reshape(shape)
-
-    # certified floor, halved, transported to the fast frame
-    with np.errstate(divide="ignore"):
-        floor = 0.5 * target.gamma * knorm.astype(float) ** (-tau) / spec.epsilon
-    live = (knorm > 0) & ~nyquist
-    bad = live & (np.abs(kdot) < floor)
-    if np.any(bad):
-        kb = K[bad.ravel()][0]
-        raise SmallDivisorBreakdown(
-            f"divisor at k={tuple(int(v) for v in kb)} below half the "
-            f"certified floor")
-
-    denom = np.where(live, L_Omega, 1.0)
-
-    def cohomological(rhs: np.ndarray) -> np.ndarray:
-        """Coefficients of the zero-mean w with L_Omega w = rhs, (grid^n, n)."""
-        c = _hat(rhs.T.reshape((n,) + shape), n)
-        return np.where(live, c / denom, 0.0)
-
-    comp = spec.perturbation(include_extra=True).compile()
-
-    u_hat = np.zeros((n,) + shape, dtype=complex)
-    v_hat = np.zeros((n,) + shape, dtype=complex)
-    I0 = I_target.copy()
-
-    history = []
-    best = math.inf
-    stall = 0
-    for iteration in range(max_iter):
-        theta, acts, E_ang, E_act = _defect(comp, u_hat, v_hat, I0, L_Omega,
-                                            target.shift, grid)
-        defect = max(np.max(np.abs(E_ang)), np.max(np.abs(E_act)))
-        history.append(float(defect))
-        if defect <= tol:
-            break
-        # a sweep that fails to shave 5% off the best defect counts as
-        # stalled; three in a row and the iteration is going nowhere
-        if defect > 0.95 * best:
-            stall += 1
-            if stall >= 3:
-                raise NonConvergence(
-                    f"defect stagnated at {defect:.3e} after {iteration + 1} "
-                    f"sweeps (history {['%.1e' % h for h in history]})")
-        else:
-            stall = 0
-        best = min(best, defect)
-
-        T = comp.batch_hess_II(theta, acts)          # (pts, n, n)
-        T_mean = T.mean(axis=0)
-        cond = np.linalg.cond(T_mean)
-        if not np.isfinite(cond) or cond > cond_max:
-            raise KolmogorovDegenerate(
-                f"averaged twist matrix has condition {cond:.3e} "
-                f"(limit {cond_max:g}); counterterm is unreliable")
-
-        # action correction: L_Omega dv = -(E_act - <E_act>)
-        dv_hat = cohomological(-(E_act - E_act.mean(axis=0)))
-        dv_vals = _grid_values(dv_hat, grid)
-
-        # counterterm from Kolmogorov non-degeneracy
-        Tdv = np.einsum("pij,pj->pi", T, dv_vals)
-        rhs_mean = E_ang.mean(axis=0) + Tdv.mean(axis=0)
-        try:
-            dI0 = -np.linalg.solve(T_mean, rhs_mean)
-        except np.linalg.LinAlgError:
-            raise KolmogorovDegenerate(
-                "averaged twist matrix is singular; no counterterm exists")
-
-        # angle correction: L_Omega du = E_ang + T (dv + dI0), mean removed
-        ang_rhs = E_ang + Tdv + np.einsum("pij,j->pi", T, dI0)
-        du_hat = cohomological(ang_rhs - ang_rhs.mean(axis=0))
-
-        u_hat = u_hat + du_hat
-        v_hat = v_hat + dv_hat
-        I0 = I0 + dI0
-    else:
-        raise NonConvergence(
-            f"defect {history[-1]:.3e} above tol {tol:g} after {max_iter} sweeps")
-
-    emb = TorusEmbedding(grid=grid, I0=I0, u_hat=u_hat, v_hat=v_hat,
+    out, = _solve_stack(spec, [target], I_target[None], grid, tol, max_iter,
+                        cond_max, tau)
+    if out.error is not None:
+        raise out.error
+    history = out.history
+    emb = TorusEmbedding(grid=grid, I0=out.I0, u_hat=out.u_hat, v_hat=out.v_hat,
                          target=target, epsilon=spec.epsilon)
     if full_diagnostics:
         emb.diagnostics = _post_diagnostics(spec, emb, history)
@@ -393,6 +357,159 @@ def solve_torus(spec: HamiltonianSpec, I_target,
                            "iterations": len(history),
                            "final_defect": history[-1]}
     return emb
+
+
+@dataclass(eq=False)
+class _Outcome:
+    """One torus of a Newton stack: its defect per sweep, and either its
+    solved coefficients or the exception its solve ended with."""
+    history: list = field(default_factory=list)
+    error: Optional[Exception] = None
+    u_hat: Optional[np.ndarray] = None
+    v_hat: Optional[np.ndarray] = None
+    I0: Optional[np.ndarray] = None
+
+
+def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
+                 grid: int, tol: float, max_iter: int, cond_max: float,
+                 tau: float) -> list:
+    """The quasi-Newton sweep of solve_torus on a stack of S tori of one
+    Hamiltonian, each with its certified target and start action (S, n).
+
+    Every step is the one-torus algebra taken sample by sample: the divisor
+    floor, the stall rule, the twist condition and the counterterm solve.  A
+    sample that fails drops out with the exception solve_torus raises for it
+    and the others go on.  Returns one _Outcome per sample, in order."""
+    S, n = I_start.shape
+    outcomes = [_Outcome() for _ in range(S)]
+    if not S:
+        return outcomes
+    shape = (grid,) * n
+    K = _wavevectors(grid, n)
+    kdot = compensated_dot(K, np.stack([t.Omega for t in targets], axis=1)).T.reshape(
+        (S,) + shape)
+    L_Omega = 2j * math.pi * kdot
+    knorm = np.abs(K).sum(axis=1).reshape(shape)
+    nyquist = np.any(K == -(grid // 2), axis=1).reshape(shape)
+    live = (knorm > 0) & ~nyquist
+
+    # certified floor, halved, transported to the fast frame
+    half_gamma = (0.5 * np.array([t.gamma for t in targets])).reshape((S,) + (1,) * n)
+    with np.errstate(divide="ignore"):
+        floor = half_gamma * knorm.astype(float) ** (-tau) / spec.epsilon
+    bad = (live & (np.abs(kdot) < floor)).reshape(S, -1)
+    for s in np.flatnonzero(bad.any(axis=1)):
+        kb = K[np.argmax(bad[s])]
+        outcomes[s].error = SmallDivisorBreakdown(
+            f"divisor at k={tuple(int(v) for v in kb)} below half the "
+            f"certified floor")
+
+    # the samples still iterating and their state, one row each
+    ids = np.flatnonzero(~bad.any(axis=1))
+    L_Omega = L_Omega[ids]
+    state = {"ids": ids, "L_Omega": L_Omega,
+             "denom": np.where(live, L_Omega, 1.0)[:, None],
+             "drift": np.stack([t.shift for t in targets])[ids],
+             "u_hat": np.zeros((ids.size, n) + shape, dtype=complex),
+             "v_hat": np.zeros((ids.size, n) + shape, dtype=complex),
+             "I0": I_start[ids].copy(),
+             "best": np.full(ids.size, math.inf),
+             "stall": np.zeros(ids.size, dtype=int)}
+
+    def drop(fail: np.ndarray, error, *sweep) -> list:
+        """Give each sample flagged in `fail` the exception error(i) (none
+        when `error` is None), keep the others in the state, and return the
+        arrays of `sweep` cut to them."""
+        if not fail.any():
+            return list(sweep)
+        for i in np.flatnonzero(fail):
+            if error is not None:
+                outcomes[state["ids"][i]].error = error(i)
+        for key, value in state.items():
+            state[key] = value[~fail]
+        return [a[~fail] for a in sweep]
+
+    def cohomological(rhs: np.ndarray) -> np.ndarray:
+        """Coefficients of the zero-mean w with L_Omega w = rhs, (S, grid^n, n)."""
+        c = _hat(np.swapaxes(rhs, 1, 2).reshape((rhs.shape[0], n) + shape), n)
+        return np.where(live, c / state["denom"], 0.0)
+
+    comp = spec.perturbation(include_extra=True).compile()
+    for iteration in range(max_iter):
+        if not state["ids"].size:
+            break
+        theta, acts, E_ang, E_act = _defect(comp, state["u_hat"], state["v_hat"],
+                                            state["I0"], state["L_Omega"],
+                                            state["drift"], grid)
+        ang = np.max(np.abs(E_ang), axis=(1, 2))
+        act = np.max(np.abs(E_act), axis=(1, 2))
+        defect = np.where(act > ang, act, ang)      # max(ang, act) as Python takes it
+        done = defect <= tol
+        for i, s in enumerate(state["ids"]):
+            outcomes[s].history.append(float(defect[i]))
+            if done[i]:
+                outcomes[s].u_hat, outcomes[s].v_hat, outcomes[s].I0 = (
+                    state[key][i].copy() for key in ("u_hat", "v_hat", "I0"))
+        theta, acts, E_ang, E_act, defect = drop(done, None, theta, acts,
+                                                 E_ang, E_act, defect)
+        # a sweep that fails to shave 5% off the best defect counts as
+        # stalled; three in a row and the iteration is going nowhere
+        state["stall"] = np.where(defect > 0.95 * state["best"], state["stall"] + 1, 0)
+        state["best"] = np.where(defect < state["best"], defect, state["best"])
+        theta, acts, E_ang, E_act = drop(
+            state["stall"] >= 3,
+            lambda i: NonConvergence(
+                f"defect stagnated at {defect[i]:.3e} after {iteration + 1} sweeps "
+                f"(history {['%.1e' % h for h in outcomes[state['ids'][i]].history]})"),
+            theta, acts, E_ang, E_act)
+        if not state["ids"].size:
+            break
+
+        T = _evaluate_blocks(comp.batch_hess_II, theta, acts)      # (S, pts, n, n)
+        T_mean = T.mean(axis=1)
+        cond = np.linalg.cond(T_mean)
+        T, T_mean, E_ang, E_act = drop(
+            ~np.isfinite(cond) | (cond > cond_max),
+            lambda i: KolmogorovDegenerate(
+                f"averaged twist matrix has condition {cond[i]:.3e} "
+                f"(limit {cond_max:g}); counterterm is unreliable"),
+            T, T_mean, E_ang, E_act)
+        if not state["ids"].size:
+            break
+
+        # action correction: L_Omega dv = -(E_act - <E_act>)
+        dv_hat = cohomological(-(E_act - E_act.mean(axis=1, keepdims=True)))
+        dv_vals = _grid_values(dv_hat, grid, 1)
+
+        # counterterm from Kolmogorov non-degeneracy
+        Tdv = np.einsum("spij,spj->spi", T, dv_vals)
+        rhs_mean = E_ang.mean(axis=1) + Tdv.mean(axis=1)
+        singular = np.zeros(T_mean.shape[0], dtype=bool)
+        try:
+            dI0 = -np.linalg.solve(T_mean, rhs_mean[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one singular matrix fails the whole batch: solve one by one
+            dI0 = np.zeros_like(rhs_mean)
+            for i in range(T_mean.shape[0]):
+                try:
+                    dI0[i] = -np.linalg.solve(T_mean[i], rhs_mean[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+
+        # angle correction: L_Omega du = E_ang + T (dv + dI0), mean removed
+        ang_rhs = E_ang + Tdv + np.einsum("spij,sj->spi", T, dI0)
+        du_hat = cohomological(ang_rhs - ang_rhs.mean(axis=1, keepdims=True))
+
+        state["u_hat"] = state["u_hat"] + du_hat
+        state["v_hat"] = state["v_hat"] + dv_hat
+        state["I0"] = state["I0"] + dI0
+        drop(singular, lambda i: KolmogorovDegenerate(
+            "averaged twist matrix is singular; no counterterm exists"))
+    for s in state["ids"]:
+        outcomes[s].error = NonConvergence(
+            f"defect {outcomes[s].history[-1]:.3e} above tol {tol:g} "
+            f"after {max_iter} sweeps")
+    return outcomes
 
 
 def _post_diagnostics(spec: HamiltonianSpec, emb: TorusEmbedding,
@@ -454,7 +571,8 @@ def invariance_defect(spec: HamiltonianSpec, emb: TorusEmbedding,
     L_Omega = (2j * math.pi * compensated_dot(_wavevectors(emb.grid, emb.n), Omega)
                ).reshape((emb.grid,) * emb.n)
     _, _, E_ang, E_act = _defect(spec.perturbation(include_extra=True).compile(),
-                                 emb.u_hat, emb.v_hat, emb.I0, L_Omega, drift,
+                                 emb.u_hat[None], emb.v_hat[None], emb.I0[None],
+                                 L_Omega[None], drift[None],
                                  emb.grid if grid is None else grid)
     return max(float(np.max(np.abs(E_ang))), float(np.max(np.abs(E_act))))
 

@@ -116,10 +116,14 @@ _BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("n
 # integration options bypass the record loader too; unrefused, `probe --h 0`
 # and `probe --t inf` end in a traceback, `torus --t-final 0` in a traceback
 # that leaves torus.json behind, and `probe --h -0.01` and `probe --points 0`
-# in meaningless tables
+# in meaningless tables.  `torus` refuses its horizon before the Newton solve,
+# so the cases at the default grid 64 cost no solve (the test makes any call
+# of solve_torus fail)
 _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_final=inf"),
              ("probe", ("--h", -0.01), "step=-0.01"), ("probe", ("--points", 0), "--points"),
-             ("torus", ("--i0", "0.3,-0.2", "--grid", 16, "--t-final", 0), "t_final=0.0")]
+             ("torus", ("--i0", "0.3,-0.2", "--grid", 16, "--t-final", 0), "t_final=0.0"),
+             ("torus", ("--i0", "0.3,-0.2", "--t-final", -1), "t_final=-1.0"),
+             ("torus", ("--i0", "0.3,-0.2", "--t-final", "inf"), "t_final=inf")]
 
 
 @pytest.mark.parametrize("cmd, option, edit, args, kind, text", [
@@ -144,8 +148,13 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
        for field, value in _BAD_SPEC_FIELDS]
     + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS]
     + ["probe-h-0", "probe-t-inf", "probe-h-negative", "probe-points-0",
-       "torus-t-final-0"])
-def test_malformed_record_writes_error_record(files, cmd, option, edit, args, kind, text):
+       "torus-t-final-0", "torus-grid-64-t-final-negative", "torus-grid-64-t-final-inf"])
+def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, edit, args,
+                                              kind, text):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_torus ran on an input refused up front")
+
+    monkeypatch.setattr(cli, "solve_torus", no_solve)
     rec = _records(files)[option]
     edit(rec)
     (files / "malformed.json").write_text(json.dumps(rec))

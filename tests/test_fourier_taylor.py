@@ -191,6 +191,25 @@ def test_perturbation_and_average_are_built_once():
     assert spec.perturbation().compile() is spec.perturbation().compile()
 
 
+def test_algebra_results_store_coefficients_as_the_constructor_does():
+    # the algebra builds its results without re-checking keys, but keeps the
+    # constructor's rules: exact zeros are dropped, every coefficient is a
+    # Python complex, and -0.0 real parts are stored (and written) as +0.0
+    f = sample_series()
+    g = FourierTaylorSeries.sine(2, (1, 0))
+    results = [f.scale(-1.0), f.scale(np.float64(-2.0)), g.scale(-1.0), f * g, f - f,
+               f.poisson(g), f.dtheta(0), f.dI(1), f.average(), f.prune(1e-3)]
+    assert len(f - f) == 0
+    for r in results:
+        rebuilt = FourierTaylorSeries(2, {key: c for key, c in r.terms().items()})
+        assert r.to_record() == rebuilt.to_record()
+        for (k, m), c in r.terms().items():
+            assert type(c) is complex and c != 0
+            assert math.copysign(1.0, c.real) == 1.0 or c.real != 0.0
+            assert all(type(v) is int for v in k + m)
+    assert any(c.real == 0.0 for c in g.scale(-1.0).terms().values())
+
+
 def test_harmonic_truncation_partition():
     f = sample_series()
     assert (f.truncate_harmonics(2) + f.high_harmonics(2) - f).leading_size() == 0.0

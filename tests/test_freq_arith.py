@@ -409,6 +409,35 @@ def test_table_ties_across_merge_chunks_match_loop_reference(monkeypatch, chunk,
     assert _table_state(table) == [a.tobytes() for a in shell_table(w, Q)]
 
 
+@pytest.mark.parametrize("chunk", [7, 65536])
+@pytest.mark.parametrize("n, q_max", [(2, 40), (3, 12), (4, 6)])
+def test_lattice_floors_match_the_table_for_every_column(monkeypatch, chunk, n, q_max):
+    # tie-rich columns (resonant, or with equal components: exact divisor
+    # ties within a shell, and a zero floor on many shells) next to generic
+    # ones; with chunks of 7 rows every column gets its own divisor pass
+    monkeypatch.setattr(fa, "_CHUNK", chunk)
+    rng = np.random.default_rng(n)
+    columns = ([w for w in _GROWTH_VECTORS if len(w) == n]
+               + [(1.0,) * n, (0.5,) * (n - 1) + (0.25,)] + list(rng.uniform(-1, 1, (4, n))))
+    W = np.array(columns, dtype=np.float64).T
+    for tau in (1.0, 1.5, 2.75):
+        floors, witnesses = fa._lattice_floors(W, q_max, tau)
+        for s in range(W.shape[1]):
+            floor, k = _DivisorTable(W[:, s].copy()).floor(q_max, tau)
+            assert floors[s].tobytes() == np.float64(floor).tobytes()
+            assert witnesses[s].tolist() == k.tolist()
+
+
+def test_compensated_dot_columns_equal_single_vectors():
+    K = np.array(half_lattice(3, 9))
+    W = np.random.default_rng(5).uniform(-1, 1, (3, 6))
+    W[:, 0] = (1.0, 0.25, 0.5)
+    stacked = fa.compensated_dot(K, W)
+    assert stacked.shape == (K.shape[0], 6)
+    for s in range(6):
+        assert stacked[:, s].tobytes() == fa.compensated_dot(K, W[:, s].copy()).tobytes()
+
+
 @pytest.mark.parametrize("w, steps", [((1.0, 0.6180339887498949), (3, 16, 17, 40)),
                                       ((1.0, 0.25, 0.5), (1, 2, 9, 12)),
                                       ((1.0, 0.3, -0.55, 0.71), (7,)),

@@ -1,13 +1,18 @@
 """Measure scan: sampling determinism, selection accounting, scaling fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kamlab import freq_arith as fa
 from kamlab import measure_scan as ms
-from kamlab.errors import GateFailed, InsufficientSpan
+from kamlab import torus_solver as ts
+from kamlab.errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
 from kamlab.fourier_taylor import (
     CompiledSeries,
     FourierTaylorSeries,
@@ -48,6 +53,108 @@ def test_ball_samples_deterministic_and_inside():
     assert np.array_equal(pts[:50], ms.ball_samples(2, 50))
     with pytest.raises(ValueError):
         ms.ball_samples(2, 0)
+
+
+def _halton_ball(n, count):
+    """The points as scipy's unscrambled Halton engine draws them, 256 at a
+    time, kept inside the unit ball: the construction ball_samples replaced."""
+    from scipy.stats import qmc
+    engine = qmc.Halton(d=n, scramble=False)
+    kept, total = [], 0
+    while total < count:
+        block = 2.0 * engine.random(256) - 1.0
+        kept.append(block[np.linalg.norm(block, axis=1) < 1.0])
+        total += kept[-1].shape[0]
+    return np.concatenate(kept, axis=0)[:count]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 96, 5000])
+def test_ball_samples_equal_scipy_halton(n, count):
+    got, want = ms.ball_samples(n, count), _halton_ball(n, count)
+    assert got.shape == want.shape == (count, n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    code = ("import sys, kamlab, kamlab.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    src = str(Path(ms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def _capture(monkeypatch, name):
+    """Record the positional arguments and the result of every call of
+    measure_scan.<name>."""
+    calls = []
+    fn = getattr(ms, name)
+
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, out))
+        return out
+    monkeypatch.setattr(ms, name, recorded)
+    return calls
+
+
+def test_stacked_scan_equals_single_solves_on_every_slice(monkeypatch):
+    calls = _capture(monkeypatch, "_solve_stack")
+    plan = family_plan(density=32)
+    reports = ms.run_plan(plan)
+    assert len(calls) == len(reports)
+    for ((spec, targets, actions, *_), outcomes), report in zip(calls, reports):
+        assert len(outcomes) == report.selected > 0
+        for target, I, out in zip(targets, actions, outcomes):
+            emb = ts.solve_torus(spec, I, grid=plan.grid, tol=plan.tol,
+                                 max_iter=plan.max_iter, target=target,
+                                 full_diagnostics=False)
+            assert out.error is None
+            assert out.history == emb.diagnostics["newton_defects"]
+            for got, want in ((out.u_hat, emb.u_hat), (out.v_hat, emb.v_hat),
+                              (out.I0, emb.I0)):
+                assert got.tobytes() == want.tobytes()
+        assert report.detail["newton_sweeps"] == sum(len(o.history) for o in outcomes)
+
+
+def test_batched_certification_equals_certify_target(monkeypatch):
+    # the scan-golden slices: every gamma, margin and witness as the one
+    # certificate per sample and a fresh divisor table per sample give them
+    calls = _capture(monkeypatch, "_certify_stack")
+    ms.run_plan(family_plan(density=96))
+    rejected = []
+    for (spec, actions, gamma, tau, _, grid), got in calls:
+        q_max = 4 * (grid // 2)
+        auto = [ts.certify_target(spec, I, tau=tau, grid=grid) for I in actions]
+        floors, witnesses = fa._lattice_floors(np.stack([t.omega_slow for t in auto], axis=1),
+                                               q_max, tau)
+        rejected.append(0)
+        for I, out, t, floor_s, k_s in zip(actions, got, auto, floors, witnesses):
+            floor, k = fa._DivisorTable(t.omega_slow).floor(q_max, tau)
+            assert (floor_s, k_s.tolist()) == (floor, k.tolist())
+            assert t.gamma == 0.99 * floor
+            try:
+                want = ts.certify_target(spec, I, gamma=gamma, tau=tau, grid=grid)
+            except SmallDivisorBreakdown as exc:
+                assert isinstance(out, SmallDivisorBreakdown) and str(out) == str(exc)
+                assert f"k={tuple(k.tolist())}: min |k.w| |k|^tau = {floor:.6e}" in str(out)
+                rejected[-1] += 1
+                continue
+            assert (out.gamma, out.tau, out.q_max) == (want.gamma, want.tau, want.q_max)
+            assert out.margin == want.margin == floor / gamma
+            for name in ("I0", "Omega", "shift", "omega_slow"):
+                assert getattr(out, name).tobytes() == getattr(want, name).tobytes()
+    assert rejected == [5, 0, 0, 0, 0]
+
+
+def test_newton_sweeps_frozen(sweep):
+    # the sums of the per-sample sweep counts ("iterations") a scan solving
+    # one torus at a time reported for these slices
+    _, reports = sweep
+    assert [r.detail["newton_sweeps"] for r in reports] == [184, 216, 204, 226, 240]
 
 
 def test_sweep_counts_frozen(sweep):

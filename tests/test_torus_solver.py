@@ -1,12 +1,14 @@
 """Torus solver: exact conjugation oracle, convergence, gates, round trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kamlab import freq_arith as fa
 from kamlab.errors import (
+    KamlabError,
     KolmogorovDegenerate,
     NonConvergence,
     OutsideImage,
@@ -414,3 +416,77 @@ def test_lagrangian_defect_closed_form():
         axis=1))) < 1e-15
     expected = 4 * math.pi ** 2 * abs(a * b - c * d)
     assert abs(ts.lagrangian_defect(emb) - expected) < 1e-12
+
+
+def _same_solve(out, emb):
+    """A stacked outcome equals a solve_torus result bit for bit."""
+    assert out.error is None
+    assert out.history == emb.diagnostics["newton_defects"]
+    for got, want in ((out.u_hat, emb.u_hat), (out.v_hat, emb.v_hat), (out.I0, emb.I0)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_n3_stack_equals_single_solves():
+    # at n=3 the einsum sums of three terms follow the memory layout, so a
+    # stack that is not C-contiguous per sample would drift in the last bits
+    h3 = cubic_spec()
+    actions = np.array([[0.2, -0.1, 0.15], [-0.3, 0.05, 0.1], [0.1, 0.25, -0.2]])
+    targets = [ts.certify_target(h3, I, grid=8) for I in actions]
+    outcomes = ts._solve_stack(h3, targets, actions, 8, 1e-11, 30, 1e8, 1.5)
+    for I, target, out in zip(actions, targets, outcomes):
+        _same_solve(out, ts.solve_torus(h3, I, grid=8, target=target,
+                                        full_diagnostics=False))
+
+
+def twist_spec():
+    """Time-scaled A0 I.I + 0.5 I1^3 with a weak (1, 0) modulation: the
+    averaged Hessian 2 A0 + diag(3 I1, 0) is singular at I1 = -59/96."""
+    quad = quadratic_from_matrices(2, A0, [((1, 0), 0.01 * B, None)])
+    rest = FourierTaylorSeries.monomial(2, (3, 0), 0.5)
+    return HamiltonianSpec(omega=fa.make_test_frequency("golden").components,
+                           quad=quad, rest=rest, epsilon=1.0, state="time_scaled",
+                           omega_prefactor=1.0)
+
+
+def test_stack_drops_each_failure_as_its_single_solve_raises():
+    # a converging torus, one cut off by max_iter (6 sweeps to converge
+    # alone), one at the singular twist, and one whose certificate the grid
+    # breaks: each ends in the stack as solve_torus ends it alone
+    spec = twist_spec()
+    actions = np.array([[0.3, -0.2], [-0.58, 0.1], [-59 / 96, 0.1], [0.6, 0.3]])
+    targets = [ts.certify_target(spec, I, grid=16) for I in actions]
+    targets[3] = replace(targets[3], gamma=1e3 * targets[3].gamma)
+    kwargs = dict(grid=16, tol=1e-10, max_iter=4)
+    outcomes = ts._solve_stack(spec, targets, actions, cond_max=1e8, tau=1.5, **kwargs)
+    ends = []
+    for I, target, out in zip(actions, targets, outcomes):
+        try:
+            emb = ts.solve_torus(spec, I, target=target, full_diagnostics=False, **kwargs)
+        except KamlabError as exc:
+            assert type(out.error) is type(exc) and str(out.error) == str(exc)
+            ends.append(type(exc))
+        else:
+            _same_solve(out, emb)
+            ends.append(None)
+    assert ends == [None, NonConvergence, KolmogorovDegenerate, SmallDivisorBreakdown]
+    assert [len(out.history) for out in outcomes] == [4, 4, 1, 0]
+
+
+def test_stack_stalls_as_single_solves_did():
+    # below roundoff every torus stalls; 14 sweeps is what solve_torus took
+    # for I_T when it solved one torus at a time
+    h3, _ = family_spec()
+    actions = np.array([I_T, [0.1, 0.25]])
+    targets = [ts.certify_target(h3, I, grid=32) for I in actions]
+    outcomes = ts._solve_stack(h3, targets, actions, 32, 1e-17, 30, 1e8, 1.5)
+    for I, target, out in zip(actions, targets, outcomes):
+        with pytest.raises(NonConvergence, match="stagnated") as single:
+            ts.solve_torus(h3, I, grid=32, tol=1e-17, target=target)
+        assert type(out.error) is NonConvergence and str(out.error) == str(single.value)
+    assert len(outcomes[0].history) == 14
+
+
+def test_stack_of_none_solves_nothing():
+    h3, _ = family_spec()
+    assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30, 1e8, 1.5) == []
+    assert ts._certify_stack(h3, np.zeros((0, 2)), None, 1.5, None, 16) == []
