@@ -11,7 +11,12 @@ vectors ``k`` are measured in the l1 norm, and the divisor of ``k`` is
 
 Enumeration runs over the half lattice (first nonzero component positive)
 with a compensated dot product; ``|(-k) . w| == |k . w|`` exactly in IEEE
-arithmetic, so this is loss-free.  Vectors built from continued fractions can
+arithmetic, so this is loss-free.  For n=2 the divisor is linear along each
+half of a shell, so the table evaluates only the rows around each half's
+root (at most eight per shell, O(Q) rows to depth Q) and gets the
+same per-shell minima and witnesses as the whole shell; it evaluates whole
+shells when a slope ``|w1 +- w2|`` is too small to rule out a rounding tie,
+and always for n >= 3.  Vectors built from continued fractions can
 carry an exact rational tag; ``delta``/``diophantine_check`` then use exact
 convergent windows, which stay meaningful far beyond float64 resolution.
 """
@@ -86,6 +91,47 @@ def _halfspace_blocks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
             yield block
 
 
+def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield blocks holding, for every shell s in (lo, hi], each half-lattice
+    row that can carry the shell's first smallest compensated divisor, in the
+    order `_halfspace_blocks` yields them within a shell.
+
+    For n=2 the rows of shell s are (s - |k2|, k2) for -s < k2 <= s, and the
+    divisor s*w1 + k2*(w1 + w2) (k2 <= 0) or s*w1 + k2*(w2 - w1) (k2 >= 0) is
+    linear on each piece.  The rows kept per shell are the four integers
+    around each piece's root, clipped to the piece (a root beyond it gives
+    its end).  A row not kept lies farther from its piece's root than some
+    kept row on the same side, so its exact |k . w| exceeds that row's by at
+    least the slope.  Each computed |k . w| is within 2u s max|w| of the
+    exact one (two rounded products, one correctly rounded compensated sum),
+    so a slope above 4u s max|w| rules out a rounding tie with a row not
+    kept.  Otherwise (n >= 3, or a slope below the bound used, 8u Q max|w|)
+    every row is yielded.
+    """
+    bound = 4 * np.finfo(np.float64).eps * hi * float(np.max(np.abs(w)))
+    if w.size != 2 or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound:
+        yield from _halfspace_blocks(w.size, lo, hi)
+        return
+    w1, w2 = float(w[0]), float(w[1])
+    around = np.arange(-1, 3, dtype=np.int64)
+    step = max(1, _CHUNK // 8)
+    for start in range(lo + 1, hi + 1, step):
+        s = np.arange(start, min(start + step, hi + 1), dtype=np.int64)[:, None]
+        k2 = []
+        for rate, end_lo, end_hi in ((w1 + w2, 1 - s, 0), (w2 - w1, 0, s)):
+            root = np.clip(-(s * w1) / rate, end_lo - 2, end_hi + 2)
+            k2.append(np.clip(np.floor(root).astype(np.int64) + around, end_lo, end_hi))
+        k2 = np.concatenate(k2, axis=1)
+        # within a shell: k1 = s - |k2| ascending, negative k2 first, (0, s) last
+        key = np.where(k2 == s, 1, (k2 > 0) - 2 * np.abs(k2))
+        order = np.argsort(key, axis=1, kind="stable")
+        key, k2 = np.take_along_axis(key, order, 1), np.take_along_axis(k2, order, 1)
+        fresh = np.ones(key.shape, dtype=bool)
+        fresh[:, 1:] = key[:, 1:] != key[:, :-1]
+        k2 = k2[fresh]
+        yield np.stack([np.broadcast_to(s, key.shape)[fresh] - np.abs(k2), k2], axis=1)
+
+
 def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
     """K @ w per row with Neumaier-compensated summation.
 
@@ -143,7 +189,7 @@ class _DivisorTable:
         # generator blocks are tiny at large radii; gather them into chunks
         # of at most _CHUNK rows before sorting
         pending, rows = [], 0
-        for block in _halfspace_blocks(self.n, self.q_built, Q):
+        for block in _shell_candidate_blocks(self.w, self.q_built, Q):
             if rows and rows + block.shape[0] > _CHUNK:
                 merge(np.concatenate(pending, axis=0))
                 pending, rows = [], 0
@@ -164,16 +210,24 @@ class _DivisorTable:
         idx = int(np.argmin(prod))
         return float(prod[idx]), self.shell_arg[idx]
 
-    def min_divisor(self, Q: int) -> tuple[float, np.ndarray]:
-        self.ensure(Q)
-        d = float(self._prefix_min[Q - 1])
-        k = self.shell_arg[self._prefix_arg[Q - 1]]
-        if d < RESONANCE_TOL * np.abs(k).sum():
+    def prefix_minima(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest divisor over 0 < |k|_1 <= Q and its first argmin k, for Q in
+        (lo, hi]; raises ResonanceDetected at the first Q whose divisor is below
+        RESONANCE_TOL * |k|_1."""
+        self.ensure(hi)
+        d, k = self._prefix_min[lo:hi], self.shell_arg[self._prefix_arg[lo:hi]]
+        low = d < RESONANCE_TOL * np.abs(k).sum(axis=1)
+        if low.any():
+            i = int(np.argmax(low))
             raise ResonanceDetected(
-                f"divisor {d:.3e} at k={tuple(int(v) for v in k)} is below "
+                f"divisor {d[i]:.3e} at k={tuple(int(v) for v in k[i])} is below "
                 f"tolerance {RESONANCE_TOL:g}*|k|_1"
             )
         return d, k
+
+    def min_divisor(self, Q: int) -> tuple[float, np.ndarray]:
+        d, k = self.prefix_minima(Q - 1, Q)
+        return float(d[0]), k[0]
 
     def q_psi_array(self, Q: int) -> np.ndarray:
         """Array of Q'*Psi(Q') for Q' = 1..Q (strictly increasing)."""
@@ -504,21 +558,33 @@ class FrequencyVector:
 # operations
 # ---------------------------------------------------------------------------
 
+def _check_cap(Q: int) -> None:
+    if Q > ENUMERATION_CAP:
+        raise ConstructionFailed(f"enumeration beyond Q={ENUMERATION_CAP} not supported")
+
+
 def psi(omega: FrequencyVector, Q: int) -> DivisorRecord:
     """Reciprocal smallest divisor over 0 < |k|_1 <= Q (float enumeration)."""
     if Q < 1:
         raise BelowThreshold("psi needs Q >= 1")
-    if Q > ENUMERATION_CAP:
-        raise ConstructionFailed(f"enumeration beyond Q={ENUMERATION_CAP} not supported")
+    _check_cap(Q)
     d, k = omega._table.min_divisor(int(Q))
     return DivisorRecord(Q=int(Q), min_divisor=d,
                          argmin_k=tuple(int(v) for v in k), psi=1.0 / d)
 
 
 def psi_table(omega: FrequencyVector, Q: int) -> list[DivisorRecord]:
-    """DivisorRecord for every Q' = 1..Q."""
-    omega._table.ensure(int(Q))
-    return [psi(omega, q) for q in range(1, int(Q) + 1)]
+    """`psi(omega, Q')` for every Q' = 1..Q, read off the prefix minima at once.
+
+    Raises as the calls would, at the first Q' that fails: a resonance, then
+    the enumeration cap."""
+    Q = int(Q)
+    if Q < 1:
+        return []
+    d, k = omega._table.prefix_minima(0, min(Q, ENUMERATION_CAP))
+    _check_cap(Q)
+    return [DivisorRecord(Q=q, min_divisor=dq, argmin_k=tuple(kq), psi=1.0 / dq)
+            for q, dq, kq in zip(range(1, Q + 1), d.tolist(), k.tolist())]
 
 
 def delta(omega: FrequencyVector, x: float) -> int:

@@ -110,7 +110,10 @@ _BAD_SPEC_FIELDS = [("epsilon", "x"), ("domain_radius", "x"), ("omega_prefactor"
 
 # an --eps option bypasses the record loader; unrefused, `freq --eps nan|inf`
 # runs a divisor enumeration without end and `nf --eps 0` ends in a traceback
+# `freq --eps 1e-300` asks for a truncation order past the enumeration cap;
+# the golden table reaches the cap in well under a second
 _BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("nan", "inf")] \
+    + [("freq", "--omega", "1e-300", "ConstructionFailed", "enumeration cap")] \
     + [("nf", "--spec", eps, "ValueError", "'epsilon'") for eps in ("0", "nan", "inf")]
 
 # integration options bypass the record loader too; unrefused, `probe --h 0`

@@ -443,15 +443,109 @@ def test_compensated_dot_columns_equal_single_vectors():
                                       ((1.0, 0.3, -0.55, 0.71), (7,)),
                                       ((1.0, 0.3, -0.55, 0.71), (2, 5, 6, 7))])
 def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
-    rows = []
+    def evaluated(steps):
+        rows = []
 
-    def counting_dot(K, w):
-        rows.extend(map(tuple, K.tolist()))
-        return dot(K, w)
+        def counting_dot(K, w):
+            rows.extend(map(tuple, K.tolist()))
+            return dot(K, w)
+
+        monkeypatch.setattr(fa, "compensated_dot", counting_dot)
+        table = _DivisorTable(np.array(w))
+        for q in steps:
+            table.ensure(q)
+        monkeypatch.setattr(fa, "compensated_dot", dot)
+        return rows
 
     dot = fa.compensated_dot
-    monkeypatch.setattr(fa, "compensated_dot", counting_dot)
-    table = _DivisorTable(np.array(w))
-    for q in steps:
-        table.ensure(q)
-    assert sorted(rows) == sorted(half_lattice(len(w), steps[-1]))
+    grown, lattice = evaluated(steps), half_lattice(len(w), steps[-1])
+    assert sorted(grown) == sorted(evaluated(steps[-1:]))
+    if len(w) == 2:
+        # the n=2 route evaluates at most 8 candidate rows per shell
+        assert len(set(grown)) == len(grown) <= 8 * steps[-1]
+        assert set(grown) <= set(lattice)
+    else:
+        assert sorted(grown) == sorted(lattice)
+
+
+# -- the n=2 candidate route ----------------------------------------------------------
+
+# resonant, degenerate, swapped and negative vectors, slopes |w1 +- w2| of 1e-9,
+# and the fallback vectors (1, +-1) (a zero slope), next to random ones; on
+# (1, -1/7) the first smallest divisor of some shells is a tie that (0, s),
+# yielded last, must lose
+_N2_VECTORS = [(1.0, 0.5), (1.0, 1 / 3), (1.0, 2 / 7), (1.0, -1 / 7), (1.0, 0.0), (-0.7, 1.0),
+               (0.25, -1.0), (1.0, 1 - 1e-9), (1.0, -(1 - 1e-9)), (1.0, 1.0), (1.0, -1.0),
+               (1.0, -1 + 1e-12), (1.0, 0.6180339887498949)]
+_N2_DEPTH = 3000
+
+
+def _shell_minima(W: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per shell and column of W (2, S): the smallest compensated divisor over
+    the whole shell and its first row in enumeration order."""
+    S = W.shape[1]
+    shell_min, shell_arg = np.empty((Q, S)), np.empty((Q, S, 2), dtype=np.int64)
+    for s in range(1, Q + 1):
+        K = np.concatenate(list(fa._halfspace_blocks(2, s - 1, s)), axis=0)
+        div = np.abs(fa.compensated_dot(K, W))
+        arg = np.argmin(div, axis=0)
+        shell_min[s - 1], shell_arg[s - 1] = div[arg, np.arange(S)], K[arg]
+    return shell_min, shell_arg
+
+
+@pytest.fixture(scope="module")
+def n2_reference():
+    W = np.concatenate([np.array(_N2_VECTORS).T,
+                        np.random.default_rng(3000).uniform(-1, 1, (2, 20))], axis=1)
+    return W, _shell_minima(W, _N2_DEPTH)
+
+
+@pytest.mark.parametrize("steps", [(), (7, 64)])
+def test_n2_table_matches_whole_shell_minima(n2_reference, steps):
+    W, (shell_min, shell_arg) = n2_reference
+    for col in range(W.shape[1]):
+        table = _DivisorTable(W[:, col].copy())
+        for q in steps + (_N2_DEPTH,):
+            table.ensure(q)
+        assert table.shell_min.tobytes() == shell_min[:, col].tobytes(), W[:, col]
+        assert table.shell_arg.tolist() == shell_arg[:, col].tolist(), W[:, col]
+
+
+def test_n2_route_falls_back_when_a_slope_is_too_small():
+    # (1, -1 + 1e-12) has slope 1e-12: candidates up to Q ~ 1100, every row after
+    def rows(w, Q):
+        return sum(b.shape[0] for b in fa._shell_candidate_blocks(np.array(w), 0, Q))
+
+    assert rows((1.0, -1 + 1e-12), 1000) <= 8 * 1000
+    for w in ((1.0, 1.0), (1.0, -1.0), (1.0, -1 + 1e-12)):
+        assert rows(w, 1200) == 1200 * 1201        # the whole half lattice
+
+
+def test_enumerated_dioph_floor_matches_whole_shells():
+    lc = make_test_frequency("liouville_constant")
+    shell_min, shell_arg = _shell_minima(lc.components[:, None].copy(), 2000)
+    prod = shell_min[:, 0] * np.arange(1, 2001, dtype=np.float64) ** 1.5
+    idx = int(np.argmin(prod))
+    for gamma in (0.2, 1.0):
+        rep = diophantine_check(lc, gamma, 1.5, 2000, method="enumerate")
+        assert rep.margin_log10 == math.log10(prod[idx] / gamma)
+        assert rep.witness == (None if rep.ok else tuple(shell_arg[idx, 0].tolist()))
+    assert not rep.ok
+
+
+def test_psi_table_equals_psi_per_q(golden):
+    w3 = make_test_frequency("explicit", components=[1.0, 0.7548776662466927,
+                                                     0.5698402909980532])
+    for w, Q in ((golden, 500), (w3, 40)):
+        assert psi_table(w, Q) == [psi(w, q) for q in range(1, Q + 1)]
+    assert psi_table(golden, 0) == []
+    # the first failing Q' raises, with its own message
+    resonant = FrequencyVector([1.0, 2 / 7], q_check=0)
+    assert psi_table(resonant, 8) == [psi(resonant, q) for q in range(1, 9)]
+    with pytest.raises(ResonanceDetected) as first:
+        psi(resonant, 9)
+    with pytest.raises(ResonanceDetected) as table:
+        psi_table(resonant, 40)
+    assert str(table.value) == str(first.value)
+    with pytest.raises(ConstructionFailed, match="enumeration beyond"):
+        psi_table(golden, fa.ENUMERATION_CAP + 1)
