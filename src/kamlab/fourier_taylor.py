@@ -579,20 +579,24 @@ def averaged_quadratic_matrix(series: FourierTaylorSeries) -> np.ndarray:
     return A
 
 
-def check_kolmogorov(series: FourierTaylorSeries,
-                     cond_max: float = 1e8) -> tuple[np.ndarray, float]:
+# Largest condition number accepted for an averaged twist matrix, here and
+# in the torus solver's counterterm.
+COND_MAX = 1e8
+
+
+def check_kolmogorov(series: FourierTaylorSeries) -> tuple[np.ndarray, float]:
     """Averaged quadratic matrix and its condition number.
 
     Raises KolmogorovDegenerate when the matrix is singular or worse
-    conditioned than cond_max.
+    conditioned than COND_MAX.
     """
     A0 = averaged_quadratic_matrix(series)
     if not np.all(np.isfinite(A0)) or np.allclose(A0, 0.0):
         raise KolmogorovDegenerate("averaged quadratic part vanishes")
     cond = float(np.linalg.cond(A0))
-    if not math.isfinite(cond) or cond > cond_max:
+    if not math.isfinite(cond) or cond > COND_MAX:
         raise KolmogorovDegenerate(
-            f"averaged quadratic matrix condition {cond:.3e} exceeds {cond_max:.1e}")
+            f"averaged quadratic matrix condition {cond:.3e} exceeds {COND_MAX:.1e}")
     return A0, cond
 
 

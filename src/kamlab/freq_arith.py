@@ -16,9 +16,12 @@ half of a shell, so the table evaluates only the rows around each half's
 root (at most eight per shell, O(Q) rows to depth Q) and gets the
 same per-shell minima and witnesses as the whole shell; it evaluates whole
 shells when a slope ``|w1 +- w2|`` is too small to rule out a rounding tie,
-and always for n >= 3.  Vectors built from continued fractions can
-carry an exact rational tag; ``delta``/``diophantine_check`` then use exact
-convergent windows, which stay meaningful far beyond float64 resolution.
+and always for n >= 3, refusing up front a growth beyond ROW_BUDGET
+divisors.  A table of S vectors stacked as columns (a scan slice's
+certification) walks whole shells and gives each column its own table's
+floor.  Vectors built from continued fractions can carry an exact
+rational tag; ``delta``/``diophantine_check`` then use exact convergent
+windows, which stay meaningful far beyond float64 resolution.
 """
 
 from __future__ import annotations
@@ -45,8 +48,12 @@ RESONANCE_TOL = 1e-14
 # exact tag (ball size grows like Q^n).
 ENUMERATION_CAP = 200_000
 
-# Lattice rows gathered per sort-and-merge pass of the divisor table.
+# Divisors (rows times vectors) per sort-and-merge pass of the divisor table.
 _CHUNK = 65536
+
+# Most divisors one growth of a divisor table may evaluate on whole shells;
+# beyond it the growth raises ConstructionFailed before enumerating anything.
+ROW_BUDGET = 2 ** 25
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +112,21 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndar
     least the slope.  Each computed |k . w| is within 2u s max|w| of the
     exact one (two rounded products, one correctly rounded compensated sum),
     so a slope above 4u s max|w| rules out a rounding tie with a row not
-    kept.  Otherwise (n >= 3, or a slope below the bound used, 8u Q max|w|)
-    every row is yielded.
+    kept.  Otherwise (n >= 3, vectors stacked as the columns of w, or a slope
+    below the bound used, 8u Q max|w|) every row is yielded, unless the rows
+    times the columns exceed ROW_BUDGET.
     """
     bound = 4 * np.finfo(np.float64).eps * hi * float(np.max(np.abs(w)))
-    if w.size != 2 or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound:
-        yield from _halfspace_blocks(w.size, lo, hi)
+    if w.shape != (2,) or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound:
+        n = len(w)
+        # half the lattice points with lo < |k|_1 <= hi, once per column
+        divisors = sum(2 ** j * math.comb(n, j) * (math.comb(hi, j) - math.comb(lo, j))
+                       for j in range(1, n + 1)) // 2 * (w.size // n)
+        if divisors > ROW_BUDGET:
+            raise ConstructionFailed(
+                f"whole shells {lo + 1}..{hi} hold {divisors} divisors, beyond the "
+                f"row budget {ROW_BUDGET}")
+        yield from _halfspace_blocks(n, lo, hi)
         return
     w1, w2 = float(w[0]), float(w[1])
     around = np.arange(-1, 3, dtype=np.int64)
@@ -156,59 +172,74 @@ def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _DivisorTable:
-    """Per-shell minima of |k . w| over the half lattice, grown on demand."""
+    """Per-shell minima of |k . w| over the half lattice, grown on demand.
+
+    w is one vector (n,) or S vectors as the columns of an (n, S) array;
+    shell_min has shape (Q,) + w.shape[1:] and shell_arg one more axis, n.
+    Each column gets its own table's bits; prefix queries take one vector."""
 
     def __init__(self, components: np.ndarray):
         self.w = components
-        self.n = components.size
+        self.n, self.cols = components.shape[0], components.shape[1:]
         self.q_built = 0
-        self.shell_min = np.empty(0)          # index s-1 -> min divisor on shell s
-        self.shell_arg = np.empty((0, self.n), dtype=np.int64)
+        self.shell_min = np.empty((0,) + self.cols)   # index s-1 -> min divisor on shell s
+        self.shell_arg = np.empty((0,) + self.cols + (self.n,), dtype=np.int64)
 
     def ensure(self, Q: int) -> None:
         """Grow the table to exactly Q shells, enumerating only (q_built, Q]."""
         if Q <= self.q_built:
             return
-        grow = Q - self.q_built
+        grow = (Q - self.q_built,) + self.cols
         smin = np.concatenate([self.shell_min, np.full(grow, np.inf)])
-        sarg = np.concatenate([self.shell_arg, np.zeros((grow, self.n), dtype=np.int64)])
+        sarg = np.concatenate([self.shell_arg, np.zeros(grow + (self.n,), dtype=np.int64)])
 
         def merge(block: np.ndarray) -> None:
-            # per shell, the block's smallest divisor, earliest row first (stable
-            # lexsort); only a strictly smaller one replaces the table's, so exact
-            # ties resolve to the earliest row in yield order
+            # per shell, the block's smallest divisor and the first row in yield
+            # order attaining it; only a strictly smaller one replaces the
+            # table's, so exact ties resolve to the earliest row in yield order
             shells = np.abs(block).sum(axis=1)
             div = np.abs(compensated_dot(block, self.w))
-            order = np.lexsort((div, shells))
-            ranked = shells[order]
-            best = order[np.r_[True, ranked[1:] != ranked[:-1]]]
-            best = best[div[best] < smin[shells[best] - 1]]
-            smin[shells[best] - 1] = div[best]
-            sarg[shells[best] - 1] = block[best]
+            order = np.argsort(shells, kind="stable")
+            shells, div = shells[order], div[order]
+            starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
+            low = np.fmin.reduceat(div, starts, axis=0)
+            hit = div == np.repeat(low, np.diff(np.r_[starts, len(block)]), axis=0)
+            row = np.arange(len(block)).reshape((-1,) + (1,) * len(self.cols))
+            first = np.minimum.reduceat(np.where(hit, row, len(block) - 1), starts, axis=0)
+            at = shells[starts] - 1
+            better = low < smin[at]
+            smin[at] = np.where(better, low, smin[at])
+            sarg[at] = np.where(better[..., None], block[order[first]], sarg[at])
 
-        # generator blocks are tiny at large radii; gather them into chunks
-        # of at most _CHUNK rows before sorting
+        # generator blocks are tiny at large radii; gather them into chunks of
+        # at most _CHUNK divisors (rows times columns) before sorting
+        cap = max(1, _CHUNK // math.prod(self.cols))
         pending, rows = [], 0
         for block in _shell_candidate_blocks(self.w, self.q_built, Q):
-            if rows and rows + block.shape[0] > _CHUNK:
-                merge(np.concatenate(pending, axis=0))
-                pending, rows = [], 0
-            pending.append(block)
-            rows += block.shape[0]
+            for part in (block[i:i + cap] for i in range(0, len(block), cap)):
+                if rows and rows + len(part) > cap:
+                    merge(np.concatenate(pending, axis=0))
+                    pending, rows = [], 0
+                pending.append(part)
+                rows += len(part)
         if rows:
             merge(np.concatenate(pending, axis=0))
         self.shell_min, self.shell_arg, self.q_built = smin, sarg, Q
         self._prefix_min = np.minimum.accumulate(smin)
         # first shell attaining each prefix minimum
-        record = np.r_[True, smin[1:] < self._prefix_min[:-1]]
-        self._prefix_arg = np.maximum.accumulate(np.where(record, np.arange(Q), 0))
+        record = np.ones(smin.shape, dtype=bool)
+        record[1:] = smin[1:] < self._prefix_min[:-1]
+        self._prefix_arg = np.maximum.accumulate(np.where(record.T, np.arange(Q), 0).T)
 
-    def floor(self, q_max: int, tau: float) -> tuple[float, np.ndarray]:
-        """min over shells s <= q_max of shell_min[s] * s**tau, with its argmin k."""
+    def floor(self, q_max: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """min over shells s <= q_max of shell_min[s] * s**tau, with its argmin
+        k, per column: 0-d and (n,) for one vector, (S,) and (S, n) for a
+        stack."""
         self.ensure(q_max)
-        prod = self.shell_min[:q_max] * np.arange(1, q_max + 1, dtype=np.float64) ** tau
-        idx = int(np.argmin(prod))
-        return float(prod[idx]), self.shell_arg[idx]
+        prod = (self.shell_min[:q_max].T * np.arange(1, q_max + 1, dtype=np.float64) ** tau).T
+        idx = np.argmin(prod, axis=0)[None]
+        return (np.take_along_axis(prod, idx, 0)[0],
+                np.take_along_axis(self.shell_arg[:q_max], idx[..., None], 0)[0])
 
     def prefix_minima(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Smallest divisor over 0 < |k|_1 <= Q and its first argmin k, for Q in
@@ -234,32 +265,6 @@ class _DivisorTable:
         self.ensure(Q)
         qs = np.arange(1, Q + 1, dtype=np.float64)
         return qs / self._prefix_min[:Q]
-
-
-def _lattice_floors(W: np.ndarray, q_max: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_DivisorTable(w).floor(q_max, tau)` for every column w of W (n, S), bit
-    for bit, from one enumeration of the half lattice to q_max.
-
-    Shells are enumerated one at a time (so memory stays bounded by one
-    shell times a block of columns); per shell the smallest divisor is the
-    first one in yield order, and the floor the first smallest over the
-    shells, the table's tie rules.  Returns the floors (S,) and their
-    witnesses k (S, n)."""
-    n, S = W.shape
-    shell_min = np.empty((q_max, S))
-    shell_arg = np.empty((q_max, S, n), dtype=np.int64)
-    for s in range(1, q_max + 1):
-        K = np.concatenate(list(_halfspace_blocks(n, s - 1, s)), axis=0)
-        step = max(1, 16 * _CHUNK // K.shape[0])      # columns per divisor pass
-        for c0 in range(0, S, step):
-            cols = np.arange(c0, min(c0 + step, S))
-            div = np.abs(compensated_dot(K, W[:, cols]))
-            arg = np.argmin(div, axis=0)
-            shell_min[s - 1, cols] = div[arg, cols - c0]
-            shell_arg[s - 1, cols] = K[arg]
-    prod = shell_min * (np.arange(1, q_max + 1, dtype=np.float64) ** tau)[:, None]
-    idx = np.argmin(prod, axis=0)
-    return prod[idx, np.arange(S)], shell_arg[idx, np.arange(S)]
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +688,7 @@ def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,
                            witness=witness if margin_log10 < 0 else None,
                            margin_log10=margin_log10, method="cf")
     prod, k = omega._table.floor(q_max, tau)
+    prod = float(prod)
     ok = prod >= gamma
     margin_log10 = math.log10(prod / gamma) if prod > 0 else float("-inf")
     return DiophReport(ok=ok, gamma=gamma, tau=tau, q_max=q_max,

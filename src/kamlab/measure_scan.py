@@ -288,11 +288,10 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
     targets = _certify_stack(spec, inside, gamma, plan.tau, None, plan.grid)
     certified = [i for i, t in enumerate(targets)
                  if not isinstance(t, SmallDivisorBreakdown)]
-    # the twist limit is solve_torus's default; the divisor floor is checked
-    # at the tau the targets were certified at
+    # the divisor floor is checked at the tau the targets were certified at
     outcomes = _solve_stack(spec, [targets[i] for i in certified], inside[certified],
                             grid=plan.grid, tol=plan.tol, max_iter=plan.max_iter,
-                            cond_max=1e8, tau=plan.tau)
+                            tau=plan.tau)
     # certification covered every wavevector the solve grid can represent,
     # so a divisor trip in the solve is a pipeline bug and is raised
     for out in outcomes:

@@ -38,8 +38,8 @@ from .errors import (
     OutsideImage,
     SmallDivisorBreakdown,
 )
-from .fourier_taylor import HamiltonianSpec, PhaseState, integrate_flow
-from .freq_arith import _lattice_floors, compensated_dot
+from .fourier_taylor import COND_MAX, HamiltonianSpec, PhaseState, integrate_flow
+from .freq_arith import _DivisorTable, compensated_dot
 
 # pulled-back tori must stay inside this fraction of the declared domain
 PULLBACK_MARGIN = 0.9
@@ -182,7 +182,7 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
                    gamma: Optional[float], tau: float, q_max: Optional[int],
                    grid: int) -> list:
     """certify_target for S target actions (S, n) of one Hamiltonian, with one
-    lattice enumeration for all of them.  Entry s is the TargetFrequency
+    divisor table for all their frequencies.  Entry s is the TargetFrequency
     certify_target returns for I_targets[s], or the SmallDivisorBreakdown it
     raises."""
     if not len(I_targets):
@@ -196,7 +196,7 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     omega_slow = spec.epsilon * Omega
     if q_max is None:
         q_max = 4 * (grid // 2)
-    floors, witnesses = _lattice_floors(omega_slow.T, q_max, tau)
+    floors, witnesses = _DivisorTable(omega_slow.T).floor(q_max, tau)
     out = []
     for s, floor_measured in enumerate(floors.tolist()):
         g = 0.99 * floor_measured if gamma is None else gamma
@@ -327,35 +327,25 @@ class TorusEmbedding:
 def solve_torus(spec: HamiltonianSpec, I_target,
                 gamma: Optional[float] = None, tau: float = 1.5,
                 grid: int = 64, tol: float = 1e-11, max_iter: int = 30,
-                cond_max: float = 1e8,
-                target: Optional[TargetFrequency] = None,
-                full_diagnostics: bool = True) -> TorusEmbedding:
+                target: Optional[TargetFrequency] = None) -> TorusEmbedding:
     """Newton-continue the invariant torus with frequency pinned to the
     frequency-map image of I_target.
 
     Raises SmallDivisorBreakdown (certification or divisor floor),
     KolmogorovDegenerate (counterterm matrix singular) or NonConvergence
-    (defect stagnates above tol).  `full_diagnostics=False` skips the
-    energy-variation and Lagrangian checks (bulk scans call in volume).
+    (defect stagnates above tol).
     """
     if grid % 2 or grid < 4:
         raise ValueError("grid must be even and at least 4")
     I_target = np.asarray(I_target, dtype=np.float64)
     if target is None:
         target = certify_target(spec, I_target, gamma=gamma, tau=tau, grid=grid)
-    out, = _solve_stack(spec, [target], I_target[None], grid, tol, max_iter,
-                        cond_max, tau)
+    out, = _solve_stack(spec, [target], I_target[None], grid, tol, max_iter, tau)
     if out.error is not None:
         raise out.error
-    history = out.history
     emb = TorusEmbedding(grid=grid, I0=out.I0, u_hat=out.u_hat, v_hat=out.v_hat,
                          target=target, epsilon=spec.epsilon)
-    if full_diagnostics:
-        emb.diagnostics = _post_diagnostics(spec, emb, history)
-    else:
-        emb.diagnostics = {"newton_defects": history,
-                           "iterations": len(history),
-                           "final_defect": history[-1]}
+    emb.diagnostics = _post_diagnostics(spec, emb, out.history)
     return emb
 
 
@@ -371,8 +361,7 @@ class _Outcome:
 
 
 def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
-                 grid: int, tol: float, max_iter: int, cond_max: float,
-                 tau: float) -> list:
+                 grid: int, tol: float, max_iter: int, tau: float) -> list:
     """The quasi-Newton sweep of solve_torus on a stack of S tori of one
     Hamiltonian, each with its certified target and start action (S, n).
 
@@ -469,10 +458,10 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
         T_mean = T.mean(axis=1)
         cond = np.linalg.cond(T_mean)
         T, T_mean, E_ang, E_act = drop(
-            ~np.isfinite(cond) | (cond > cond_max),
+            ~np.isfinite(cond) | (cond > COND_MAX),
             lambda i: KolmogorovDegenerate(
                 f"averaged twist matrix has condition {cond[i]:.3e} "
-                f"(limit {cond_max:g}); counterterm is unreliable"),
+                f"(limit {COND_MAX:g}); counterterm is unreliable"),
             T, T_mean, E_ang, E_act)
         if not state["ids"].size:
             break

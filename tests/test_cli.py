@@ -138,6 +138,10 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     ("scan", "--plan", lambda rec: rec["freq"].pop("components"), (), "ValueError",
      "'components'"),
     ("scan", "--plan", lambda rec: rec.update(epsilons=5), (), "ValueError", "'epsilons'"),
+    # slope 1e-12: past Q=1024 only whole shells rule out rounding ties, and
+    # those beyond the row budget are refused before any is enumerated
+    ("freq", "--omega", lambda rec: rec.update(components=["1.0", "-0.999999999999"]),
+     ("--eps", "1e-16"), "ConstructionFailed", "row budget"),
 ] + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
       repr(field)) for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS]
   + [(cmd, option, lambda rec: None, ("--eps", eps), kind, text)
@@ -146,7 +150,8 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
      for cmd, args, text in _BAD_FLOW],
     ids=["nf-spec-without-quad", "freq-omega-without-components",
          "freq-omega-components-3", "scan-plan-without-base",
-         "scan-plan-freq-without-components", "scan-plan-epsilons-5"]
+         "scan-plan-freq-without-components", "scan-plan-epsilons-5",
+         "freq-near-tie-eps-1e-16"]
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
        for field, value in _BAD_SPEC_FIELDS]
     + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS]

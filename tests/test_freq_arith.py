@@ -411,20 +411,21 @@ def test_table_ties_across_merge_chunks_match_loop_reference(monkeypatch, chunk,
 
 @pytest.mark.parametrize("chunk", [7, 65536])
 @pytest.mark.parametrize("n, q_max", [(2, 40), (3, 12), (4, 6)])
-def test_lattice_floors_match_the_table_for_every_column(monkeypatch, chunk, n, q_max):
+def test_stacked_table_floors_match_a_table_per_column(monkeypatch, chunk, n, q_max):
     # tie-rich columns (resonant, or with equal components: exact divisor
     # ties within a shell, and a zero floor on many shells) next to generic
-    # ones; with chunks of 7 rows every column gets its own divisor pass
+    # ones; with chunks of 7 divisors every merge holds a single row
     monkeypatch.setattr(fa, "_CHUNK", chunk)
     rng = np.random.default_rng(n)
     columns = ([w for w in _GROWTH_VECTORS if len(w) == n]
                + [(1.0,) * n, (0.5,) * (n - 1) + (0.25,)] + list(rng.uniform(-1, 1, (4, n))))
     W = np.array(columns, dtype=np.float64).T
     for tau in (1.0, 1.5, 2.75):
-        floors, witnesses = fa._lattice_floors(W, q_max, tau)
+        floors, witnesses = _DivisorTable(W).floor(q_max, tau)
+        assert floors.shape == (W.shape[1],) and witnesses.shape == (W.shape[1], n)
         for s in range(W.shape[1]):
             floor, k = _DivisorTable(W[:, s].copy()).floor(q_max, tau)
-            assert floors[s].tobytes() == np.float64(floor).tobytes()
+            assert floors[s].tobytes() == floor.tobytes()
             assert witnesses[s].tolist() == k.tolist()
 
 
@@ -519,6 +520,28 @@ def test_n2_route_falls_back_when_a_slope_is_too_small():
     assert rows((1.0, -1 + 1e-12), 1000) <= 8 * 1000
     for w in ((1.0, 1.0), (1.0, -1.0), (1.0, -1 + 1e-12)):
         assert rows(w, 1200) == 1200 * 1201        # the whole half lattice
+    # a stack's columns need different candidates: golden and (1, 1/4) alone
+    # take the candidate route, stacked they walk whole shells
+    assert rows([[1.0, 1.0], [0.6180339887498949, 0.25]], 1200) == 1200 * 1201
+
+
+def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch):
+    # the budget counts the half-lattice rows of the growth times the columns
+    for n, Q in ((2, 30), (3, 12), (4, 6)):
+        rows = len(half_lattice(n, Q))
+        monkeypatch.setattr(fa, "ROW_BUDGET", 3 * rows)
+        _DivisorTable(np.ones((n, 3))).ensure(Q)
+        with pytest.raises(ConstructionFailed, match="row budget"):
+            _DivisorTable(np.ones((n, 4))).ensure(Q)
+    # the near-tie vector takes candidate rows to Q=1024 and whole shells
+    # after; a refused growth leaves the table as it was
+    table = _DivisorTable(np.array([1.0, -0.999999999999]))
+    table.ensure(1024)
+    state = _table_state(table)
+    monkeypatch.setattr(fa, "ROW_BUDGET", 2048 * 2049 - 1024 * 1025 - 1)
+    with pytest.raises(ConstructionFailed, match="row budget"):
+        table.ensure(2048)
+    assert table.q_built == 1024 and _table_state(table) == state
 
 
 def test_enumerated_dioph_floor_matches_whole_shells():

@@ -110,8 +110,7 @@ def test_stacked_scan_equals_single_solves_on_every_slice(monkeypatch):
         assert len(outcomes) == report.selected > 0
         for target, I, out in zip(targets, actions, outcomes):
             emb = ts.solve_torus(spec, I, grid=plan.grid, tol=plan.tol,
-                                 max_iter=plan.max_iter, target=target,
-                                 full_diagnostics=False)
+                                 max_iter=plan.max_iter, target=target)
             assert out.error is None
             assert out.history == emb.diagnostics["newton_defects"]
             for got, want in ((out.u_hat, emb.u_hat), (out.v_hat, emb.v_hat),
@@ -129,8 +128,8 @@ def test_batched_certification_equals_certify_target(monkeypatch):
     for (spec, actions, gamma, tau, _, grid), got in calls:
         q_max = 4 * (grid // 2)
         auto = [ts.certify_target(spec, I, tau=tau, grid=grid) for I in actions]
-        floors, witnesses = fa._lattice_floors(np.stack([t.omega_slow for t in auto], axis=1),
-                                               q_max, tau)
+        floors, witnesses = fa._DivisorTable(
+            np.stack([t.omega_slow for t in auto], axis=1)).floor(q_max, tau)
         rejected.append(0)
         for I, out, t, floor_s, k_s in zip(actions, got, auto, floors, witnesses):
             floor, k = fa._DivisorTable(t.omega_slow).floor(q_max, tau)

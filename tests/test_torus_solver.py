@@ -432,10 +432,9 @@ def test_n3_stack_equals_single_solves():
     h3 = cubic_spec()
     actions = np.array([[0.2, -0.1, 0.15], [-0.3, 0.05, 0.1], [0.1, 0.25, -0.2]])
     targets = [ts.certify_target(h3, I, grid=8) for I in actions]
-    outcomes = ts._solve_stack(h3, targets, actions, 8, 1e-11, 30, 1e8, 1.5)
+    outcomes = ts._solve_stack(h3, targets, actions, 8, 1e-11, 30, 1.5)
     for I, target, out in zip(actions, targets, outcomes):
-        _same_solve(out, ts.solve_torus(h3, I, grid=8, target=target,
-                                        full_diagnostics=False))
+        _same_solve(out, ts.solve_torus(h3, I, grid=8, target=target))
 
 
 def twist_spec():
@@ -457,11 +456,11 @@ def test_stack_drops_each_failure_as_its_single_solve_raises():
     targets = [ts.certify_target(spec, I, grid=16) for I in actions]
     targets[3] = replace(targets[3], gamma=1e3 * targets[3].gamma)
     kwargs = dict(grid=16, tol=1e-10, max_iter=4)
-    outcomes = ts._solve_stack(spec, targets, actions, cond_max=1e8, tau=1.5, **kwargs)
+    outcomes = ts._solve_stack(spec, targets, actions, tau=1.5, **kwargs)
     ends = []
     for I, target, out in zip(actions, targets, outcomes):
         try:
-            emb = ts.solve_torus(spec, I, target=target, full_diagnostics=False, **kwargs)
+            emb = ts.solve_torus(spec, I, target=target, **kwargs)
         except KamlabError as exc:
             assert type(out.error) is type(exc) and str(out.error) == str(exc)
             ends.append(type(exc))
@@ -478,7 +477,7 @@ def test_stack_stalls_as_single_solves_did():
     h3, _ = family_spec()
     actions = np.array([I_T, [0.1, 0.25]])
     targets = [ts.certify_target(h3, I, grid=32) for I in actions]
-    outcomes = ts._solve_stack(h3, targets, actions, 32, 1e-17, 30, 1e8, 1.5)
+    outcomes = ts._solve_stack(h3, targets, actions, 32, 1e-17, 30, 1.5)
     for I, target, out in zip(actions, targets, outcomes):
         with pytest.raises(NonConvergence, match="stagnated") as single:
             ts.solve_torus(h3, I, grid=32, tol=1e-17, target=target)
@@ -488,5 +487,5 @@ def test_stack_stalls_as_single_solves_did():
 
 def test_stack_of_none_solves_nothing():
     h3, _ = family_spec()
-    assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30, 1e8, 1.5) == []
+    assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30, 1.5) == []
     assert ts._certify_stack(h3, np.zeros((0, 2)), None, 1.5, None, 16) == []
