@@ -35,7 +35,7 @@ from .fourier_taylor import (
 )
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled, verify_estimates
-from .torus_solver import solve_torus, verify_by_integration
+from .torus_solver import check_grid, solve_torus, verify_by_integration
 
 
 def _cell(value) -> str:
@@ -249,9 +249,11 @@ def torus(spec_file, i0, gamma, tau, tol, grid, t_final, out):
         I_target = np.array([float(v) for v in i0.split(",")])
         if I_target.size != spec.n:
             raise ValueError(f"--i0 needs {spec.n} components, got {I_target.size}")
-        # a horizon the verification cannot step is refused before the solve
+        # a horizon the verification cannot step, or a grid beyond the
+        # budget, is refused before the solve
         step = 1e-2
         flow_steps(t_final, step)
+        check_grid(grid, spec.n)
         # non-resonance guard on the base frequency, depth = solve grid
         FrequencyVector(spec.omega, q_check=grid)
         h3 = _time_scaled(spec)

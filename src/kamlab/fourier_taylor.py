@@ -277,65 +277,79 @@ class CompiledSeries:
                        for (k, m), c in series.sorted_terms()]
         self.K = np.array(list(kset), dtype=np.int64).reshape(len(kset), self.n)
         self._dK = 2j * math.pi * self.K
+        self._drops_I = tuple((j,) for j in range(self.n))
         self._plans: dict = {}
 
-    def _plan(self, drops: tuple):
+    def _plan(self, groups: tuple):
         """The monomials and coefficient matrices of the derivatives
-        d^drop P_k, one matrix per tuple `drop` of action indices (an index
-        listed twice differentiates twice), built on first use and cached.
-        Row r of `exps` is the exponent of the r-th distinct monomial they
-        use, `top` its largest entry; a matrix is (rows, 2 nK) real and holds
-        the coefficient of k = K[i], its d^drop factor folded in, as real and
-        imaginary parts in columns 2i and 2i + 1."""
-        plan = self._plans.get(drops)
+        d^drop P_k for each tuple `drop` of action indices (an index listed
+        twice differentiates twice) of each drop set in `groups`, built on
+        first use and cached.  Each set numbers the distinct monomials its
+        drops use on its own, and the sets' exponent rows are stacked in
+        order into `exps` (exps[j] the exponents of I_j, `top` the largest),
+        so a set's GEMMs see the same columns whatever sets share the table.
+        A block (cols, mats) per set gives its column range and one
+        (rows, 2 nK) real matrix per drop, holding the coefficient of
+        k = K[i], its d^drop factor folded in, as real and imaginary parts in
+        columns 2i and 2i + 1."""
+        plan = self._plans.get(groups)
         if plan is None:
-            rows: dict = {}
-            entries = []
-            for drop in drops:
-                entries.append([])
-                for ik, m, c in self._terms:
-                    e, fac = list(m), 1
-                    for j in drop:
-                        fac *= e[j]
-                        e[j] -= 1
-                    if fac:
-                        entries[-1].append((rows.setdefault(tuple(e), len(rows)), ik,
-                                            c * fac))
-            exps = np.array(list(rows), dtype=np.intp).reshape(len(rows), self.n)
-            mats = []
-            for drop_entries in entries:
-                coeff = np.zeros((len(rows), len(self.K)), dtype=complex)
-                for r, ik, c in drop_entries:
-                    coeff[r, ik] = c
-                mats.append(coeff.view(np.float64))
-            plan = self._plans[drops] = (exps, int(exps.max(initial=0)), mats)
+            exps, blocks = [], []
+            for drops in groups:
+                rows: dict = {}
+                entries = []
+                for drop in drops:
+                    entries.append([])
+                    for ik, m, c in self._terms:
+                        e, fac = list(m), 1
+                        for j in drop:
+                            fac *= e[j]
+                            e[j] -= 1
+                        if fac:
+                            entries[-1].append((rows.setdefault(tuple(e), len(rows)),
+                                                ik, c * fac))
+                mats = []
+                for drop_entries in entries:
+                    coeff = np.zeros((len(rows), len(self.K)), dtype=complex)
+                    for r, ik, c in drop_entries:
+                        coeff[r, ik] = c
+                    mats.append(coeff.view(np.float64))
+                blocks.append((slice(len(exps), len(exps) + len(rows)), mats))
+                exps.extend(rows)
+            exps = np.array(exps, dtype=np.intp).reshape(len(exps), self.n).T.copy()
+            plan = self._plans[groups] = (exps, int(exps.max(initial=0)), blocks)
         return plan
 
-    def _evaluate(self, theta: np.ndarray, I: np.ndarray, drops: tuple) -> list:
-        """For each tuple `drop` in `drops`, exp(2 pi i k.theta) d^drop P_k(I)
-        at N points, (N, nK) complex: the phase table times one real GEMM of
-        the monomial table against the drop's coefficient matrix."""
-        exps, top, mats = self._plan(drops)
+    def _evaluate(self, theta: np.ndarray, I: np.ndarray, groups: tuple) -> list:
+        """exp(2 pi i k.theta) d^drop P_k(I) at N points, (N, nK) complex, for
+        each drop of each drop set in `groups`, in order: one phase table and
+        one monomial table, and per drop one real GEMM of its set's columns
+        of the monomial table against the drop's coefficient matrix."""
+        exps, top, blocks = self._plan(groups)
         N = theta.shape[0]
         # action exponents are tiny ints: the powers I_j^0..I_j^top by
-        # repeated multiplication beat a pow call per entry on solver grids,
-        # and whole planes beat a cumulative product along the short axis
-        tab = np.empty((N, self.n, top + 1))
-        tab[:, :, 0] = 1.0
+        # repeated multiplication beat a pow call per entry, and planes
+        # (top + 1, n, N) make every step of it and every gathered row of
+        # the monomial table one contiguous run
+        tab = np.empty((top + 1, self.n, N))
+        tab[0] = 1.0
         if top:
-            tab[:, :, 1] = I
+            tab[1] = I.T
         for e in range(2, top + 1):
-            np.multiply(tab[:, :, e - 1], I, out=tab[:, :, e])
-        mono = np.ones((N, len(exps)))
-        for j in range(self.n):
-            mono *= tab[:, j, exps[:, j]]
+            np.multiply(tab[e - 1], tab[1], out=tab[e])
+        # the monomials (rows, N), multiplied over j in order
+        mono = tab[exps[0], 0]
+        for j in range(1, self.n):
+            mono *= tab[exps[j], j]
+        mono = mono.T
         phase = np.exp(2j * math.pi * (theta @ self.K.T))
-        return [phase * (mono @ coeff).view(complex) for coeff in mats]
+        return [phase * (mono[:, cols] @ coeff).view(complex)
+                for cols, mats in blocks for coeff in mats]
 
     def _derivatives(self, theta: np.ndarray, I: np.ndarray, drops: tuple) -> list:
         """The derivatives d^drop of the series at N points, one (N,) array
         per drop."""
-        return [z.sum(axis=1).real for z in self._evaluate(theta, I, drops)]
+        return [z.sum(axis=1).real for z in self._evaluate(theta, I, (drops,))]
 
     # -- queries: batches of N points ------------------------------------------
 
@@ -343,11 +357,18 @@ class CompiledSeries:
         return self._derivatives(theta, I, ((),))[0]
 
     def batch_grad_theta(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        return (self._evaluate(theta, I, ((),))[0] @ self._dK).real
+        return (self._evaluate(theta, I, (((),),))[0] @ self._dK).real
 
     def batch_grad_I(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
-        drops = tuple((j,) for j in range(self.n))
-        return np.stack(self._derivatives(theta, I, drops), axis=1)
+        return np.stack(self._derivatives(theta, I, self._drops_I), axis=1)
+
+    def batch_field(self, theta: np.ndarray, I: np.ndarray):
+        """(dH/dI, dH/dtheta) at N points, each (N, n), from one phase table
+        and one monomial table: bit for bit batch_grad_I and
+        batch_grad_theta, which run the same GEMMs."""
+        z = self._evaluate(theta, I, (((),), self._drops_I))
+        return (np.stack([d.sum(axis=1).real for d in z[1:]], axis=1),
+                (z[0] @ self._dK).real)
 
     def batch_hess_II(self, theta: np.ndarray, I: np.ndarray) -> np.ndarray:
         pairs = tuple((j, l) for j in range(self.n) for l in range(j, self.n))
@@ -372,7 +393,8 @@ class CompiledSeries:
 
     def canonical_field(self, theta: np.ndarray, I: np.ndarray):
         """(dH/dI, -dH/dtheta) at one point."""
-        return self.grad_I(theta, I), -self.grad_theta(theta, I)
+        grad_I, grad_theta = self.batch_field(theta[None], I[None])
+        return grad_I[0], -grad_theta[0]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +435,9 @@ class HamiltonianSpec:
         self.omega = np.asarray(self.omega, dtype=np.float64)
         if self.quad.n != self.omega.size or self.rest.n != self.omega.size:
             raise ValueError("series dimension does not match omega")
+        if not np.all(np.isfinite(self.omega)):
+            raise ValueError(f"field 'omega' must hold finite real numbers, "
+                             f"got {self.omega.tolist()!r}")
         for name in ("epsilon", "domain_radius", "omega_prefactor", "extra_prefactor"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
@@ -632,15 +657,23 @@ class FlowResult:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
 
+# most steps of one flow: 10 times the longest in use (t_final = 1e3 at
+# step 1e-2)
+FLOW_STEP_BUDGET = 10 ** 6
+
+
 def flow_steps(t_final: float, step: float) -> int:
     """Number of steps of size `step` in `t_final`.  Raises ValueError unless
-    both are positive, their ratio is finite and t_final is a whole number of
-    steps."""
+    both are positive, their ratio is finite and at most FLOW_STEP_BUDGET, and
+    t_final is a whole number of steps."""
     steps = t_final / step if 0 < step < math.inf else math.nan
     if not (t_final > 0 and math.isfinite(steps)):
         raise ValueError(f"t_final and step must be positive with a finite ratio, "
                          f"got t_final={t_final!r}, step={step!r}")
     n_steps = int(round(steps))
+    if n_steps > FLOW_STEP_BUDGET:
+        raise ValueError(f"t_final={t_final!r} at step={step!r} takes {steps:.6g} steps, "
+                         f"beyond the budget of {FLOW_STEP_BUDGET}")
     if abs(n_steps * step - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("t_final must be an integer number of steps")
     return n_steps
@@ -666,6 +699,7 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
     own warm start and stopping rule, on the rows still iterating; dop853
     makes one scipy solve of the whole stack.
     """
+    n_steps = flow_steps(t_final, step)
     if isinstance(hamiltonian, HamiltonianSpec):
         comp = hamiltonian.combined_series().compile()
     elif isinstance(hamiltonian, FourierTaylorSeries):
@@ -676,12 +710,12 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
     theta = np.atleast_2d(state0.theta).astype(float)
     I = np.atleast_2d(state0.I).astype(float)
     n_pts, n = theta.shape
-    n_steps = flow_steps(t_final, step)
 
     rec_t, rec_th, rec_I = [0.0], [theta.copy()], [I.copy()]
 
     def field(th, act):
-        return comp.batch_grad_I(th, act), -comp.batch_grad_theta(th, act)
+        grad_I, grad_theta = comp.batch_field(th, act)
+        return grad_I, -grad_theta
 
     def check_domain(Ivec):
         if domain_radius is not None and np.max(np.abs(Ivec)) > domain_radius:

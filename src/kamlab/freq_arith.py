@@ -496,6 +496,9 @@ class FrequencyVector:
         arr = np.asarray(components, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size < 2:
             raise ConstructionFailed("frequency vector needs n >= 2 components")
+        if not np.all(np.isfinite(arr)):
+            raise ConstructionFailed(f"frequency vector has a non-finite component: "
+                                     f"{arr.tolist()}")
         sup = np.max(np.abs(arr))
         if sup == 0:
             raise ConstructionFailed("zero frequency vector")

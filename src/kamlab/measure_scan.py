@@ -35,7 +35,7 @@ from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
 from .fourier_taylor import PHYSICAL, HamiltonianSpec
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled
-from .torus_solver import _certify_stack, _solve_stack
+from .torus_solver import _certify_stack, _solve_stack, check_grid
 
 __all__ = [
     "MeasureReport",
@@ -215,8 +215,7 @@ class ScanPlan:
             raise ValueError("density must be positive")
         if any(e <= 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
-        if self.grid % 2 or self.grid < 4:
-            raise ValueError("grid must be even and at least 4")
+        check_grid(self.grid, n)
 
     @property
     def n(self) -> int:

@@ -44,6 +44,23 @@ from .freq_arith import _DivisorTable, compensated_dot
 # pulled-back tori must stay inside this fraction of the declared domain
 PULLBACK_MARGIN = 0.9
 
+# most collocation points grid^n of one torus: 16 times the largest grid in
+# use (grid 128 at n = 2, and the doubled grid of invariance_defect on a
+# grid-64 torus); a Newton sweep holds a few dozen arrays of n grid^n complex
+# values per torus
+GRID_POINT_BUDGET = 2 ** 18
+
+
+def check_grid(grid: int, n: int) -> None:
+    """Raise ValueError unless a torus of n angles can be solved or evaluated
+    on `grid` points per axis: grid even, at least 4, and grid^n within
+    GRID_POINT_BUDGET."""
+    if grid % 2 or grid < 4:
+        raise ValueError("grid must be even and at least 4")
+    if grid ** n > GRID_POINT_BUDGET:
+        raise ValueError(f"grid {grid} in {n} angles has {grid ** n} points, beyond "
+                         f"the budget of {GRID_POINT_BUDGET} points per torus")
+
 
 # ---------------------------------------------------------------------------
 # spectral helpers
@@ -99,14 +116,20 @@ def _grid_values(hat: np.ndarray, grid: int, stack: int = 0) -> np.ndarray:
 _EVAL_ROWS = 1024
 
 
-def _evaluate_blocks(method, theta: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    """method(theta, acts) at the (S, P, n) points of a stack, in blocks of at
-    most _EVAL_ROWS points; shape (S, P) + the method's own trailing shape."""
+def _evaluate_blocks(method, theta: np.ndarray, acts: np.ndarray) -> list:
+    """method(theta, acts), returning a tuple of arrays, at the (S, P, n)
+    points of a stack, in blocks of at most _EVAL_ROWS points written into one
+    output per array; each of shape (S, P) + that array's trailing shape."""
     lead, n = theta.shape[:-1], theta.shape[-1]
     theta, acts = theta.reshape(-1, n), acts.reshape(-1, n)
-    out = np.concatenate([method(theta[i:i + _EVAL_ROWS], acts[i:i + _EVAL_ROWS])
-                          for i in range(0, theta.shape[0], _EVAL_ROWS)])
-    return out.reshape(lead + out.shape[1:])
+    outs = None
+    for i in range(0, theta.shape[0], _EVAL_ROWS):
+        block = method(theta[i:i + _EVAL_ROWS], acts[i:i + _EVAL_ROWS])
+        if outs is None:
+            outs = [np.empty(theta.shape[:1] + b.shape[1:]) for b in block]
+        for out, b in zip(outs, block):
+            out[i:i + _EVAL_ROWS] = b
+    return [out.reshape(lead + out.shape[1:]) for out in outs]
 
 
 def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
@@ -122,10 +145,10 @@ def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
     L_Omega = L_Omega[:, None]
     theta = _grid_phis(grid, n) + _grid_values(u_hat, grid, 1)
     acts = I0[:, None, :] + _grid_values(v_hat, grid, 1)
-    E_ang = (_evaluate_blocks(comp.batch_grad_I, theta, acts) - drift[:, None, :]
-             - _grid_values(u_hat * L_Omega, grid, 1))
-    E_act = (_evaluate_blocks(comp.batch_grad_theta, theta, acts)
-             + _grid_values(v_hat * L_Omega, grid, 1))
+    E_ang, E_act = _evaluate_blocks(comp.batch_field, theta, acts)
+    E_ang -= drift[:, None, :]
+    E_ang -= _grid_values(u_hat * L_Omega, grid, 1)
+    E_act += _grid_values(v_hat * L_Omega, grid, 1)
     return theta, acts, E_ang, E_act
 
 
@@ -196,9 +219,21 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     omega_slow = spec.epsilon * Omega
     if q_max is None:
         q_max = 4 * (grid // 2)
-    floors, witnesses = _DivisorTable(omega_slow.T).floor(q_max, tau)
+    # a non-finite frequency has no divisor floor (its column would keep the
+    # table's inf start or a NaN, and neither fails the test below), so only
+    # the finite ones enter the table
+    finite = np.all(np.isfinite(omega_slow), axis=1)
+    floors = np.full(len(I_targets), math.nan)
+    witnesses = np.zeros(omega_slow.shape, dtype=np.int64)
+    if finite.any():
+        floors[finite], witnesses[finite] = _DivisorTable(omega_slow[finite].T).floor(
+            q_max, tau)
     out = []
     for s, floor_measured in enumerate(floors.tolist()):
+        if not finite[s]:
+            out.append(SmallDivisorBreakdown(
+                f"target frequency {omega_slow[s].tolist()} is not finite"))
+            continue
         g = 0.99 * floor_measured if gamma is None else gamma
         if floor_measured < g:
             out.append(SmallDivisorBreakdown(
@@ -252,17 +287,23 @@ class TorusEmbedding:
                 self.I0[None, :] + _grid_values(self.v_hat, self.grid))
 
     def embed(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        """K(phi) at arbitrary angles, phi shape (n,) or (N, n).  Builds an
-        (N, grid^n) phase matrix; on a grid use grid_points()."""
+        """K(phi) at arbitrary angles, phi shape (n,) or (N, n), as a separable
+        sum: one (N, grid) table exp(2 pi i phi_j f) per axis, f the fftn
+        frequencies, so N grid exponentials per axis.  The last axis is
+        contracted with the coefficients by one GEMM, the others point by
+        point.  On the collocation grid use grid_points()."""
         phi = np.asarray(phi, dtype=np.float64)
         single = phi.ndim == 1
         phi = np.atleast_2d(phi)
-        K = _wavevectors(self.grid, self.n)
-        phases = np.exp(2j * math.pi * (phi @ K.T))          # (N, modes)
-        u = (phases @ self.u_hat.reshape(self.n, -1).T).real
-        v = (phases @ self.v_hat.reshape(self.n, -1).T).real
-        theta = phi + u
-        act = self.I0[None, :] + v
+        n, grid = self.n, self.grid
+        freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+        tables = np.exp(2j * math.pi * phi[:, :, None] * freqs)      # (N, n, grid)
+        vals = np.stack([self.u_hat, self.v_hat]).reshape(-1, grid) @ tables[:, -1].T
+        for j in range(n - 2, -1, -1):
+            vals = np.einsum("xap,pa->xp", vals.reshape(-1, grid, len(phi)), tables[:, j])
+        vals = vals.real                                            # (2n, N)
+        theta = phi + vals[:n].T
+        act = self.I0[None, :] + vals[n:].T
         if single:
             return theta[0], act[0]
         return theta, act
@@ -335,8 +376,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     KolmogorovDegenerate (counterterm matrix singular) or NonConvergence
     (defect stagnates above tol).
     """
-    if grid % 2 or grid < 4:
-        raise ValueError("grid must be even and at least 4")
+    check_grid(grid, spec.n)
     I_target = np.asarray(I_target, dtype=np.float64)
     if target is None:
         target = certify_target(spec, I_target, gamma=gamma, tau=tau, grid=grid)
@@ -454,7 +494,8 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
         if not state["ids"].size:
             break
 
-        T = _evaluate_blocks(comp.batch_hess_II, theta, acts)      # (S, pts, n, n)
+        T, = _evaluate_blocks(lambda th, a: (comp.batch_hess_II(th, a),),
+                              theta, acts)                     # (S, pts, n, n)
         T_mean = T.mean(axis=1)
         cond = np.linalg.cond(T_mean)
         T, T_mean, E_ang, E_act = drop(
@@ -552,6 +593,8 @@ def invariance_defect(spec: HamiltonianSpec, emb: TorusEmbedding,
     is emb.defect_norm exactly; a pulled-back physical torus carries
     omega_slow.  Passing a finer grid than the embedding's own re-evaluates
     the defect between collocation points (spectral-accuracy check)."""
+    if grid is not None:
+        check_grid(grid, emb.n)
     if emb.frame == "physical":
         Omega = emb.target.omega_slow
         drift = Omega - spec.frequency_vector()
@@ -586,15 +629,14 @@ def verify_by_integration(spec: HamiltonianSpec, emb: TorusEmbedding,
     th0, I0 = emb.embed(phi0)
     res = integrate_flow(h_slow, PhaseState(th0, I0), t_final, step,
                          method=method, record_every=record_every)
-    worst_theta = 0.0
-    worst_act = 0.0
-    for p in range(n_points):
-        # rigid rotation one trajectory at a time keeps embed's phase matrix small
-        th_exp, act_exp = emb.embed(phi0[p] + np.outer(res.times, w_slow))
-        dth = res.thetas[:, p] - th_exp
-        dth -= np.round(dth)                     # compare on the torus
-        worst_theta = max(worst_theta, float(np.max(np.abs(dth))))
-        worst_act = max(worst_act, float(np.max(np.abs(res.actions[:, p] - act_exp))))
+    # the rigid rotation of every start angle at every recorded time, (T, N, n)
+    rotated = phi0[None] + np.outer(res.times, w_slow)[:, None]
+    th_exp, act_exp = (a.reshape(rotated.shape)
+                       for a in emb.embed(rotated.reshape(-1, emb.n)))
+    dth = res.thetas - th_exp
+    dth -= np.round(dth)                         # compare on the torus
+    worst_theta = float(np.max(np.abs(dth)))
+    worst_act = float(np.max(np.abs(res.actions - act_exp)))
     return {
         "t_final": t_final,
         "step": step,

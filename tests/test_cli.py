@@ -121,12 +121,16 @@ _BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("n
 # that leaves torus.json behind, and `probe --h -0.01` and `probe --points 0`
 # in meaningless tables.  `torus` refuses its horizon before the Newton solve,
 # so the cases at the default grid 64 cost no solve (the test makes any call
-# of solve_torus fail)
+# of solve_torus fail).  A horizon of 1e18 steps and a grid of 1e10 points
+# are past the step and grid budgets, and are refused before any array of
+# that size is made
 _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_final=inf"),
              ("probe", ("--h", -0.01), "step=-0.01"), ("probe", ("--points", 0), "--points"),
+             ("probe", ("--t", "1e15", "--h", "1e-3"), "steps, beyond the budget"),
              ("torus", ("--i0", "0.3,-0.2", "--grid", 16, "--t-final", 0), "t_final=0.0"),
              ("torus", ("--i0", "0.3,-0.2", "--t-final", -1), "t_final=-1.0"),
-             ("torus", ("--i0", "0.3,-0.2", "--t-final", "inf"), "t_final=inf")]
+             ("torus", ("--i0", "0.3,-0.2", "--t-final", "inf"), "t_final=inf"),
+             ("torus", ("--i0", "0.3,-0.2", "--grid", 100000), "points, beyond the budget")]
 
 
 @pytest.mark.parametrize("cmd, option, edit, args, kind, text", [
@@ -142,7 +146,9 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     # those beyond the row budget are refused before any is enumerated
     ("freq", "--omega", lambda rec: rec.update(components=["1.0", "-0.999999999999"]),
      ("--eps", "1e-16"), "ConstructionFailed", "row budget"),
-] + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
+] + [(cmd, "--spec", lambda rec: rec["omega"].__setitem__(0, "nan"), args, "ValueError",
+       "'omega'") for cmd, args in (("nf", ()), ("torus", ("--i0", "0.3,-0.2")))]
+  + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
       repr(field)) for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS]
   + [(cmd, option, lambda rec: None, ("--eps", eps), kind, text)
      for cmd, option, eps, kind, text in _BAD_EPS]
@@ -151,12 +157,13 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     ids=["nf-spec-without-quad", "freq-omega-without-components",
          "freq-omega-components-3", "scan-plan-without-base",
          "scan-plan-freq-without-components", "scan-plan-epsilons-5",
-         "freq-near-tie-eps-1e-16"]
+         "freq-near-tie-eps-1e-16", "nf-spec-omega-nan", "torus-spec-omega-nan"]
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
        for field, value in _BAD_SPEC_FIELDS]
     + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS]
     + ["probe-h-0", "probe-t-inf", "probe-h-negative", "probe-points-0",
-       "torus-t-final-0", "torus-grid-64-t-final-negative", "torus-grid-64-t-final-inf"])
+       "probe-t-1e15-h-1e-3", "torus-t-final-0", "torus-grid-64-t-final-negative",
+       "torus-grid-64-t-final-inf", "torus-grid-100000"])
 def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, edit, args,
                                               kind, text):
     def no_solve(*args, **kwargs):

@@ -160,6 +160,28 @@ def test_evaluators_match_term_by_term_oracle(case):
         assert err <= 1e-12, name
 
 
+@pytest.mark.parametrize("n, case", [(2, "random"), (3, "random"), (2, "no-actions"),
+                                     (3, "no-actions")])
+@pytest.mark.parametrize("points", [1, 8, 1024])
+def test_batch_field_is_bit_identical(n, case, points):
+    # one phase and one monomial table for both halves of the field, and the
+    # same GEMMs as the two gradients evaluated apart
+    rng = np.random.default_rng(10 * n + points)
+    if case == "random":
+        series = FourierTaylorSeries.monomial(n, (4,) * n, 0.3) + _random_series(rng, n)
+    else:
+        series = (FourierTaylorSeries.cosine(n, (1,) * n, amplitude=0.7)
+                  + FourierTaylorSeries.sine(n, (0,) * (n - 1) + (2,), amplitude=-0.3))
+    c = series.compile()
+    assert (series.action_degree() == 0) == (case == "no-actions")
+    theta = rng.uniform(0, 1, (points, n))
+    acts = rng.uniform(-0.9, 0.9, (points, n))
+    grad_I, grad_theta = c.batch_field(theta, acts)
+    assert grad_I.shape == grad_theta.shape == (points, n)
+    assert np.array_equal(grad_I, c.batch_grad_I(theta, acts))
+    assert np.array_equal(grad_theta, c.batch_grad_theta(theta, acts))
+
+
 def test_canonical_field_consistent():
     c = sample_series().compile()
     gI, mgTh = c.canonical_field(TH, II)
@@ -169,7 +191,7 @@ def test_canonical_field_consistent():
 
 def test_evaluate_is_real_for_real_series():
     f = sample_series()
-    w = f.compile()._evaluate(TH[None], II[None], ((),))[0]
+    w = f.compile()._evaluate(TH[None], II[None], (((),),))[0]
     assert abs(np.sum(w).imag) < 1e-14
 
 
@@ -359,7 +381,8 @@ def test_flow_domain_guard():
 @pytest.mark.parametrize("method", ["midpoint", "dop853"])
 @pytest.mark.parametrize("t_final, step", [(0.0, 0.01), (-1.0, 0.01), (math.inf, 0.01),
                                            (1.0, 0.0), (1.0, -0.01), (1.0, math.nan),
-                                           (1.0, math.inf), (1e300, 1e-300), (1.0, 0.3)])
+                                           (1.0, math.inf), (1e300, 1e-300), (1.0, 0.3),
+                                           (1e3, 1e-4)])
 def test_flow_refuses_a_horizon_that_is_no_positive_step_count(method, t_final, step):
     with pytest.raises(ValueError, match="t_final"):
         integrate_flow(sample_spec(), PhaseState(TH, II), t_final, step, method=method)
@@ -396,20 +419,20 @@ STACK_TH = np.array([[0.23, 0.71], [0.9, 0.05], [0.41, 0.33], [0.6, 0.1]])
 STACK_I = np.array([[0.4, -0.2], [-0.1, 0.3], [0.05, 0.02], [1.2, -0.9]])
 
 
-def rows_per_grad_I_call(monkeypatch) -> list:
+def rows_per_field_call(monkeypatch) -> list:
     rows = []
-    raw = CompiledSeries.batch_grad_I
+    raw = CompiledSeries.batch_field
 
     def counted(comp, theta, I):
         rows.append(theta.shape[0])
         return raw(comp, theta, I)
-    monkeypatch.setattr(CompiledSeries, "batch_grad_I", counted)
+    monkeypatch.setattr(CompiledSeries, "batch_field", counted)
     return rows
 
 
 def test_stacked_midpoint_equals_single_point_flows(monkeypatch):
     spec = sample_spec()
-    rows = rows_per_grad_I_call(monkeypatch)
+    rows = rows_per_field_call(monkeypatch)
     stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 2.0, 0.01,
                            record_every=40)
     stacked_rows, single_rows = sum(rows), 0
@@ -497,7 +520,8 @@ def test_independent_flows_stay_off_the_integrator():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert not names & {"integrate_flow", "PhaseState", "canonical_field"}
+        assert not names & {"integrate_flow", "PhaseState", "canonical_field",
+                            "batch_field"}
     # the series jet checks the compiled evaluator, so the oracles import
     # nothing from the package
     assert "kamlab" not in (here / "oracles.py").read_text()

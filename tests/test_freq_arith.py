@@ -363,6 +363,9 @@ def test_bad_constructions_rejected():
         make_test_frequency("golden", n=3)
     with pytest.raises(ConstructionFailed):
         FrequencyVector([0.0, 0.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConstructionFailed, match="non-finite"):
+            FrequencyVector([bad, 1.0])
 
 
 # -- divisor table growth -----------------------------------------------------------

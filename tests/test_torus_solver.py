@@ -141,13 +141,13 @@ def test_embed_matches_grid_points(solved):
 
 def test_grid_evaluations_match_embed(monkeypatch):
     # invariance_defect (own and doubled grid) and pull_back evaluate the
-    # embedding on grids by inverse FFT; the phase-matrix embed must agree
+    # embedding on grids by inverse FFT; the separable embed must agree
     h3, freq = family_spec()
     emb = ts.solve_torus(h3, I_T, tau=1.5, grid=16)
     nf = one_step_normal_form(h3, freq)
     embed = ts.TorusEmbedding.embed
     seen = []
-    raw = CompiledSeries.batch_grad_I
+    raw = CompiledSeries.batch_field
 
     def spy(comp, theta, I):
         seen.append((theta.copy(), I.copy()))
@@ -155,7 +155,7 @@ def test_grid_evaluations_match_embed(monkeypatch):
 
     def refuse(self, phi):
         raise AssertionError("grid evaluated through embed")
-    monkeypatch.setattr(CompiledSeries, "batch_grad_I", spy)
+    monkeypatch.setattr(CompiledSeries, "batch_field", spy)
     monkeypatch.setattr(ts.TorusEmbedding, "embed", refuse)
     for run, grid in ((lambda: ts.invariance_defect(h3, emb), 16),
                       (lambda: ts.invariance_defect(h3, emb, grid=32), 32),
@@ -254,6 +254,37 @@ def test_odd_or_tiny_grid_rejected():
         ts.solve_torus(h3, I_T, grid=33)
     with pytest.raises(ValueError):
         ts.solve_torus(h3, I_T, grid=2)
+
+
+def test_grid_beyond_the_point_budget_rejected(solved):
+    h3, emb = solved
+    # 1024^2 points per torus are past the budget, refused before the
+    # certification enumerates q_max = 2048 shells
+    with pytest.raises(ValueError, match="budget"):
+        ts.solve_torus(h3, I_T, grid=1024)
+    with pytest.raises(ValueError, match="budget"):
+        ts.invariance_defect(h3, emb, grid=1024)
+    ts.check_grid(512, 2)
+    with pytest.raises(ValueError, match="budget"):
+        ts.check_grid(128, 3)
+
+
+def test_non_finite_target_frequency_fails_certification():
+    # a NaN frequency has no divisor floor, so it cannot pass (it used to,
+    # with gamma inf or a margin nan); a spec refuses a NaN omega outright
+    h3, _ = family_spec()
+    with pytest.raises(ValueError, match="'omega'"):
+        replace(h3, omega=np.array([math.nan, 1.0]))
+    nan_omega = replace(h3)
+    nan_omega.omega = np.array([math.nan, 1.0])
+    for spec, I_target in ((nan_omega, I_T), (h3, np.array([math.nan, 0.0]))):
+        for gamma in (None, 0.1):
+            with pytest.raises(SmallDivisorBreakdown, match="not finite"):
+                ts.certify_target(spec, I_target, gamma=gamma, tau=1.5)
+    # in a stack, the finite targets keep the certificates they get alone
+    stack = ts._certify_stack(h3, np.array([[math.nan, 0.0], I_T]), None, 1.5, None, 64)
+    assert isinstance(stack[0], SmallDivisorBreakdown)
+    assert stack[1].gamma == ts.certify_target(h3, I_T, tau=1.5).gamma
 
 
 def test_pull_back_scales_actions(solved):
@@ -391,6 +422,29 @@ def test_n3_torus_spectral_paths():
     assert np.max(np.abs(th_g - th_e)) < 1e-14
     assert np.max(np.abs(I_g - I_e)) < 1e-14
     assert ts.lagrangian_defect(emb) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_embed_matches_dense_phase_sum(solved, n):
+    # the separable embed against the sum over every mode of the grid, through
+    # a dense (N, grid^n) phase matrix, for a stack of angles and a single one
+    emb = solved[1] if n == 2 else ts.solve_torus(
+        cubic_spec(), np.array([0.2, -0.1, 0.15]), tau=1.5, grid=8)
+    freqs = np.fft.fftfreq(emb.grid, d=1.0 / emb.grid)
+    modes = np.stack([m.ravel() for m in np.meshgrid(*([freqs] * n), indexing="ij")],
+                     axis=1)
+    phis = np.random.default_rng(n).uniform(0, 1, (9, n))
+    phases = np.exp(2j * math.pi * (phis @ modes.T))
+    want_theta = phis + (phases @ emb.u_hat.reshape(n, -1).T).real
+    want_act = emb.I0 + (phases @ emb.v_hat.reshape(n, -1).T).real
+    theta, act = emb.embed(phis)
+    assert theta.shape == act.shape == (9, n)
+    assert np.max(np.abs(theta - want_theta)) <= 1e-14
+    assert np.max(np.abs(act - want_act)) <= 1e-14
+    theta, act = emb.embed(phis[4])
+    assert theta.shape == act.shape == (n,)
+    assert np.max(np.abs(theta - want_theta[4])) <= 1e-14
+    assert np.max(np.abs(act - want_act[4])) <= 1e-14
 
 
 def test_lagrangian_defect_closed_form():
