@@ -734,7 +734,8 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
         gI, gTh = field(theta, I)
         d_th, d_I = half * gI, half * gTh
         for s in range(1, n_steps + 1):
-            live = np.arange(n_pts)
+            # a slice while every point iterates: views, not gathers
+            live = slice(None)
             for _ in range(fixed_point_max_iter):
                 I_live = I[live]
                 gI, gTh = field(theta[live] + d_th[live], I_live + d_I[live])
@@ -743,14 +744,16 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
                                    np.max(np.abs(new_I - d_I[live]), axis=1))
                 d_th[live] = new_th
                 d_I[live] = new_I
-                live = live[~(delta <= fixed_point_tol
-                              * (1.0 + np.max(np.abs(I_live + new_I), axis=1)))]
-                if not live.size:
+                going = ~(delta <= fixed_point_tol
+                          * (1.0 + np.max(np.abs(I_live + new_I), axis=1)))
+                if not going.any():
                     break
+                if not going.all():
+                    live = np.arange(n_pts)[live][going]
             else:
                 raise NonConvergentStep(
                     f"implicit midpoint fixed point stalled at step {s} "
-                    f"for {live.size} of {n_pts} points")
+                    f"for {np.count_nonzero(going)} of {n_pts} points")
             theta = theta + 2.0 * d_th
             I = I + 2.0 * d_I
             check_domain(I)

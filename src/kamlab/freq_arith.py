@@ -11,13 +11,17 @@ vectors ``k`` are measured in the l1 norm, and the divisor of ``k`` is
 
 Enumeration runs over the half lattice (first nonzero component positive)
 with a compensated dot product; ``|(-k) . w| == |k . w|`` exactly in IEEE
-arithmetic, so this is loss-free.  For n=2 the divisor is linear along each
-half of a shell, so the table evaluates only the rows around each half's
-root (at most eight per shell, O(Q) rows to depth Q) and gets the
-same per-shell minima and witnesses as the whole shell; it evaluates whole
-shells when a slope ``|w1 +- w2|`` is too small to rule out a rounding tie,
-and always for n >= 3, refusing up front a growth beyond ROW_BUDGET
-divisors.  A table of S vectors stacked as columns (a scan slice's
+arithmetic, so this is loss-free.  With the tail t = (k3..kn) fixed, the
+divisor is linear in k2 along each half of the n=2 shell that (k1, k2) run
+over, with slope ``|w1 +- w2|``, so the table evaluates only the rows around
+each half's root (at most eight per tail, O(Q^(n-1)) rows to depth Q) and the
+rows (0, 0, t), and gets the same per-shell minima and witnesses as the whole
+shell.  Each computed divisor is within 2u s max|w| of the exact one (the n
+rounded products add at most u s max|w|, the compensated sum at most
+u |k . w| + O(n^2 u^2) s max|w|), so a slope above 4u s max|w| rules out a
+rounding tie with a row left out; below that bound the table evaluates whole
+shells.  A growth beyond ROW_BUDGET divisors is refused up front on either
+route.  A table of S vectors stacked as columns (a scan slice's
 certification) walks whole shells and gives each column its own table's
 floor.  Vectors built from continued fractions can carry an exact
 rational tag; ``delta``/``diophantine_check`` then use exact convergent
@@ -45,14 +49,16 @@ from .errors import (
 RESONANCE_TOL = 1e-14
 
 # Largest Q the float enumeration path will attempt before demanding an
-# exact tag (ball size grows like Q^n).
+# exact tag.  For n=2 the table's 8 rows per shell up to the cap (1.6M) stay
+# within ROW_BUDGET, so the cap is what binds; for n >= 3 the budget binds
+# first (an n=3 table holds about 8 Q^2 candidate rows to depth Q).
 ENUMERATION_CAP = 200_000
 
 # Divisors (rows times vectors) per sort-and-merge pass of the divisor table.
 _CHUNK = 65536
 
-# Most divisors one growth of a divisor table may evaluate on whole shells;
-# beyond it the growth raises ConstructionFailed before enumerating anything.
+# Most divisors one growth of a divisor table may evaluate; beyond it the
+# growth raises ConstructionFailed before enumerating anything.
 ROW_BUDGET = 2 ** 25
 
 
@@ -98,54 +104,103 @@ def _halfspace_blocks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
             yield block
 
 
+def _ball_count(d: int, m: int) -> int:
+    """Number of k in Z^d with |k|_1 <= m, for d, m >= 0."""
+    return sum(2 ** j * math.comb(d, j) * math.comb(m, j) for j in range(d + 1))
+
+
 def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield blocks holding, for every shell s in (lo, hi], each half-lattice
     row that can carry the shell's first smallest compensated divisor, in the
     order `_halfspace_blocks` yields them within a shell.
 
-    For n=2 the rows of shell s are (s - |k2|, k2) for -s < k2 <= s, and the
-    divisor s*w1 + k2*(w1 + w2) (k2 <= 0) or s*w1 + k2*(w2 - w1) (k2 >= 0) is
-    linear on each piece.  The rows kept per shell are the four integers
+    Write a row of shell s as (k1, k2, t) with tail t = (k3..kn) and
+    r = s - |t|_1.  For r >= 1 the rows of a tail are the n=2 half shell of
+    radius r, (r - |k2|, k2, t) for -r < k2 <= r, and the divisor
+    r*w1 + t.w_tail + k2*(w1 + w2) (k2 <= 0) or ... + k2*(w2 - w1) (k2 >= 0)
+    is linear on each piece.  The rows kept per tail are the four integers
     around each piece's root, clipped to the piece (a root beyond it gives
     its end).  A row not kept lies farther from its piece's root than some
     kept row on the same side, so its exact |k . w| exceeds that row's by at
     least the slope.  Each computed |k . w| is within 2u s max|w| of the
-    exact one (two rounded products, one correctly rounded compensated sum),
-    so a slope above 4u s max|w| rules out a rounding tie with a row not
-    kept.  Otherwise (n >= 3, vectors stacked as the columns of w, or a slope
-    below the bound used, 8u Q max|w|) every row is yielded, unless the rows
-    times the columns exceed ROW_BUDGET.
+    exact one: the rounded products add at most u s max|w|, the compensated
+    sum at most u |k . w| + O(n^2 u^2) s max|w|.  So a slope above
+    4u s max|w| rules out a rounding tie with a row not kept, and the root,
+    with t.w_tail summed by math.fsum, is within 1/2 of the exact one.  The
+    r = 0 rows (0, 0, t) are kept whole.  This is at most 8 rows per tail
+    with |t|_1 < s plus the r = 0 rows (8 per shell for n=2, 8(2s - 1) + 1
+    for n=3), O(Q^(n-1)) rows to depth Q.  Otherwise (vectors stacked as the
+    columns of w, or a slope below the bound used, 8u Q max|w|) every row is
+    yielded.  A growth whose rows, times the columns, exceed ROW_BUDGET
+    raises before any is yielded.
     """
+    n, d = w.shape[0], w.shape[0] - 2
     bound = 4 * np.finfo(np.float64).eps * hi * float(np.max(np.abs(w)))
-    if w.shape != (2,) or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound:
-        n = len(w)
+    whole = w.ndim != 1 or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound
+    if whole:
         # half the lattice points with lo < |k|_1 <= hi, once per column
-        divisors = sum(2 ** j * math.comb(n, j) * (math.comb(hi, j) - math.comb(lo, j))
-                       for j in range(1, n + 1)) // 2 * (w.size // n)
-        if divisors > ROW_BUDGET:
-            raise ConstructionFailed(
-                f"whole shells {lo + 1}..{hi} hold {divisors} divisors, beyond the "
-                f"row budget {ROW_BUDGET}")
+        divisors = (_ball_count(n, hi) - _ball_count(n, lo)) // 2 * (w.size // n)
+    else:
+        # 8 per tail with |t|_1 < s, summed over s in (lo, hi] (the sum of
+        # comb(s - 1, j) telescopes), plus the r = 0 rows
+        pairs = sum(2 ** j * math.comb(d, j) * (math.comb(hi, j + 1) - math.comb(lo, j + 1))
+                    for j in range(d + 1))
+        divisors = 8 * pairs + (_ball_count(d, hi) - _ball_count(d, lo)) // 2
+    if divisors > ROW_BUDGET:
+        raise ConstructionFailed(
+            f"{'whole' if whole else 'candidate'} rows of shells {lo + 1}..{hi} hold "
+            f"{divisors} divisors, beyond the row budget {ROW_BUDGET}")
+    if whole:
         yield from _halfspace_blocks(n, lo, hi)
         return
     w1, w2 = float(w[0]), float(w[1])
+    # every tail with |t|_1 < hi, by norm and lexicographically within a norm,
+    # so shell s takes the first `count[s - lo - 1]` of them
+    tails = (np.concatenate(list(_ball_blocks(d, -1, hi - 1)), axis=0) if d
+             else np.zeros((1, 0), dtype=np.int64))
+    norms = np.abs(tails).sum(axis=1)
+    by_norm = np.argsort(norms, kind="stable")
+    tails, norms = tails[by_norm], norms[by_norm]
+    # each tail's place in the order (norm descending, lexicographically)
+    down = (len(norms) - np.searchsorted(norms, norms, side="right")
+            + np.arange(len(norms)) - np.searchsorted(norms, norms, side="left"))
+    offset = np.array([math.fsum(p) for p in (tails * w[2:]).tolist()])
+    span = 3 * (hi + 2) * len(tails)    # sort keys per shell
+    count = np.searchsorted(norms, np.arange(lo + 1, hi + 1), side="left")
+    ends = np.r_[0, np.cumsum(count)]
     around = np.arange(-1, 3, dtype=np.int64)
-    step = max(1, _CHUNK // 8)
-    for start in range(lo + 1, hi + 1, step):
-        s = np.arange(start, min(start + step, hi + 1), dtype=np.int64)[:, None]
+    start = lo
+    while start < hi:
+        # whole shells, about _CHUNK // 8 tails (at most _CHUNK rows) at a
+        # time, and few enough that their keys stay below 2^63
+        stop = lo - 1 + int(np.searchsorted(ends, ends[start - lo] + _CHUNK // 8, side="right"))
+        stop = min(max(start + 1, stop), start + (2 ** 63 - 1) // span)
+        per = count[start - lo:stop - lo]
+        s = np.repeat(np.arange(start + 1, stop + 1, dtype=np.int64), per)
+        g = np.arange(per.sum(), dtype=np.int64) - np.repeat(np.cumsum(per) - per, per)
+        s, r = s[:, None], (s - norms[g])[:, None]
+        level = r * w1 + offset[g][:, None]
         k2 = []
-        for rate, end_lo, end_hi in ((w1 + w2, 1 - s, 0), (w2 - w1, 0, s)):
-            root = np.clip(-(s * w1) / rate, end_lo - 2, end_hi + 2)
+        for rate, end_lo, end_hi in ((w1 + w2, 1 - r, 0), (w2 - w1, 0, r)):
+            root = np.clip(-level / rate, end_lo - 2, end_hi + 2)
             k2.append(np.clip(np.floor(root).astype(np.int64) + around, end_lo, end_hi))
         k2 = np.concatenate(k2, axis=1)
-        # within a shell: k1 = s - |k2| ascending, negative k2 first, (0, s) last
-        key = np.where(k2 == s, 1, (k2 > 0) - 2 * np.abs(k2))
-        order = np.argsort(key, axis=1, kind="stable")
-        key, k2 = np.take_along_axis(key, order, 1), np.take_along_axis(k2, order, 1)
-        fresh = np.ones(key.shape, dtype=bool)
-        fresh[:, 1:] = key[:, 1:] != key[:, :-1]
-        k2 = k2[fresh]
-        yield np.stack([np.broadcast_to(s, key.shape)[fresh] - np.abs(k2), k2], axis=1)
+        k1 = r - np.abs(k2)
+        # within a shell: k1 ascending with the rows (0, r, t) last; then k2
+        # ascending, which for one k1 is k2 < 0 by |t|_1 ascending, k2 = 0,
+        # k2 > 0 by |t|_1 descending; then the tail
+        side = np.sign(k2) + 1
+        key = ((((s - start - 1) * (hi + 2) + np.where(k1 > 0, k1, s + 1)) * 3 + side)
+               * len(tails) + np.where(side == 2, down[g][:, None], g[:, None])).ravel()
+        order = np.argsort(key)
+        key = key[order]
+        fresh = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        order = order[fresh]
+        yield np.concatenate([k1.ravel()[order, None], k2.ravel()[order, None],
+                              tails[g[order // 8]]], axis=1)
+        start = stop
+    for tail in _halfspace_blocks(d, lo, hi):
+        yield np.concatenate([np.zeros((len(tail), 2), dtype=np.int64), tail], axis=1)
 
 
 def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Small-divisor arithmetic: frozen values, brute-force agreement, invariants."""
 
+import itertools
 import json
 import math
 import os
@@ -442,6 +443,14 @@ def test_compensated_dot_columns_equal_single_vectors():
         assert stacked[:, s].tobytes() == fa.compensated_dot(K, W[:, s].copy()).tobytes()
 
 
+def _candidate_bound(n: int, Q: int) -> int:
+    """Sum over shells s <= Q of 8 rows per tail t in Z^(n-2) with |t|_1 < s,
+    plus half the tails with |t|_1 = s, counted point by point."""
+    norms = [sum(map(abs, t)) for t in itertools.product(range(-Q, Q + 1), repeat=n - 2)]
+    return sum(8 * sum(m < s for m in norms) + sum(m == s for m in norms) // 2
+               for s in range(1, Q + 1))
+
+
 @pytest.mark.parametrize("w, steps", [((1.0, 0.6180339887498949), (3, 16, 17, 40)),
                                       ((1.0, 0.25, 0.5), (1, 2, 9, 12)),
                                       ((1.0, 0.3, -0.55, 0.71), (7,)),
@@ -469,7 +478,10 @@ def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
         assert len(set(grown)) == len(grown) <= 8 * steps[-1]
         assert set(grown) <= set(lattice)
     else:
-        assert sorted(grown) == sorted(lattice)
+        # on each shell s, at most 8 candidate rows per tail t = (k3..kn) with
+        # |t|_1 < s and every row (0, 0, t) with |t|_1 = s
+        assert len(set(grown)) == len(grown) <= _candidate_bound(len(w), steps[-1])
+        assert set(grown) <= set(lattice)
 
 
 # -- the n=2 candidate route ----------------------------------------------------------
@@ -485,12 +497,12 @@ _N2_DEPTH = 3000
 
 
 def _shell_minima(W: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per shell and column of W (2, S): the smallest compensated divisor over
+    """Per shell and column of W (n, S): the smallest compensated divisor over
     the whole shell and its first row in enumeration order."""
-    S = W.shape[1]
-    shell_min, shell_arg = np.empty((Q, S)), np.empty((Q, S, 2), dtype=np.int64)
+    n, S = W.shape
+    shell_min, shell_arg = np.empty((Q, S)), np.empty((Q, S, n), dtype=np.int64)
     for s in range(1, Q + 1):
-        K = np.concatenate(list(fa._halfspace_blocks(2, s - 1, s)), axis=0)
+        K = np.concatenate(list(fa._halfspace_blocks(n, s - 1, s)), axis=0)
         div = np.abs(fa.compensated_dot(K, W))
         arg = np.argmin(div, axis=0)
         shell_min[s - 1], shell_arg[s - 1] = div[arg, np.arange(S)], K[arg]
@@ -528,6 +540,47 @@ def test_n2_route_falls_back_when_a_slope_is_too_small():
     assert rows([[1.0, 1.0], [0.6180339887498949, 0.25]], 1200) == 1200 * 1201
 
 
+# -- the candidate route for n >= 3 ----------------------------------------------------
+
+# resonant and tie-rich vectors (equal divisors on many rows of a shell, so the
+# first row in enumeration order decides the witness), zero components, slopes
+# |w1 + w2| of 0 and 1e-14 (whole shells from Q = 1 and Q ~ 10) and of 1e-12
+# (candidate rows throughout), and random ones
+_N3_VECTORS = [(1.0, 0.5, 0.25), (1.0, 1 / 3, 1 / 9), (1.0, 0.5, -0.5), (0.3, 1.0, 0.7),
+               (1.0, 0.0, 0.5), (0.0, 1.0, 0.5), (1.0, 1.0, 1.0), (1.0, -1 + 1e-14, 0.3),
+               (1.0, -1 + 1e-12, 0.3), (1.0, 0.7548776662466927, 0.5698402909980532)]
+_N4_VECTORS = [(1.0, 0.5, 0.25, 0.125), (1.0, 0.3, -0.55, 0.71), (1.0, 0.5, -0.5, 0.5),
+               (0.0, 1.0, 1 / 3, 0.25), (1.0, -1 + 1e-12, 0.3, 0.2)]
+_N_DEPTH = {3: 120, 4: 30}
+
+
+@pytest.fixture(scope="module", params=[3, 4])
+def n_reference(request):
+    n = request.param
+    vectors = _N3_VECTORS if n == 3 else _N4_VECTORS
+    W = np.concatenate([np.array(vectors).T,
+                        np.random.default_rng(n).uniform(-1, 1, (n, 6))], axis=1)
+    return W, _shell_minima(W, _N_DEPTH[n])
+
+
+@pytest.mark.parametrize("steps", [(), (1, 9, 10, 47)])
+def test_n3_table_matches_whole_shell_minima(n_reference, steps):
+    W, (shell_min, shell_arg) = n_reference
+    Q = shell_min.shape[0]
+    for col in range(W.shape[1]):
+        table = _DivisorTable(W[:, col].copy())
+        for q in tuple(q for q in steps if q < Q) + (Q,):
+            table.ensure(q)
+        assert table.shell_min.tobytes() == shell_min[:, col].tobytes(), W[:, col]
+        assert table.shell_arg.tolist() == shell_arg[:, col].tolist(), W[:, col]
+    # and the loop oracle, prefix arrays included
+    w, Q = {3: ((1.0, 0.5, 0.25), 14), 4: ((1.0, 0.5, -0.5, 0.5), 7)}[W.shape[0]]
+    table = _DivisorTable(np.array(w))
+    for q in tuple(q for q in steps if q < Q) + (Q,):
+        table.ensure(q)
+    assert _table_state(table) == [a.tobytes() for a in shell_table(np.array(w), Q)]
+
+
 def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch):
     # the budget counts the half-lattice rows of the growth times the columns
     for n, Q in ((2, 30), (3, 12), (4, 6)):
@@ -538,6 +591,7 @@ def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch
             _DivisorTable(np.ones((n, 4))).ensure(Q)
     # the near-tie vector takes candidate rows to Q=1024 and whole shells
     # after; a refused growth leaves the table as it was
+    monkeypatch.undo()
     table = _DivisorTable(np.array([1.0, -0.999999999999]))
     table.ensure(1024)
     state = _table_state(table)
@@ -545,6 +599,22 @@ def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch
     with pytest.raises(ConstructionFailed, match="row budget"):
         table.ensure(2048)
     assert table.q_built == 1024 and _table_state(table) == state
+    # an n=3 vector's candidate rows count 8 (2s - 1) + 1 per shell s
+    table = _DivisorTable(np.array([1.0, 0.7548776662466927, 0.5698402909980532]))
+    table.ensure(40)
+    state = _table_state(table)
+    rows = sum(8 * (2 * s - 1) + 1 for s in range(41, 81))
+    assert sum(b.shape[0] for b in fa._shell_candidate_blocks(table.w, 40, 80)) <= rows
+    monkeypatch.setattr(fa, "ROW_BUDGET", rows - 1)
+    with pytest.raises(ConstructionFailed, match="row budget"):
+        table.ensure(80)
+    assert table.q_built == 40 and _table_state(table) == state
+    monkeypatch.setattr(fa, "ROW_BUDGET", rows)
+    table.ensure(80)
+
+
+def test_enumeration_cap_fits_the_n2_row_budget():
+    assert 8 * fa.ENUMERATION_CAP <= fa.ROW_BUDGET
 
 
 def test_enumerated_dioph_floor_matches_whole_shells():
