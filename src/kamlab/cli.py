@@ -2,19 +2,19 @@
 configs, emitting CSV tables and JSON records.
 
 Every artifact starts with (or embeds) a header carrying the tool version
-and a hash of the resolved configuration, numeric cells are written in
-round-trip precision, and runs are deterministic end to end: the same
-inputs give byte-identical outputs.  On a pipeline error the partial
-artifacts are removed and a machine-readable `error.json` is written with
-a nonzero exit status.
+and a hash of the configuration: the command name and every option, with
+each input file as the JSON that was parsed and --out left out.  Each input
+file is read once.  Numeric cells are written in round-trip precision, and
+runs are deterministic end to end: the same inputs give byte-identical
+outputs.  On a pipeline error the partial artifacts are removed and a
+machine-readable `error.json` is written with a nonzero exit status.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +26,6 @@ from . import freq_arith as fa
 from . import measure_scan as ms
 from .errors import InsufficientSpan, KamlabError
 from .fourier_taylor import (
-    PHYSICAL,
     TIME_SCALED,
     HamiltonianSpec,
     PhaseState,
@@ -86,21 +85,12 @@ class _Sink:
         self.written.clear()
 
 
-def _load_json(path: str, object_hook=None) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh, object_hook=object_hook)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse {path}: {exc}") from exc
-
-
-def _load_record(path: str, parse):
-    """`parse` the record in a JSON file, turning a missing field or a value
-    of the wrong type or size into a ValueError.  A missing field is named;
-    for a bad value the message names the last field the parser read, which
-    the record's objects note as they are indexed."""
+def _load_record(path: str):
+    """Read the JSON file at `path` once.  Returns the record and `parse`,
+    which runs a parser on it, turning a missing field or a value of the
+    wrong type or size into a ValueError.  A missing field is named; for a
+    bad value the message names the last field the parser read, which the
+    record's objects note as they are indexed."""
     read = []
 
     class Fields(dict):
@@ -109,12 +99,23 @@ def _load_record(path: str, parse):
             return dict.__getitem__(self, key)
 
     try:
-        return parse(_load_json(path, Fields))
-    except KeyError as exc:
-        raise ValueError(f"{path}: record lacks the field {exc.args[0]!r}") from exc
-    except (TypeError, AttributeError, IndexError, OverflowError) as exc:
-        where = f" at or after the field {read[-1]!r}" if read else ""
-        raise ValueError(f"{path}: malformed record{where}: {exc}") from exc
+        with open(path) as fh:
+            record = json.load(fh, object_hook=Fields)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
+
+    def parse(parser):
+        try:
+            return parser(record)
+        except KeyError as exc:
+            raise ValueError(f"{path}: record lacks the field {exc.args[0]!r}") from exc
+        except (TypeError, AttributeError, IndexError, OverflowError) as exc:
+            where = f" at or after the field {read[-1]!r}" if read else ""
+            raise ValueError(f"{path}: malformed record{where}: {exc}") from exc
+
+    return record, parse
 
 
 def _frequency(rec: dict) -> FrequencyVector:
@@ -124,29 +125,25 @@ def _frequency(rec: dict) -> FrequencyVector:
     return FrequencyVector.from_record(rec)
 
 
+# the parser of each input-file option, by option name; the methods are
+# looked up per call, so a parser patched on its class is the one that runs
+_PARSERS = {"omega": _frequency,
+            "spec": lambda rec: HamiltonianSpec.from_record(rec),
+            "plan": lambda rec: ms.ScanPlan.from_record(rec)}
+
+
 def _time_scaled(spec: HamiltonianSpec) -> HamiltonianSpec:
     if spec.state == TIME_SCALED:
         return spec
     return prepare_time_scaled(spec)
 
 
-def _guarded(out: str, payload_fn, body) -> None:
-    """Resolve the config payload, run `body(sink)`; on a pipeline error
-    keep only error.json.  The config hash covers the parsed input files,
-    so identical inputs stamp identical artifacts."""
-    sink = None
-    try:
-        sink = _Sink(out, _config_hash(payload_fn()))
-        body(sink)
-    except (KamlabError, ValueError, np.linalg.LinAlgError) as exc:
-        if sink is None:
-            sink = _Sink(out, "unresolved")
-        sink.discard()
-        sink.write_json("error.json", {"record": "error", **KamlabError.as_record(exc)})
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        raise SystemExit(2)
-    for path in sink.written:
-        click.echo(str(path))
+def _action(i0: str | None, n: int) -> np.ndarray:
+    """The comma-separated --i0 as an action of n components; absent, zero."""
+    act = np.zeros(n) if i0 is None else np.array([float(v) for v in i0.split(",")])
+    if act.size != n:
+        raise ValueError(f"--i0 needs {n} components, got {act.size}")
+    return act
 
 
 @click.group()
@@ -155,79 +152,92 @@ def main():
     """Small-divisor arithmetic, normal forms, torus continuation, scans."""
 
 
-@main.command()
-@click.option("--omega", "omega_file", required=True, type=click.Path(),
+def _command(fn):
+    """Register `fn(sink, **options)` as a subcommand with an --out option.
+
+    `options` are the options click parsed, less --out, with each input file
+    (an option named in _PARSERS) read once and parsed.  The config hash
+    covers the command name and every option, each input as the JSON read,
+    so identical inputs stamp identical artifacts.  On a pipeline error only
+    error.json is kept, stamped `unresolved` if an input could not be read.
+    """
+    @functools.wraps(fn)
+    def run(out, **options):
+        sink = None
+        try:
+            inputs = {key: _load_record(path) for key, path in options.items()
+                      if key in _PARSERS and path is not None}
+            config = {**options, **{key: rec for key, (rec, _) in inputs.items()}}
+            sink = _Sink(out, _config_hash({"cmd": fn.__name__, **config}))
+            parsed = {key: parse(_PARSERS[key]) for key, (_, parse) in inputs.items()}
+            fn(sink, **{**options, **parsed})
+        except (KamlabError, ValueError, np.linalg.LinAlgError) as exc:
+            if sink is None:
+                sink = _Sink(out, "unresolved")
+            sink.discard()
+            sink.write_json("error.json", {"record": "error", **KamlabError.as_record(exc)})
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            raise SystemExit(2)
+        for path in sink.written:
+            click.echo(str(path))
+
+    out = click.option("--out", default=".", show_default=True, type=click.Path())
+    return main.command()(out(run))
+
+
+@_command
+@click.option("--omega", required=True, type=click.Path(),
               help="frequency record, or {\"name\": ...} for a built-in")
 @click.option("--qmax", default=50, show_default=True, help="table depth")
-@click.option("--eps", "eps_values", multiple=True, type=float,
+@click.option("--eps", multiple=True, type=float,
               help="epsilon values for the profile table (repeatable)")
 @click.option("--alpha", default=None, type=float,
               help="regularity index attaching the nu column")
 @click.option("--cbar", default=None, type=float, help="nu rate constant")
-@click.option("--out", default=".", show_default=True, type=click.Path())
-def freq(omega_file, qmax, eps_values, alpha, cbar, out):
+def freq(sink, omega, qmax, eps, alpha, cbar):
     """Tabulate the reciprocal smallest divisor and the smallness scales."""
-    def payload():
-        return {"cmd": "freq", "omega": _load_json(omega_file), "qmax": qmax,
-                "eps": list(eps_values), "alpha": alpha, "cbar": cbar}
-
-    def body(sink: _Sink):
-        if qmax < 1:
-            raise ValueError(f"--qmax must be at least 1, got {qmax}")
-        omega = _load_record(omega_file, _frequency)
-        records = fa.psi_table(omega, qmax)
-        rows = [(r.Q, r.psi, r.min_divisor,
-                 ";".join(str(v) for v in r.argmin_k)) for r in records]
-        sink.write_csv("psi_table.csv", ["Q", "psi", "min_divisor", "argmin_k"], rows)
-        if eps_values:
-            cols = ["eps", "Delta", "mu"] + (["nu"] if alpha is not None else [])
-            prows = []
-            for eps in eps_values:
-                prof = fa.mu_nu(omega, eps, alpha=alpha, c_bar=cbar)
-                row = [eps, prof.Delta, prof.mu]
-                if alpha is not None:
-                    row.append(prof.nu)
-                prows.append(row)
-            sink.write_csv("profile_table.csv", cols, prows)
-
-    _guarded(out, payload, body)
+    if qmax < 1:
+        raise ValueError(f"--qmax must be at least 1, got {qmax}")
+    records = fa.psi_table(omega, qmax)
+    rows = [(r.Q, r.psi, r.min_divisor,
+             ";".join(str(v) for v in r.argmin_k)) for r in records]
+    sink.write_csv("psi_table.csv", ["Q", "psi", "min_divisor", "argmin_k"], rows)
+    if eps:
+        cols = ["eps", "Delta", "mu"] + (["nu"] if alpha is not None else [])
+        prows = []
+        for e in eps:
+            prof = fa.mu_nu(omega, e, alpha=alpha, c_bar=cbar)
+            row = [e, prof.Delta, prof.mu]
+            if alpha is not None:
+                row.append(prof.nu)
+            prows.append(row)
+        sink.write_csv("profile_table.csv", cols, prows)
 
 
-@main.command()
-@click.option("--spec", "spec_file", required=True, type=click.Path())
+@_command
+@click.option("--spec", required=True, type=click.Path())
 @click.option("--eps", default=None, type=float,
               help="override the template epsilon")
 @click.option("--c", default=1.0, show_default=True,
               help="truncation constant in Delta(c/eps)")
-@click.option("--omega", "omega_file", default=None, type=click.Path(),
+@click.option("--omega", default=None, type=click.Path(),
               help="frequency record; defaults to the spec components")
 @click.option("--alpha", default=None, type=float)
 @click.option("--cbar", default=None, type=float)
-@click.option("--out", default=".", show_default=True, type=click.Path())
-def nf(spec_file, eps, c, omega_file, alpha, cbar, out):
+def nf(sink, spec, eps, c, omega, alpha, cbar):
     """One normal-form step plus its independent estimate checks."""
-    def payload():
-        return {"cmd": "nf", "spec": _load_json(spec_file), "eps": eps, "c": c,
-                "omega": _load_json(omega_file) if omega_file else None,
-                "alpha": alpha, "cbar": cbar}
-
-    def body(sink: _Sink):
-        spec = _load_record(spec_file, HamiltonianSpec.from_record)
-        if eps is not None:
-            spec = replace(spec, epsilon=eps)
-        freq_vec = (_load_record(omega_file, _frequency) if omega_file
-                    else FrequencyVector(spec.omega))
-        result = one_step_normal_form(_time_scaled(spec), freq_vec, c=c,
-                                      gevrey_alpha=alpha, gevrey_c_bar=cbar)
-        sink.write_json("normal_form.json", result.to_record())
-        sink.write_json("estimates.json",
-                        {"record": "nf_estimates", **verify_estimates(result)})
-
-    _guarded(out, payload, body)
+    if eps is not None:
+        spec = replace(spec, epsilon=eps)
+    freq_vec = FrequencyVector(spec.omega) if omega is None else omega
+    result = one_step_normal_form(_time_scaled(spec), freq_vec, c=c,
+                                  gevrey_alpha=alpha, gevrey_c_bar=cbar)
+    sink.write_json("normal_form.json", result.to_record())
+    sink.write_json("estimates.json",
+                    {"record": "nf_estimates", **verify_estimates(result)})
 
 
-@main.command()
-@click.option("--spec", "spec_file", required=True, type=click.Path())
+@_command
+@click.option("--spec", required=True, type=click.Path())
 @click.option("--i0", required=True, help="target action, comma-separated")
 @click.option("--gamma", default=None, type=float,
               help="Diophantine constant; omitted means auto-calibrated")
@@ -236,132 +246,100 @@ def nf(spec_file, eps, c, omega_file, alpha, cbar, out):
 @click.option("--grid", default=64, show_default=True, type=int)
 @click.option("--t-final", default=1e3, show_default=True, type=float,
               help="integration-verification horizon")
-@click.option("--out", default=".", show_default=True, type=click.Path())
-def torus(spec_file, i0, gamma, tau, tol, grid, t_final, out):
+def torus(sink, spec, i0, gamma, tau, tol, grid, t_final):
     """Continue the invariant torus at a target action and verify it."""
-    def payload():
-        return {"cmd": "torus", "spec": _load_json(spec_file), "i0": i0,
-                "gamma": gamma, "tau": tau, "tol": tol, "grid": grid,
-                "t_final": t_final}
-
-    def body(sink: _Sink):
-        spec = _load_record(spec_file, HamiltonianSpec.from_record)
-        I_target = np.array([float(v) for v in i0.split(",")])
-        if I_target.size != spec.n:
-            raise ValueError(f"--i0 needs {spec.n} components, got {I_target.size}")
-        # a horizon the verification cannot step, or a grid beyond the
-        # budget, is refused before the solve
-        step = 1e-2
-        flow_steps(t_final, step)
-        check_grid(grid, spec.n)
-        # non-resonance guard on the base frequency, depth = solve grid
-        FrequencyVector(spec.omega, q_check=grid)
-        h3 = _time_scaled(spec)
-        emb = solve_torus(h3, I_target, gamma=gamma, tau=tau, grid=grid, tol=tol)
-        sink.write_json("torus.json", emb.to_record())
-        phis = emb.grid_phis()
-        theta, act = emb.grid_points()
-        n = emb.n
-        cols = ([f"phi_{j + 1}" for j in range(n)]
-                + [f"theta_{j + 1}" for j in range(n)]
-                + [f"I_{j + 1}" for j in range(n)])
-        rows = [tuple(map(float, np.concatenate(triple)))
-                for triple in zip(phis, theta, act)]
-        sink.write_csv("torus_surface.csv", cols, rows)
-        report = verify_by_integration(h3, emb, t_final=t_final, step=step,
-                                       method="dop853")
-        sink.write_json("verification.json",
-                        {"record": "torus_verification", **report})
-
-    _guarded(out, payload, body)
+    I_target = _action(i0, spec.n)
+    # a horizon the verification cannot step, or a grid beyond the budget,
+    # is refused before the solve
+    step = 1e-2
+    flow_steps(t_final, step)
+    check_grid(grid, spec.n)
+    # non-resonance guard on the base frequency, depth = solve grid
+    FrequencyVector(spec.omega, q_check=grid)
+    h3 = _time_scaled(spec)
+    emb = solve_torus(h3, I_target, gamma=gamma, tau=tau, grid=grid, tol=tol)
+    sink.write_json("torus.json", emb.to_record())
+    phis = emb.grid_phis()
+    theta, act = emb.grid_points()
+    n = emb.n
+    cols = ([f"phi_{j + 1}" for j in range(n)]
+            + [f"theta_{j + 1}" for j in range(n)]
+            + [f"I_{j + 1}" for j in range(n)])
+    rows = [tuple(map(float, np.concatenate(triple)))
+            for triple in zip(phis, theta, act)]
+    sink.write_csv("torus_surface.csv", cols, rows)
+    report = verify_by_integration(h3, emb, t_final=t_final, step=step,
+                                   method="dop853")
+    sink.write_json("verification.json",
+                    {"record": "torus_verification", **report})
 
 
-@main.command()
-@click.option("--plan", "plan_file", required=True, type=click.Path())
-@click.option("--out", default=".", show_default=True, type=click.Path())
-def scan(plan_file, out):
+@_command
+@click.option("--plan", required=True, type=click.Path())
+def scan(sink, plan):
     """Run the measure sweep of a plan and fit the complement scaling."""
-    def payload():
-        return {"cmd": "scan", "plan": _load_json(plan_file)}
-
-    def body(sink: _Sink):
-        plan = _load_record(plan_file, ms.ScanPlan.from_record)
-        reports = ms.run_plan(plan)
-        rows = [(r.epsilon, r.mu, r.gamma_used, r.tau_used, r.samples,
-                 r.selected, r.converged, r.complement_fraction, r.wall_time)
-                for r in reports]
-        sink.write_csv("scan_reports.csv",
-                       ["eps", "mu", "gamma", "tau", "samples", "selected",
-                        "converged", "complement_fraction", "wall_time"], rows)
-        try:
-            fit = ms.fit_scaling(reports)
-            sink.write_json("scan_fit.json", fit.to_record())
-        except InsufficientSpan as exc:
-            # the sweep itself succeeded; record why the fit is absent
-            sink.write_json("scan_fit.json",
-                            {"record": "fit_skipped", "reason": str(exc)})
-        if plan.gevrey_alpha is not None:
-            frows = ms.gevrey_forecast(plan.freq, plan.epsilons, c=plan.c,
-                                       alpha=plan.gevrey_alpha,
-                                       c_bar=plan.gevrey_c_bar)
-            sink.write_csv("gevrey_forecast.csv",
-                           ["eps", "mu", "nu", "sqrt_mu", "predicted_complement"],
-                           [(f["eps"], f["mu"], f["nu"], f["sqrt_mu"],
-                             f["predicted_complement"]) for f in frows])
-
-    _guarded(out, payload, body)
+    reports = ms.run_plan(plan)
+    rows = [(r.epsilon, r.mu, r.gamma_used, r.tau_used, r.samples,
+             r.selected, r.converged, r.complement_fraction, r.wall_time)
+            for r in reports]
+    sink.write_csv("scan_reports.csv",
+                   ["eps", "mu", "gamma", "tau", "samples", "selected",
+                    "converged", "complement_fraction", "wall_time"], rows)
+    try:
+        fit = ms.fit_scaling(reports)
+        sink.write_json("scan_fit.json", fit.to_record())
+    except InsufficientSpan as exc:
+        # the sweep itself succeeded; record why the fit is absent
+        sink.write_json("scan_fit.json",
+                        {"record": "fit_skipped", "reason": str(exc)})
+    if plan.gevrey_alpha is not None:
+        frows = ms.gevrey_forecast(plan.freq, plan.epsilons, c=plan.c,
+                                   alpha=plan.gevrey_alpha,
+                                   c_bar=plan.gevrey_c_bar)
+        sink.write_csv("gevrey_forecast.csv",
+                       ["eps", "mu", "nu", "sqrt_mu", "predicted_complement"],
+                       [(f["eps"], f["mu"], f["nu"], f["sqrt_mu"],
+                         f["predicted_complement"]) for f in frows])
 
 
-@main.command()
-@click.option("--spec", "spec_file", required=True, type=click.Path())
-@click.option("--t", "t_final", required=True, type=float, help="flow horizon")
-@click.option("--h", "step", required=True, type=float, help="midpoint step")
+@_command
+@click.option("--spec", required=True, type=click.Path())
+@click.option("--t", required=True, type=float, help="flow horizon")
+@click.option("--h", required=True, type=float, help="midpoint step")
 @click.option("--i0", default=None, help="start action, comma-separated (default 0)")
 @click.option("--points", default=4, show_default=True,
               help="number of trajectories, staggered start angles")
-@click.option("--out", default=".", show_default=True, type=click.Path())
-def probe(spec_file, t_final, step, i0, points, out):
+def probe(sink, spec, t, h, i0, points):
     """Integrate trajectories and report drift diagnostics."""
-    def payload():
-        return {"cmd": "probe", "spec": _load_json(spec_file), "t": t_final,
-                "h": step, "i0": i0, "points": points}
-
-    def body(sink: _Sink):
-        spec = _load_record(spec_file, HamiltonianSpec.from_record)
-        n = spec.n
-        act0 = (np.array([float(v) for v in i0.split(",")])
-                if i0 else np.zeros(n))
-        if act0.size != n:
-            raise ValueError(f"--i0 needs {n} components, got {act0.size}")
-        if points < 1:
-            raise ValueError(f"--points must be at least 1, got {points}")
-        every = max(1, flow_steps(t_final, step) // 256)
-        theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
-        flow = integrate_flow(spec, PhaseState(theta0, np.tile(act0, (points, 1))),
-                              t_final, step, record_every=every)
-        rows = []
-        summary = []
-        for p in range(points):
-            energies = flow.energies[:, p]
-            for t, th, act, en in zip(flow.times, flow.thetas[:, p],
-                                      flow.actions[:, p], energies):
-                rows.append((p, float(t), *map(float, th),
-                             *map(float, act), float(en)))
-            summary.append({
-                "trajectory": p,
-                "energy_drift": float(np.max(np.abs(energies - energies[0]))),
-                "max_action_deviation":
-                    float(np.max(np.abs(flow.actions[:, p] - act0[None, :]))),
-                "rotation_estimate":
-                    [float(v) for v in (flow.final.theta[p] - theta0[p]) / t_final],
-            })
-        cols = (["traj", "t"] + [f"theta_{j + 1}" for j in range(n)]
-                + [f"I_{j + 1}" for j in range(n)] + ["energy"])
-        sink.write_csv("probe_trajectories.csv", cols, rows)
-        sink.write_json("probe_summary.json",
-                        {"record": "probe_summary", "trajectories": summary})
-
-    _guarded(out, payload, body)
+    n = spec.n
+    act0 = _action(i0, n)
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, got {points}")
+    every = max(1, flow_steps(t, h) // 256)
+    theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
+    flow = integrate_flow(spec, PhaseState(theta0, np.tile(act0, (points, 1))),
+                          t, h, record_every=every)
+    rows = []
+    summary = []
+    for p in range(points):
+        energies = flow.energies[:, p]
+        for time, th, act, en in zip(flow.times, flow.thetas[:, p],
+                                     flow.actions[:, p], energies):
+            rows.append((p, float(time), *map(float, th),
+                         *map(float, act), float(en)))
+        summary.append({
+            "trajectory": p,
+            "energy_drift": float(np.max(np.abs(energies - energies[0]))),
+            "max_action_deviation":
+                float(np.max(np.abs(flow.actions[:, p] - act0[None, :]))),
+            "rotation_estimate":
+                [float(v) for v in (flow.final.theta[p] - theta0[p]) / t],
+        })
+    cols = (["traj", "t"] + [f"theta_{j + 1}" for j in range(n)]
+            + [f"I_{j + 1}" for j in range(n)] + ["energy"])
+    sink.write_csv("probe_trajectories.csv", cols, rows)
+    sink.write_json("probe_summary.json",
+                    {"record": "probe_summary", "trajectories": summary})
 
 
 if __name__ == "__main__":

@@ -661,6 +661,10 @@ class FlowResult:
 # step 1e-2)
 FLOW_STEP_BUDGET = 10 ** 6
 
+# a midpoint step's fixed point is reached when no half-step increment moves
+# by more than this, relative to 1 + |I|
+FIXED_POINT_TOL = 1e-14
+
 
 def flow_steps(t_final: float, step: float) -> int:
     """Number of steps of size `step` in `t_final`.  Raises ValueError unless
@@ -682,7 +686,6 @@ def flow_steps(t_final: float, step: float) -> int:
 def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
                    method: str = "midpoint", domain_radius: Optional[float] = None,
                    record_every: int = 0,
-                   fixed_point_tol: float = 1e-14,
                    fixed_point_max_iter: int = 100) -> FlowResult:
     """Integrate theta' = dH/dI, I' = -dH/dtheta.
 
@@ -744,7 +747,7 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
                                    np.max(np.abs(new_I - d_I[live]), axis=1))
                 d_th[live] = new_th
                 d_I[live] = new_I
-                going = ~(delta <= fixed_point_tol
+                going = ~(delta <= FIXED_POINT_TOL
                           * (1.0 + np.max(np.abs(I_live + new_I), axis=1)))
                 if not going.any():
                     break

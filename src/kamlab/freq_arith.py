@@ -702,7 +702,9 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
     """Arithmetic profile at eps: Delta = delta(w, c/eps), mu = 1/Delta.
 
     When `alpha` (and optionally `c_bar`, default 1) are given, attaches the
-    Gevrey scale nu = exp(-c_bar * mu**(-1/alpha)).
+    Gevrey scale nu = exp(-c_bar * mu**(-1/alpha)); both must be finite and
+    positive.  Where mu**(-1/alpha) overflows a float, nu is 0.0: exp is 0.0
+    below -746, which the exponent passes for any c_bar above 1e-305.
     """
     if not (0 < epsilon < math.inf and 0 < c < math.inf):
         raise BelowThreshold(f"mu_nu needs finite epsilon > 0 and c > 0, "
@@ -712,9 +714,13 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
     nu = None
     if alpha is not None:
         cb = 1.0 if c_bar is None else float(c_bar)
-        if alpha <= 0:
-            raise ConstructionFailed("Gevrey exponent alpha must be positive")
-        nu = math.exp(-cb * mu ** (-1.0 / alpha))
+        if not (0 < alpha < math.inf and 0 < cb < math.inf):
+            raise ConstructionFailed(f"Gevrey alpha and c_bar must be finite and "
+                                     f"positive, got alpha={alpha!r}, c_bar={cb!r}")
+        try:
+            nu = math.exp(-cb * mu ** (-1.0 / alpha))
+        except OverflowError:
+            nu = 0.0
         return ArithmeticProfile(epsilon=float(epsilon), c=float(c), Delta=D, mu=mu,
                                  alpha=float(alpha), c_bar=cb, nu=nu)
     return ArithmeticProfile(epsilon=float(epsilon), c=float(c), Delta=D, mu=mu)

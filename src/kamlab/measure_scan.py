@@ -3,11 +3,13 @@
 For each epsilon the unit action ball is walked with a fixed low-discrepancy
 sequence and every sample runs the same pipeline: boundary-margin rule,
 Diophantine certification of its frequency-map image at gamma = a*sqrt(mu),
-then a Newton solve on the normal-form output.  Each step runs once per
-slice on the stack of samples left by the one before; per sample it gives
-what a one-sample run gives, bit for bit.  Everything the pipeline cannot
-construct counts toward the complement, so the reported fraction is a
-conservative sampled stand-in for the measure of the bad set.
+then a Newton solve on the normal-form output.  Each step runs on the
+stack of samples left by the one before, in blocks of at most
+GRID_POINT_BUDGET // grid^n samples (one block per slice up to density 1024
+at grid 16); per sample it gives what a one-sample run gives, bit for bit.
+Everything the pipeline cannot construct counts toward the complement, so
+the reported fraction is a conservative sampled stand-in for the measure of
+the bad set.
 
 The selection rule has two parts (stay b*sqrt(mu) away from the boundary of
 the ball, certify the target frequency) and both rejections land in the
@@ -35,7 +37,7 @@ from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
 from .fourier_taylor import PHYSICAL, HamiltonianSpec
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled
-from .torus_solver import _certify_stack, _solve_stack, check_grid
+from .torus_solver import GRID_POINT_BUDGET, _certify_stack, _solve_stack, check_grid
 
 __all__ = [
     "MeasureReport",
@@ -284,21 +286,28 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
     margin = plan.margin_coeff * math.sqrt(mu)
     points = ball_samples(plan.n, plan.density)
     inside = points[np.linalg.norm(points, axis=1) <= 1.0 - margin]
-    targets = _certify_stack(spec, inside, gamma, plan.tau, None, plan.grid)
-    certified = [i for i, t in enumerate(targets)
-                 if not isinstance(t, SmallDivisorBreakdown)]
-    # the divisor floor is checked at the tau the targets were certified at
-    outcomes = _solve_stack(spec, [targets[i] for i in certified], inside[certified],
-                            grid=plan.grid, tol=plan.tol, max_iter=plan.max_iter,
-                            tau=plan.tau)
-    # certification covered every wavevector the solve grid can represent,
-    # so a divisor trip in the solve is a pipeline bug and is raised
-    for out in outcomes:
-        if isinstance(out.error, SmallDivisorBreakdown):
-            raise out.error
-    converged = sum(out.error is None for out in outcomes)
+    # samples are certified and solved in blocks of one torus budget of grid
+    # points, so neither the stacked divisor table nor the Newton stack grows
+    # with the density
+    block = GRID_POINT_BUDGET // plan.grid ** plan.n
+    selected = converged = sweeps = 0
+    for part in np.split(inside, range(block, len(inside), block)):
+        targets = _certify_stack(spec, part, gamma, plan.tau, None, plan.grid)
+        certified = [i for i, t in enumerate(targets)
+                     if not isinstance(t, SmallDivisorBreakdown)]
+        # the divisor floor is checked at the tau the targets were certified at
+        outcomes = _solve_stack(spec, [targets[i] for i in certified], part[certified],
+                                grid=plan.grid, tol=plan.tol, max_iter=plan.max_iter,
+                                tau=plan.tau)
+        # certification covered every wavevector the solve grid can represent,
+        # so a divisor trip in the solve is a pipeline bug and is raised
+        for out in outcomes:
+            if isinstance(out.error, SmallDivisorBreakdown):
+                raise out.error
+        selected += len(certified)
+        converged += sum(out.error is None for out in outcomes)
+        sweeps += sum(len(out.history) for out in outcomes)
 
-    selected = len(certified)
     elapsed = time.perf_counter() - t0
     return MeasureReport(
         epsilon=epsilon, mu=mu, gamma_used=gamma, tau_used=plan.tau,
@@ -309,7 +318,7 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
         detail={"margin_rejected": plan.density - len(inside),
                 "dioph_rejected": len(inside) - selected,
                 "newton_failed": selected - converged,
-                "newton_sweeps": sum(len(out.history) for out in outcomes)})
+                "newton_sweeps": sweeps})
 
 
 def run_plan(plan: ScanPlan) -> list:

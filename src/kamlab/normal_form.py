@@ -51,6 +51,10 @@ TWO_PI_I = 2j * math.pi
 # from propagating through repeated brackets.
 PRUNE_ABS = 1e-18
 
+# the Lie series stops once a term's coefficient norm, relative to the
+# first term's, falls below this
+LIE_TAIL_TOL = 1e-12
+
 
 def solve_homological(target: FourierTaylorSeries, omega: np.ndarray,
                       divisor_floor: float = 0.0) -> FourierTaylorSeries:
@@ -79,12 +83,12 @@ def solve_homological(target: FourierTaylorSeries, omega: np.ndarray,
 
 
 def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries,
-                  max_order: int = 16, tail_tol: float = 1e-12) -> tuple[
+                  max_order: int = 16) -> tuple[
                       FourierTaylorSeries, int, float]:
     """exp(L_generator) applied to h_series: sum_j (ad_generator)^j h / j!.
 
     Terms are added until the j-th term's coefficient norm falls below
-    tail_tol relative to the perturbation size, with at least two brackets
+    LIE_TAIL_TOL relative to the perturbation size, with at least two brackets
     taken so the quadratic remainder is always represented.  Returns
     (transformed, order_used, tail_ratio).  Raises TailNotConverged if the
     tail is still above tolerance at max_order.
@@ -103,10 +107,10 @@ def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries,
         if ref is None:
             ref = max(size, 1e-300)
         tail = size / ref
-        if j >= 2 and tail <= tail_tol:
+        if j >= 2 and tail <= LIE_TAIL_TOL:
             return out.prune(PRUNE_ABS), j, tail
     raise TailNotConverged(
-        f"Lie tail ratio {tail:.3e} above {tail_tol:g} at order {max_order}")
+        f"Lie tail ratio {tail:.3e} above {LIE_TAIL_TOL:g} at order {max_order}")
 
 
 @dataclass
@@ -156,7 +160,7 @@ class NormalFormResult:
 
 def one_step_normal_form(spec: HamiltonianSpec, freq: FrequencyVector,
                          c: float = 1.0, mu_max: float = 0.3,
-                         max_order: int = 16, tail_tol: float = 1e-12,
+                         max_order: int = 16,
                          gevrey_alpha: Optional[float] = None,
                          gevrey_c_bar: Optional[float] = None) -> NormalFormResult:
     """One resonant normal-form step at truncation order K = delta(c/eps).
@@ -192,7 +196,7 @@ def one_step_normal_form(spec: HamiltonianSpec, freq: FrequencyVector,
 
     h_full = spec.combined_series()
     h_new, lie_order, tail_ratio = lie_transform(
-        h_full, generator, max_order=max_order, tail_tol=tail_tol)
+        h_full, generator, max_order=max_order)
 
     # exact bookkeeping: ftilde := (H o Phi - linear - fbar) / mu, using the
     # integer K = 1/mu directly so the reciprocal is not rounded twice

@@ -50,6 +50,12 @@ PULLBACK_MARGIN = 0.9
 # values per torus
 GRID_POINT_BUDGET = 2 ** 18
 
+# a torus record keeps the Fourier coefficients above this modulus
+COEFF_TOL = 1e-16
+
+# verify_by_integration records every this many steps of its trajectories
+VERIFY_RECORD_EVERY = 200
+
 
 def check_grid(grid: int, n: int) -> None:
     """Raise ValueError unless a torus of n angles can be solved or evaluated
@@ -314,13 +320,13 @@ class TorusEmbedding:
     def sup_v(self) -> float:
         return float(np.max(np.abs(_grid_values(self.v_hat, self.grid))))
 
-    def to_record(self, coeff_tol: float = 1e-16) -> dict:
+    def to_record(self) -> dict:
         K = _wavevectors(self.grid, self.n)
 
         def sparse(hat):
             flat = hat.reshape(self.n, -1)
             return [[[int(v) for v in K[i]], int(j), flat[j, i].real, flat[j, i].imag]
-                    for j, i in zip(*np.nonzero(np.abs(flat) > coeff_tol))]
+                    for j, i in zip(*np.nonzero(np.abs(flat) > COEFF_TOL))]
         return {
             "record": "torus_embedding",
             "n": self.n,
@@ -611,8 +617,7 @@ def invariance_defect(spec: HamiltonianSpec, emb: TorusEmbedding,
 
 def verify_by_integration(spec: HamiltonianSpec, emb: TorusEmbedding,
                           t_final: float = 1e3, step: float = 1e-2,
-                          n_points: int = 8, method: str = "midpoint",
-                          record_every: int = 200) -> dict:
+                          n_points: int = 8, method: str = "midpoint") -> dict:
     """Track trajectories started on the torus in the slow frame.
 
     The fast frame has frequencies of size 1/eps, so the flow is integrated
@@ -628,7 +633,7 @@ def verify_by_integration(spec: HamiltonianSpec, emb: TorusEmbedding,
     phi0 = np.repeat((np.arange(n_points) + 0.5)[:, None] / n_points, emb.n, axis=1)
     th0, I0 = emb.embed(phi0)
     res = integrate_flow(h_slow, PhaseState(th0, I0), t_final, step,
-                         method=method, record_every=record_every)
+                         method=method, record_every=VERIFY_RECORD_EVERY)
     # the rigid rotation of every start angle at every recorded time, (T, N, n)
     rotated = phi0[None] + np.outer(res.times, w_slow)[:, None]
     th_exp, act_exp = (a.reshape(rotated.shape)

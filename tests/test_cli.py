@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ _BAD_EPS = [("freq", "--omega", eps, "BelowThreshold", "epsilon") for eps in ("n
     + [("freq", "--omega", "1e-300", "ConstructionFailed", "enumeration cap")] \
     + [("nf", "--spec", eps, "ValueError", "'epsilon'") for eps in ("0", "nan", "inf")]
 
+# Gevrey options that are not finite and positive; unrefused, `--alpha nan`
+# writes nu = nan and a negative c_bar overflows into a traceback that leaves
+# psi_table.csv behind
+_BAD_GEVREY = [("freq", "--omega", ("--eps", "1e-2", "--alpha", "nan"), "alpha=nan"),
+               ("freq", "--omega", ("--eps", "1e-2", "--alpha", 1, "--cbar", "-1e6"),
+                "c_bar=-1000000.0"),
+               ("nf", "--spec", ("--alpha", 0), "alpha=0.0"),
+               ("nf", "--spec", ("--alpha", 1, "--cbar", "inf"), "c_bar=inf")]
+
 # integration options bypass the record loader too; unrefused, `probe --h 0`
 # and `probe --t inf` end in a traceback, `torus --t-final 0` in a traceback
 # that leaves torus.json behind, and `probe --h -0.01` and `probe --points 0`
@@ -152,6 +162,10 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
       repr(field)) for cmd in ("nf", "probe") for field, value in _BAD_SPEC_FIELDS]
   + [(cmd, option, lambda rec: None, ("--eps", eps), kind, text)
      for cmd, option, eps, kind, text in _BAD_EPS]
+  + [(cmd, option, lambda rec: None, args, "ConstructionFailed", text)
+     for cmd, option, args, text in _BAD_GEVREY]
+  + [("scan", "--plan", lambda rec: rec.update(gevrey_alpha=math.nan), (),
+      "ConstructionFailed", "alpha=nan")]
   + [(cmd, "--spec", lambda rec: None, args, "ValueError", text)
      for cmd, args, text in _BAD_FLOW],
     ids=["nf-spec-without-quad", "freq-omega-without-components",
@@ -161,6 +175,8 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
        for field, value in _BAD_SPEC_FIELDS]
     + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS]
+    + [f"{cmd}-gevrey-{text}" for cmd, _, _, text in _BAD_GEVREY]
+    + ["scan-plan-gevrey-alpha-nan"]
     + ["probe-h-0", "probe-t-inf", "probe-h-negative", "probe-points-0",
        "probe-t-1e15-h-1e-3", "torus-t-final-0", "torus-grid-64-t-final-negative",
        "torus-grid-64-t-final-inf", "torus-grid-100000"])
@@ -215,12 +231,132 @@ def test_loader_refuses_a_dropped_or_retyped_field(files, data):
         parent[path[-1]] = value
     (files / "fuzzed.json").write_text(json.dumps(rec))
     try:
-        cli._load_record(str(files / "fuzzed.json"), _PARSERS[option])
+        _, parse = cli._load_record(str(files / "fuzzed.json"))
+        parse(_PARSERS[option])
     except KamlabError:
         pass
     except ValueError as exc:
         if "lacks the field" in str(exc):
             assert repr(path[-1]) in str(exc)
+
+
+@pytest.fixture()
+def gate8(tmp_path):
+    """The inputs of the gate-8 command lines, and variants of them."""
+    golden = fa.make_test_frequency("golden")
+    plan = ms.ScanPlan(base=family_base(1.0), freq=golden,
+                       epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6), density=48,
+                       gevrey_alpha=1.0)
+    records = {"omega.json": {"name": "golden"}, "omega_record.json": golden.to_record(),
+               "spec.json": family_base().to_record(),
+               "spec_eps.json": family_base(2e-3).to_record(),
+               "plan.json": plan.to_record(),
+               "plan_dense.json": replace(plan, density=64).to_record()}
+    for name, rec in records.items():
+        (tmp_path / name).write_text(json.dumps(rec))
+    (tmp_path / "spec_indented.json").write_text(json.dumps(records["spec.json"], indent=4))
+    return tmp_path
+
+
+def _invoke_in(root, out, *args):
+    """Invoke with each *.json argument taken as a file in root."""
+    return invoke(*[root / a if str(a).endswith(".json") else a for a in args],
+                  "--out", root / out)
+
+
+def _stamps(out) -> set:
+    """The config hash of every artifact in out."""
+    found = set()
+    for path in out.iterdir():
+        text = path.read_text()
+        found.add(json.loads(text)["_meta"]["config"] if path.suffix == ".json"
+                  else text.split("\n", 1)[0].split("config=")[1])
+    return found
+
+
+# the gate-8 command lines and `nf --omega`, with the stamp their artifacts
+# carry: the hash of the command name and its options, each input file as
+# its parsed JSON, --out left out
+_FROZEN_STAMPS = [
+    (("freq", "--omega", "omega.json", "--qmax", 60, "--eps", "1e-2", "--eps", "1e-3",
+      "--alpha", "1.0"), "821fd82f93afea28"),
+    (("nf", "--spec", "spec.json"), "eee27f700023e713"),
+    (("torus", "--spec", "spec.json", "--i0", "0.3,-0.2", "--grid", 32, "--t-final", 50),
+     "3a5d22d80cbceb90"),
+    (("scan", "--plan", "plan.json"), "c346b87dfded4718"),
+    (("probe", "--spec", "spec.json", "--t", 20, "--h", 0.01, "--points", 2),
+     "9275ae76bdbb8dda"),
+    (("nf", "--spec", "spec.json", "--omega", "omega_record.json"), "adc97d6ff26e5563"),
+]
+
+
+@pytest.mark.parametrize("args, stamp", _FROZEN_STAMPS,
+                         ids=["freq", "nf", "torus", "scan", "probe", "nf-omega"])
+def test_frozen_stamps_and_each_input_read_once(gate8, monkeypatch, args, stamp):
+    reads = []
+
+    def counted(path, *args, **kwargs):
+        reads.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    res = _invoke_in(gate8, "out", *args)
+    assert res.exit_code == 0
+    assert sorted(reads) == sorted(str(gate8 / a) for a in args if str(a).endswith(".json"))
+    assert _stamps(gate8 / "out") == {stamp}
+
+
+# per command, two values of every option (None: the option left out); the
+# first values make the gate-8 command line
+_OPTIONS = {
+    "freq": {"--omega": ("omega.json", "omega_record.json"), "--qmax": (60, 61),
+             "--eps": (("1e-2", "1e-3"), ("1e-2",)), "--alpha": ("1.0", "2.0"),
+             "--cbar": (None, "2.0")},
+    "nf": {"--spec": ("spec.json", "spec_eps.json"), "--eps": (None, "1e-4"),
+           "--c": (None, "2.0"), "--omega": (None, "omega_record.json"),
+           "--alpha": (None, "1.0"), "--cbar": (None, "2.0")},
+    "torus": {"--spec": ("spec.json", "spec_eps.json"), "--i0": ("0.3,-0.2", "0.3,-0.1"),
+              "--gamma": (None, "0.01"), "--tau": (None, "2.0"), "--tol": (None, "1e-10"),
+              "--grid": (32, 16), "--t-final": (50, 60)},
+    "scan": {"--plan": ("plan.json", "plan_dense.json")},
+    "probe": {"--spec": ("spec.json", "spec_eps.json"), "--t": (20, 10), "--h": (0.01, 0.02),
+              "--i0": (None, "0.001,-0.0005"), "--points": (2, 3)},
+}
+
+# the first pipeline call of each command, made to fail so that a run costs
+# only its loading and hashing; error.json carries the stamp
+_FIRST_CALL = {"freq": (fa, "psi_table"), "nf": (cli, "one_step_normal_form"),
+               "torus": (cli, "solve_torus"), "scan": (ms, "run_plan"),
+               "probe": (cli, "integrate_flow")}
+
+
+@pytest.mark.parametrize("cmd", sorted(_OPTIONS))
+def test_every_option_and_no_formatting_changes_the_stamp(gate8, monkeypatch, cmd):
+    def stop(*args, **kwargs):
+        raise ValueError("stopped after hashing")
+
+    monkeypatch.setattr(*_FIRST_CALL[cmd], stop)
+
+    def stamp(choice, out, **files):
+        args = [cmd]
+        for option, values in _OPTIONS[cmd].items():
+            value = files.get(option, values[choice.get(option, 0)])
+            for v in value if isinstance(value, tuple) else (value,):
+                args += [] if v is None else [option, v]
+        res = _invoke_in(gate8, out, *args)
+        assert res.exit_code == 2
+        assert json.loads((gate8 / out / "error.json").read_text())["message"] == \
+            "stopped after hashing"
+        found, = _stamps(gate8 / out)
+        return found
+
+    base = stamp({}, "base")
+    assert base == {args[0]: h for args, h in _FROZEN_STAMPS[:5]}[cmd]
+    changed = [stamp({option: 1}, f"change{i}") for i, option in enumerate(_OPTIONS[cmd])]
+    assert len(set(changed + [base])) == len(changed) + 1
+    # the stamp hashes a record, not its file's bytes, nor where output goes
+    spec_option = {"--spec": "spec_indented.json"} if "--spec" in _OPTIONS[cmd] else {}
+    assert stamp({}, "again", **spec_option) == base
 
 
 def test_freq_resonant_omega_reports_kind(files):

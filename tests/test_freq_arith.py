@@ -85,6 +85,21 @@ def test_golden_mu_nu(golden):
     assert prof.nu == pytest.approx(math.exp(-1.0 / prof.mu), rel=1e-15)
 
 
+def test_mu_nu_gevrey_overflow_and_refusals(golden):
+    # mu = 1/33 at eps 1e-3: mu**(-1/alpha) = 33**1000 overflows a float,
+    # and exp of anything that far below zero is 0.0
+    with pytest.raises(OverflowError):
+        (1 / 33) ** (-1.0 / 0.001)
+    assert mu_nu(golden, 1e-3, alpha=0.001).nu == 0.0
+    assert mu_nu(golden, 1e-3, alpha=0.001, c_bar=1e-300).nu == 0.0
+    # a finite nu keeps its value
+    assert mu_nu(golden, 1e-3, alpha=1.0).nu == math.exp(-33.0)
+    for alpha, c_bar in [(0.0, None), (-1.0, None), (math.nan, None), (math.inf, None),
+                         (1.0, 0.0), (1.0, -1e6), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ConstructionFailed, match="finite and positive"):
+            mu_nu(golden, 1e-3, alpha=alpha, c_bar=c_bar)
+
+
 def test_golden_mu_scaling_slope(golden):
     # Psi(Q) ~ Q for golden, so Q*Psi ~ Q^2 and mu(eps) ~ sqrt(eps)
     eps = np.logspace(-1, -5, 9)

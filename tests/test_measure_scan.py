@@ -12,7 +12,12 @@ import pytest
 from kamlab import freq_arith as fa
 from kamlab import measure_scan as ms
 from kamlab import torus_solver as ts
-from kamlab.errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
+from kamlab.errors import (
+    ConstructionFailed,
+    GateFailed,
+    InsufficientSpan,
+    SmallDivisorBreakdown,
+)
 from kamlab.fourier_taylor import (
     CompiledSeries,
     FourierTaylorSeries,
@@ -117,6 +122,43 @@ def test_stacked_scan_equals_single_solves_on_every_slice(monkeypatch):
                               (out.I0, emb.I0)):
                 assert got.tobytes() == want.tobytes()
         assert report.detail["newton_sweeps"] == sum(len(o.history) for o in outcomes)
+
+
+def test_blocked_slices_equal_one_block(monkeypatch):
+    # gate-6 slices certified and solved 7 samples at a time: every report,
+    # and every solved torus, as one block of the whole slice gives them
+    plan = family_plan(density=192)
+    calls = _capture(monkeypatch, "_solve_stack")
+    whole = ms.run_plan(plan)
+    tori = [o for _, outcomes in calls for o in outcomes]
+    assert len(calls) == len(whole)
+    calls.clear()
+    monkeypatch.setattr(ms, "GRID_POINT_BUDGET", 7 * plan.grid ** plan.n)
+    blocked = ms.run_plan(plan)
+    assert len(calls) > 5 * len(blocked)
+    assert [r.to_record() for r in blocked] == [r.to_record() for r in whole]
+    got = [o for _, outcomes in calls for o in outcomes]
+    assert len(got) == len(tori) == sum(r.selected for r in whole)
+    for a, b in zip(got, tori):
+        assert a.history == b.history and repr(a.error) == repr(b.error)
+        for x, y in ((a.u_hat, b.u_hat), (a.v_hat, b.v_hat), (a.I0, b.I0)):
+            assert x.tobytes() == y.tobytes()
+
+
+def test_blocks_keep_a_dense_slice_within_the_row_budget(monkeypatch):
+    # a stacked certification table holds 1056 divisors per sample to
+    # q_max = 32 (grid 16); with room for 100 samples, the slice's 176 inside
+    # samples are refused as one block and run as blocks of 64
+    plan = family_plan(density=256)
+    want = ms.scan_epsilon(plan, 1e-3)
+    monkeypatch.setattr(fa, "ROW_BUDGET", 100 * 1056)
+    monkeypatch.setattr(ms, "GRID_POINT_BUDGET", 10 ** 9)
+    with pytest.raises(ConstructionFailed, match="row budget"):
+        ms.scan_epsilon(plan, 1e-3)
+    monkeypatch.setattr(ms, "GRID_POINT_BUDGET", 64 * plan.grid ** plan.n)
+    got = ms.scan_epsilon(plan, 1e-3)
+    assert got.selected > 100
+    assert got.to_record() == want.to_record()
 
 
 def test_batched_certification_equals_certify_target(monkeypatch):
