@@ -49,11 +49,11 @@ def _config_hash(payload: dict) -> str:
 
 
 class _Sink:
-    """Artifact writer: atomic, stamped, and removable as a group."""
+    """Artifact writer: atomic, stamped, and removable as a group.  The output
+    directory is made on the first write."""
 
     def __init__(self, out_dir: str, cfg_hash: str):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.cfg_hash = cfg_hash
         self.written: list[Path] = []
 
@@ -62,10 +62,14 @@ class _Sink:
         return f"kamlab {__version__} config={self.cfg_hash}"
 
     def _commit(self, name: str, text: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
+        try:
+            tmp.write_text(text)
+            tmp.replace(path)
+        finally:
+            tmp.unlink(missing_ok=True)
         self.written.append(path)
         return path
 
@@ -158,8 +162,9 @@ def _command(fn):
     `options` are the options click parsed, less --out, with each input file
     (an option named in _PARSERS) read once and parsed.  The config hash
     covers the command name and every option, each input as the JSON read,
-    so identical inputs stamp identical artifacts.  On a pipeline error only
-    error.json is kept, stamped `unresolved` if an input could not be read.
+    so identical inputs stamp identical artifacts.  On a pipeline error, or an
+    output that cannot be written, only error.json is kept, stamped
+    `unresolved` if an input could not be read, and written if it can be.
     """
     @functools.wraps(fn)
     def run(out, **options):
@@ -171,11 +176,14 @@ def _command(fn):
             sink = _Sink(out, _config_hash({"cmd": fn.__name__, **config}))
             parsed = {key: parse(_PARSERS[key]) for key, (_, parse) in inputs.items()}
             fn(sink, **{**options, **parsed})
-        except (KamlabError, ValueError, np.linalg.LinAlgError) as exc:
-            if sink is None:
-                sink = _Sink(out, "unresolved")
-            sink.discard()
-            sink.write_json("error.json", {"record": "error", **KamlabError.as_record(exc)})
+        except (KamlabError, ValueError, np.linalg.LinAlgError, OSError) as exc:
+            sink = sink or _Sink(out, "unresolved")
+            try:
+                sink.discard()
+                sink.write_json("error.json",
+                                {"record": "error", **KamlabError.as_record(exc)})
+            except OSError:
+                pass        # --out cannot take error.json either; stderr reports it
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
             raise SystemExit(2)
         for path in sink.written:
@@ -317,7 +325,8 @@ def probe(sink, spec, t, h, i0, points):
         raise ValueError(f"--points must be at least 1, got {points}")
     every = max(1, flow_steps(t, h) // 256)
     theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
-    flow = integrate_flow(spec, PhaseState(theta0, np.tile(act0, (points, 1))),
+    flow = integrate_flow(spec.combined_series(),
+                          PhaseState(theta0, np.tile(act0, (points, 1))),
                           t, h, record_every=every)
     rows = []
     summary = []

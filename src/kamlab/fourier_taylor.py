@@ -242,9 +242,6 @@ class FourierTaylorSeries:
             self._compiled = CompiledSeries(self)
         return self._compiled
 
-    def evaluate(self, theta, I) -> float:
-        return self.compile().value(np.asarray(theta, float), np.asarray(I, float))
-
     # -- records ----------------------------------------------------------------------
 
     def to_record(self) -> dict:
@@ -511,9 +508,10 @@ class HamiltonianSpec:
         return self.linear_series(scale) + self.perturbation().scale(scale)
 
     def evaluate(self, theta, I) -> float:
-        I = np.asarray(I, float)
-        lin = self.omega_prefactor * float(self.omega @ I)
-        return lin + self.perturbation().evaluate(theta, I)
+        """H at one point, theta and I of shape (n,)."""
+        theta, I = np.asarray(theta, float)[None], np.asarray(I, float)[None]
+        lin = self.omega_prefactor * float(self.omega @ I[0])
+        return lin + float(self.perturbation().compile().batch_value(theta, I)[0])
 
     def frequency_vector(self) -> np.ndarray:
         """The frequency of the unperturbed linear flow, prefactor included."""
@@ -631,8 +629,8 @@ def check_kolmogorov(series: FourierTaylorSeries) -> tuple[np.ndarray, float]:
 
 @dataclass
 class PhaseState:
-    """One phase-space point (theta and I of shape (n,)) or a stack of N
-    points (each of shape (N, n))."""
+    """A stack of N phase-space points, theta and I each of shape (N, n); one
+    point is the stack of one."""
     theta: np.ndarray
     I: np.ndarray
 
@@ -683,38 +681,30 @@ def flow_steps(t_final: float, step: float) -> int:
     return n_steps
 
 
-def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
-                   method: str = "midpoint", domain_radius: Optional[float] = None,
-                   record_every: int = 0,
+def integrate_flow(hamiltonian: FourierTaylorSeries, state0: PhaseState,
+                   t_final: float, step: float, method: str = "midpoint",
+                   domain_radius: Optional[float] = None, record_every: int = 0,
                    fixed_point_max_iter: int = 100) -> FlowResult:
-    """Integrate theta' = dH/dI, I' = -dH/dtheta.
+    """Integrate theta' = dH/dI, I' = -dH/dtheta for the series H.
 
-    `hamiltonian` is a FourierTaylorSeries, CompiledSeries, or HamiltonianSpec
-    (combined at scale 1). "midpoint" is the implicit midpoint rule, symplectic,
-    with a fixed-point solve per step; "dop853" delegates to scipy and serves
-    as the accuracy oracle.  Angles are not wrapped, so rotation numbers can
-    be read off the final state.
+    "midpoint" is the implicit midpoint rule, symplectic, with a fixed-point
+    solve per step; "dop853" delegates to scipy and serves as the accuracy
+    oracle.  Angles are not wrapped, so rotation numbers can be read off the
+    final state.
 
-    A stacked state0 (theta and I of shape (N, n)) is integrated as one
-    system: the recorded thetas and actions have shape (T, N, n), energies
-    (T, N), and the final state (N, n).  A single point gives (T, n), (T,)
-    and (n,).  The midpoint fixed point is solved per point, each with its
-    own warm start and stopping rule, on the rows still iterating; dop853
-    makes one scipy solve of the whole stack.
+    The N points of state0 are integrated as one system: the recorded thetas
+    and actions have shape (T, N, n), energies (T, N), and the final state
+    (N, n).  The midpoint fixed point is solved per point, each with its own
+    warm start and stopping rule, on the rows still iterating; dop853 makes
+    one scipy solve of the whole stack.
     """
     n_steps = flow_steps(t_final, step)
-    if isinstance(hamiltonian, HamiltonianSpec):
-        comp = hamiltonian.combined_series().compile()
-    elif isinstance(hamiltonian, FourierTaylorSeries):
-        comp = hamiltonian.compile()
-    else:
-        comp = hamiltonian
-    single = state0.theta.ndim == 1
-    theta = np.atleast_2d(state0.theta).astype(float)
-    I = np.atleast_2d(state0.I).astype(float)
+    comp = hamiltonian.compile()
+    theta, I = state0.theta, state0.I
     n_pts, n = theta.shape
 
-    rec_t, rec_th, rec_I = [0.0], [theta.copy()], [I.copy()]
+    # (t, theta, I) per recorded time; states are replaced, never updated
+    rec = [(0.0, theta, I)]
 
     def field(th, act):
         grad_I, grad_theta = comp.batch_field(th, act)
@@ -761,16 +751,12 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
             I = I + 2.0 * d_I
             check_domain(I)
             if record_every and (s % record_every == 0 or s == n_steps):
-                rec_t.append(s * step)
-                rec_th.append(theta.copy())
-                rec_I.append(I.copy())
+                rec.append((s * step, theta, I))
     elif method == "dop853":
         from scipy.integrate import solve_ivp
 
-        size = theta.size
-
         def rhs(_t, z):
-            gI, gTh = field(z[:size].reshape(n_pts, n), z[size:].reshape(n_pts, n))
+            gI, gTh = field(*z.reshape(2, n_pts, n))
             return np.concatenate([gI.ravel(), gTh.ravel()])
 
         t_eval = None
@@ -782,31 +768,18 @@ def integrate_flow(hamiltonian, state0: PhaseState, t_final: float, step: float,
                         method="DOP853", rtol=1e-12, atol=1e-13, t_eval=t_eval)
         if not sol.success:
             raise NonConvergentStep(f"dop853 failed: {sol.message}")
-        for t, z in zip(sol.t[1:], sol.y.T[1:]):
-            rec_t.append(float(t))
-            rec_th.append(z[:size].reshape(n_pts, n))
-            rec_I.append(z[size:].reshape(n_pts, n))
-        theta = sol.y[:size, -1].reshape(n_pts, n)
-        I = sol.y[size:, -1].reshape(n_pts, n)
+        # every accepted step, or every time of t_eval; both end at t_final
+        rec += [(float(t), *z.reshape(2, n_pts, n))
+                for t, z in zip(sol.t[1:], sol.y.T[1:])]
+        theta, I = rec[-1][1:]
         check_domain(I)
-        if rec_t[-1] != t_final:
-            rec_t.append(t_final)
-            rec_th.append(theta.copy())
-            rec_I.append(I.copy())
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if not record_every and rec_t[-1] != t_final:
-        rec_t.append(t_final)
-        rec_th.append(theta.copy())
-        rec_I.append(I.copy())
-    thetas = np.array(rec_th)
-    actions = np.array(rec_I)
+    if not record_every and rec[-1][0] != t_final:
+        rec.append((t_final, theta, I))
+    times, thetas, actions = (np.array(side) for side in zip(*rec))
     energies = comp.batch_value(thetas.reshape(-1, n),
-                                actions.reshape(-1, n)).reshape(len(rec_t), n_pts)
-    if single:
-        theta, I = theta[0], I[0]
-        thetas, actions, energies = thetas[:, 0], actions[:, 0], energies[:, 0]
-    return FlowResult(final=PhaseState(theta, I), times=np.array(rec_t),
-                      thetas=thetas, actions=actions, energies=energies,
-                      steps=n_steps, method=method)
+                                actions.reshape(-1, n)).reshape(len(times), n_pts)
+    return FlowResult(final=PhaseState(theta, I), times=times, thetas=thetas,
+                      actions=actions, energies=energies, steps=n_steps, method=method)

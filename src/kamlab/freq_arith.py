@@ -788,15 +788,9 @@ def _diophantine(tau: float, q_target: int = 10 ** 6) -> FrequencyVector:
     if tau < 1:
         raise ConstructionFailed("diophantine construction needs tau >= 1")
     terms = [0, 2]
-    p_prev, q_prev, p, q = 1, 0, 0, 1      # convergents of [0]
-    # advance through terms keeping (p, q) = last convergent
-    p, p_prev = terms[1] * p + p_prev, p
-    q, q_prev = terms[1] * q + q_prev, q
-    while q <= q_target:
-        a = max(1, int(round(q ** (tau - 1.0))))
-        terms.append(a)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    while (q := _convergents(terms)[-1][1]) <= q_target:
+        terms.append(max(1, int(round(q ** (tau - 1.0)))))
+    p, q = _convergents(terms)[-1]
     alpha = Fraction(p, q)
     exact = ExactCF(alpha, use_for_delta=False)
     log_min, _ = exact.dioph_min_log(exact.horizon - 1, tau)
@@ -825,20 +819,15 @@ def _liouville_n2(schedule_exponent: float, levels: int, c: float) -> FrequencyV
     if p < 2 or levels < 1:
         raise ConstructionFailed("need schedule exponent >= 2 and levels >= 1")
     terms = [0, 2]
-    p_prev, q_prev = 1, 0
-    pc, qc = 0, 1
-    for a in terms[1:]:
-        pc, p_prev = a * pc + p_prev, pc
-        qc, q_prev = a * qc + q_prev, qc
     for _ in range(levels):
+        pc, qc = _convergents(terms)[-1]
         Qj = pc + qc
         a_next = -(-Qj ** int(p) // qc) + 1 if float(p).is_integer() else \
             int(math.ceil(math.exp(p * math.log(Qj)) / qc)) + 1
         if a_next <= 0:
             raise ConstructionFailed("schedule produced a non-positive quotient")
         terms.append(int(a_next))
-        pc, p_prev = a_next * pc + p_prev, pc
-        qc, q_prev = a_next * qc + q_prev, qc
+    pc, qc = _convergents(terms)[-1]
     alpha = Fraction(pc, qc)
     exact = ExactCF(alpha, use_for_delta=True)
     windows = exact.psi_windows()

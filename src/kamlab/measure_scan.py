@@ -295,10 +295,8 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
         targets = _certify_stack(spec, part, gamma, plan.tau, None, plan.grid)
         certified = [i for i, t in enumerate(targets)
                      if not isinstance(t, SmallDivisorBreakdown)]
-        # the divisor floor is checked at the tau the targets were certified at
         outcomes = _solve_stack(spec, [targets[i] for i in certified], part[certified],
-                                grid=plan.grid, tol=plan.tol, max_iter=plan.max_iter,
-                                tau=plan.tau)
+                                grid=plan.grid, tol=plan.tol, max_iter=plan.max_iter)
         # certification covered every wavevector the solve grid can represent,
         # so a divisor trip in the solve is a pipeline bug and is raised
         for out in outcomes:

@@ -263,21 +263,22 @@ def verify_estimates(result: NormalFormResult, n_probe: int = 24,
     from .fourier_taylor import PhaseState, integrate_flow
 
     spec_in, spec_out = result.spec_in, result.spec_out
-    h_in = spec_in.combined_series()
-    h_out = spec_out.combined_series()
+    h_in = spec_in.combined_series().compile()
+    h_out = spec_out.combined_series().compile()
 
     rng = np.random.default_rng(seed)
     n = spec_in.n
     r = 0.5 * spec_in.domain_radius
-    scale_ref = max(abs(h_out.evaluate(np.zeros(n), np.full(n, r))), 1.0)
+    H_ref = float(h_out.batch_value(np.zeros((1, n)), np.full((1, n), r))[0])
+    scale_ref = max(abs(H_ref), 1.0)
     # drawn probe by probe, angle then action, so the points do not depend
     # on the probes being flowed as one stack
     probes = [(rng.uniform(0.0, 1.0, n), rng.uniform(-r, r, n)) for _ in range(n_probe)]
     theta, act = (np.array(side) for side in zip(*probes))
     final = integrate_flow(result.flow_generator(), PhaseState(theta, act), 1.0,
                            flow_step).final
-    lhs = h_out.compile().batch_value(theta, act)
-    rhs = h_in.compile().batch_value(final.theta, final.I)
+    lhs = h_out.batch_value(theta, act)
+    rhs = h_in.batch_value(final.theta, final.I)
     return {
         "composition_error": float(np.max(np.abs(lhs - rhs))) / scale_ref,
         "f_tilde_ratio": result.diagnostics["f_tilde_ratio"],

@@ -217,10 +217,10 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     if not len(I_targets):
         return []
     f_avg = spec.perturbation(include_extra=True).average().compile()
-    # one point per call, as a single certification evaluates it: a one-row
-    # product may round differently from a many-row one
-    zero = np.zeros(spec.n)
-    shift = np.stack([f_avg.grad_I(zero, I) for I in I_targets])
+    # dH/dI one point per call, as a single certification evaluates it: a
+    # one-row product may round differently from a many-row one
+    zero = np.zeros((1, spec.n))
+    shift = np.stack([f_avg.batch_field(zero, I[None])[0][0] for I in I_targets])
     Omega = spec.frequency_vector() + shift
     omega_slow = spec.epsilon * Omega
     if q_max is None:
@@ -293,14 +293,12 @@ class TorusEmbedding:
                 self.I0[None, :] + _grid_values(self.v_hat, self.grid))
 
     def embed(self, phi) -> tuple[np.ndarray, np.ndarray]:
-        """K(phi) at arbitrary angles, phi shape (n,) or (N, n), as a separable
-        sum: one (N, grid) table exp(2 pi i phi_j f) per axis, f the fftn
-        frequencies, so N grid exponentials per axis.  The last axis is
+        """theta and I of K(phi) at N arbitrary angles phi, each (N, n), as a
+        separable sum: one (N, grid) table exp(2 pi i phi_j f) per axis, f the
+        fftn frequencies, so N grid exponentials per axis.  The last axis is
         contracted with the coefficients by one GEMM, the others point by
         point.  On the collocation grid use grid_points()."""
         phi = np.asarray(phi, dtype=np.float64)
-        single = phi.ndim == 1
-        phi = np.atleast_2d(phi)
         n, grid = self.n, self.grid
         freqs = np.fft.fftfreq(grid, d=1.0 / grid)
         tables = np.exp(2j * math.pi * phi[:, :, None] * freqs)      # (N, n, grid)
@@ -310,8 +308,6 @@ class TorusEmbedding:
         vals = vals.real                                            # (2n, N)
         theta = phi + vals[:n].T
         act = self.I0[None, :] + vals[n:].T
-        if single:
-            return theta[0], act[0]
         return theta, act
 
     def sup_u(self) -> float:
@@ -376,7 +372,8 @@ def solve_torus(spec: HamiltonianSpec, I_target,
                 grid: int = 64, tol: float = 1e-11, max_iter: int = 30,
                 target: Optional[TargetFrequency] = None) -> TorusEmbedding:
     """Newton-continue the invariant torus with frequency pinned to the
-    frequency-map image of I_target.
+    frequency-map image of I_target.  gamma and tau certify that image when no
+    target is given; divisors are rechecked at the target's own (gamma, tau).
 
     Raises SmallDivisorBreakdown (certification or divisor floor),
     KolmogorovDegenerate (counterterm matrix singular) or NonConvergence
@@ -386,7 +383,7 @@ def solve_torus(spec: HamiltonianSpec, I_target,
     I_target = np.asarray(I_target, dtype=np.float64)
     if target is None:
         target = certify_target(spec, I_target, gamma=gamma, tau=tau, grid=grid)
-    out, = _solve_stack(spec, [target], I_target[None], grid, tol, max_iter, tau)
+    out, = _solve_stack(spec, [target], I_target[None], grid, tol, max_iter)
     if out.error is not None:
         raise out.error
     emb = TorusEmbedding(grid=grid, I0=out.I0, u_hat=out.u_hat, v_hat=out.v_hat,
@@ -407,14 +404,15 @@ class _Outcome:
 
 
 def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
-                 grid: int, tol: float, max_iter: int, tau: float) -> list:
+                 grid: int, tol: float, max_iter: int) -> list:
     """The quasi-Newton sweep of solve_torus on a stack of S tori of one
     Hamiltonian, each with its certified target and start action (S, n).
 
     Every step is the one-torus algebra taken sample by sample: the divisor
-    floor, the stall rule, the twist condition and the counterterm solve.  A
-    sample that fails drops out with the exception solve_torus raises for it
-    and the others go on.  Returns one _Outcome per sample, in order."""
+    floor at the target's own (gamma, tau), the stall rule, the twist
+    condition and the counterterm solve.  A sample that fails drops out with
+    the exception solve_torus raises for it and the others go on.  Returns
+    one _Outcome per sample, in order."""
     S, n = I_start.shape
     outcomes = [_Outcome() for _ in range(S)]
     if not S:
@@ -429,9 +427,9 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     live = (knorm > 0) & ~nyquist
 
     # certified floor, halved, transported to the fast frame
-    half_gamma = (0.5 * np.array([t.gamma for t in targets])).reshape((S,) + (1,) * n)
     with np.errstate(divide="ignore"):
-        floor = half_gamma * knorm.astype(float) ** (-tau) / spec.epsilon
+        decay = {tau: knorm.astype(float) ** (-tau) for tau in {t.tau for t in targets}}
+    floor = np.stack([0.5 * t.gamma * decay[t.tau] for t in targets]) / spec.epsilon
     bad = (live & (np.abs(kdot) < floor)).reshape(S, -1)
     for s in np.flatnonzero(bad.any(axis=1)):
         kb = K[np.argmax(bad[s])]

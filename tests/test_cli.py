@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +94,38 @@ def test_freq_qmax_zero_writes_error_record(files):
     err = json.loads((out / "error.json").read_text())
     assert err["record"] == "error" and err["kind"] == "ValueError"
     assert "--qmax" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_unwritable_out_ends_in_an_error_line(files):
+    # an --out below a regular file cannot be made a directory, so not even
+    # error.json can be written; the run still ends in exit 2, not a traceback
+    afile = files / "afile"
+    afile.write_text("kept\n")
+    res = invoke("freq", "--omega", files / "golden.json", "--qmax", 5,
+                 "--out", afile / "sub")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: NotADirectoryError" in res.output
+    assert afile.read_text() == "kept\n"
+
+
+def test_failed_artifact_write_discards_partial_output(files, monkeypatch):
+    # psi_table.csv is written, then writing profile_table.csv fails
+    write_text = Path.write_text
+
+    def full_disk(path, text):
+        if path.name.startswith("profile_table"):
+            raise OSError(28, "No space left on device")
+        return write_text(path, text)
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = files / "full"
+    res = invoke("freq", "--omega", files / "golden.json", "--qmax", 5,
+                 "--eps", "1e-2", "--out", out)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    err = json.loads((out / "error.json").read_text())
+    assert err["record"] == "error" and err["kind"] == "OSError"
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 

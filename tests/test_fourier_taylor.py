@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import series_jet
 
+import kamlab
 from kamlab.errors import (
     DomainExceeded,
     KolmogorovDegenerate,
@@ -32,6 +33,11 @@ TH = np.array([0.23, 0.71])
 II = np.array([0.4, -0.2])
 
 
+def value(series, theta, I) -> float:
+    """The series at one point, as the batch of one."""
+    return float(series.compile().batch_value(theta[None], I[None])[0])
+
+
 def sample_series():
     return (FourierTaylorSeries.cosine(N, (1, -2), m=(2, 1), amplitude=0.7)
             + FourierTaylorSeries.sine(N, (0, 1), m=(0, 3), amplitude=-0.3)
@@ -45,7 +51,7 @@ def test_bracket_sign_convention():
     I1 = FourierTaylorSeries.monomial(N, (1, 0))
     s1 = FourierTaylorSeries.sine(N, (1, 0))
     br = I1.poisson(s1)
-    got = br.evaluate(TH, II)
+    got = value(br, TH, II)
     assert got == pytest.approx(-2 * math.pi * math.cos(2 * math.pi * TH[0]), rel=1e-14)
     assert br.reality_error() == 0.0
 
@@ -254,7 +260,7 @@ def test_coefficient_norm_majorizes_values():
     for _ in range(20):
         th = rng.uniform(0, 1, N)
         act = rng.uniform(-0.6, 0.6, N)
-        assert abs(f.evaluate(th, act)) <= bound + 1e-12
+        assert abs(value(f, th, act)) <= bound + 1e-12
 
 
 def test_series_record_round_trip():
@@ -290,7 +296,7 @@ def test_quadratic_matrix_round_trip():
     # evaluate matches direct formula at a point
     th, act = TH, II
     Ath = A0 + math.cos(2 * math.pi * th[0]) * B1 + math.sin(2 * math.pi * th[0]) * 0.5 * B1
-    assert q.evaluate(th, act) == pytest.approx(float(act @ Ath @ act), rel=1e-13)
+    assert value(q, th, act) == pytest.approx(float(act @ Ath @ act), rel=1e-13)
 
 
 def test_check_kolmogorov_accepts_and_rejects():
@@ -339,11 +345,15 @@ def test_spec_record_round_trip():
 
 # -- flows ---------------------------------------------------------------------------
 
+# one point, as the stack of one that every flow takes
+ONE_TH, ONE_I = TH[None], II[None]
+
+
 def test_integrable_flow_is_exact_rotation():
     spec = HamiltonianSpec(omega=OMEGA, quad=quadratic_from_matrices(N, A0),
                            rest=FourierTaylorSeries.zero(N), epsilon=1e-3)
-    st = PhaseState(TH, II)
-    res = integrate_flow(spec, st, 10.0, 0.01)
+    st = PhaseState(ONE_TH, ONE_I)
+    res = integrate_flow(spec.combined_series(), st, 10.0, 0.01)
     expect = TH + 10.0 * (OMEGA + 2 * A0 @ II)
     assert np.max(np.abs(res.final.theta - expect)) < 1e-10
     assert np.max(np.abs(res.final.I - II)) == 0.0
@@ -351,20 +361,20 @@ def test_integrable_flow_is_exact_rotation():
 
 
 def test_midpoint_second_order_richardson():
-    spec = sample_spec()
-    st = PhaseState(TH, II)
-    ref = integrate_flow(spec, st, 2.0, 0.02, method="dop853")
-    e1 = np.max(np.abs(integrate_flow(spec, st, 2.0, 0.02).final.I - ref.final.I))
-    e2 = np.max(np.abs(integrate_flow(spec, st, 2.0, 0.01).final.I - ref.final.I))
+    ham = sample_spec().combined_series()
+    st = PhaseState(ONE_TH, ONE_I)
+    ref = integrate_flow(ham, st, 2.0, 0.02, method="dop853")
+    e1 = np.max(np.abs(integrate_flow(ham, st, 2.0, 0.02).final.I - ref.final.I))
+    e2 = np.max(np.abs(integrate_flow(ham, st, 2.0, 0.01).final.I - ref.final.I))
     assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
 
 def test_midpoint_energy_drift_bounded():
-    spec = sample_spec()
-    res = integrate_flow(spec, PhaseState(TH, II), 20.0, 0.01, record_every=100)
+    ham = sample_spec().combined_series()
+    res = integrate_flow(ham, PhaseState(ONE_TH, ONE_I), 20.0, 0.01, record_every=100)
     assert res.energy_drift < 1e-4
     # drift scales like h^2
-    res2 = integrate_flow(spec, PhaseState(TH, II), 20.0, 0.005, record_every=100)
+    res2 = integrate_flow(ham, PhaseState(ONE_TH, ONE_I), 20.0, 0.005, record_every=100)
     assert res2.energy_drift < 0.3 * res.energy_drift
 
 
@@ -374,7 +384,7 @@ def test_flow_domain_guard():
            + FourierTaylorSeries.monomial(N, (0, 1), OMEGA[1])
            + FourierTaylorSeries.cosine(N, (1, 0), amplitude=0.5))
     with pytest.raises(DomainExceeded):
-        integrate_flow(ham, PhaseState(np.array([0.2, 0.0]), np.array([0.9, 0.0])),
+        integrate_flow(ham, PhaseState(np.array([[0.2, 0.0]]), np.array([[0.9, 0.0]])),
                        5.0, 0.01, domain_radius=1.0)
 
 
@@ -385,30 +395,31 @@ def test_flow_domain_guard():
                                            (1e3, 1e-4)])
 def test_flow_refuses_a_horizon_that_is_no_positive_step_count(method, t_final, step):
     with pytest.raises(ValueError, match="t_final"):
-        integrate_flow(sample_spec(), PhaseState(TH, II), t_final, step, method=method)
+        integrate_flow(sample_spec().combined_series(), PhaseState(ONE_TH, ONE_I),
+                       t_final, step, method=method)
 
 
 def test_flow_initial_state_outside_domain():
     spec = sample_spec()
     with pytest.raises(DomainExceeded):
-        integrate_flow(spec.combined_series(), PhaseState(TH, np.array([3.0, 0.0])),
+        integrate_flow(spec.combined_series(), PhaseState(ONE_TH, np.array([[3.0, 0.0]])),
                        1.0, 0.01, domain_radius=2.0)
 
 
 def test_midpoint_matches_dop853():
-    spec = sample_spec()
-    st = PhaseState(TH, II)
-    res_m = integrate_flow(spec, st, 5.0, 0.002)
-    res_d = integrate_flow(spec, st, 5.0, 0.002, method="dop853")
+    ham = sample_spec().combined_series()
+    st = PhaseState(ONE_TH, ONE_I)
+    res_m = integrate_flow(ham, st, 5.0, 0.002)
+    res_d = integrate_flow(ham, st, 5.0, 0.002, method="dop853")
     assert np.max(np.abs(res_m.final.I - res_d.final.I)) < 5e-6
     assert np.max(np.abs(res_m.final.theta - res_d.final.theta)) < 5e-6
 
 
 def test_time_reversibility():
-    spec = sample_spec()
-    st = PhaseState(TH, II)
-    fwd = integrate_flow(spec, st, 3.0, 0.01)
-    back = integrate_flow(spec.combined_series().scale(-1.0), fwd.final, 3.0, 0.01)
+    ham = sample_spec().combined_series()
+    st = PhaseState(ONE_TH, ONE_I)
+    fwd = integrate_flow(ham, st, 3.0, 0.01)
+    back = integrate_flow(ham.scale(-1.0), fwd.final, 3.0, 0.01)
     assert np.max(np.abs(back.final.theta - TH)) < 1e-11
     assert np.max(np.abs(back.final.I - II)) < 1e-11
 
@@ -431,50 +442,49 @@ def rows_per_field_call(monkeypatch) -> list:
 
 
 def test_stacked_midpoint_equals_single_point_flows(monkeypatch):
-    spec = sample_spec()
+    ham = sample_spec().combined_series()
     rows = rows_per_field_call(monkeypatch)
-    stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 2.0, 0.01,
-                           record_every=40)
+    stack = integrate_flow(ham, PhaseState(STACK_TH, STACK_I), 2.0, 0.01, record_every=40)
     stacked_rows, single_rows = sum(rows), 0
     for p in range(len(STACK_TH)):
         rows.clear()
-        one = integrate_flow(spec, PhaseState(STACK_TH[p], STACK_I[p]), 2.0, 0.01,
-                             record_every=40)
+        one = integrate_flow(ham, PhaseState(STACK_TH[p:p + 1], STACK_I[p:p + 1]), 2.0,
+                             0.01, record_every=40)
         single_rows += sum(rows)
         assert np.array_equal(stack.times, one.times)
-        assert np.max(np.abs(stack.thetas[:, p] - one.thetas)) <= 1e-13
-        assert np.max(np.abs(stack.actions[:, p] - one.actions)) <= 1e-13
-        assert np.max(np.abs(stack.energies[:, p] - one.energies)) <= 1e-13
+        assert np.max(np.abs(stack.thetas[:, p] - one.thetas[:, 0])) <= 1e-13
+        assert np.max(np.abs(stack.actions[:, p] - one.actions[:, 0])) <= 1e-13
+        assert np.max(np.abs(stack.energies[:, p] - one.energies[:, 0])) <= 1e-13
     # the stack evaluates every point exactly as often as its own flow does:
     # same warm starts, same fixed-point iterations per step
     assert stacked_rows == single_rows
 
 
 def test_stacked_dop853_matches_single_point_flows():
-    spec = sample_spec()
-    stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 2.0, 0.02,
+    ham = sample_spec().combined_series()
+    stack = integrate_flow(ham, PhaseState(STACK_TH, STACK_I), 2.0, 0.02,
                            method="dop853", record_every=25)
     for p in range(len(STACK_TH)):
-        one = integrate_flow(spec, PhaseState(STACK_TH[p], STACK_I[p]), 2.0, 0.02,
-                             method="dop853", record_every=25)
+        one = integrate_flow(ham, PhaseState(STACK_TH[p:p + 1], STACK_I[p:p + 1]), 2.0,
+                             0.02, method="dop853", record_every=25)
         assert np.array_equal(stack.times, one.times)
-        assert np.max(np.abs(stack.thetas[:, p] - one.thetas)) <= 1e-10
-        assert np.max(np.abs(stack.actions[:, p] - one.actions)) <= 1e-10
+        assert np.max(np.abs(stack.thetas[:, p] - one.thetas[:, 0])) <= 1e-10
+        assert np.max(np.abs(stack.actions[:, p] - one.actions[:, 0])) <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["midpoint", "dop853"])
 @pytest.mark.parametrize("record_every", [0, 5])
 def test_flow_shapes_single_and_stacked(method, record_every):
-    spec = sample_spec()
-    one = integrate_flow(spec, PhaseState(TH, II), 1.0, 0.1, method=method,
+    ham = sample_spec().combined_series()
+    one = integrate_flow(ham, PhaseState(ONE_TH, ONE_I), 1.0, 0.1, method=method,
                          record_every=record_every)
     # unrecorded dop853 keeps every accepted step
     T = len(one.times)
     assert T == 3 if record_every else (T == 2 or method == "dop853")
-    assert one.final.theta.shape == one.final.I.shape == (N,)
-    assert one.thetas.shape == one.actions.shape == (T, N)
-    assert one.times.shape == one.energies.shape == (T,)
-    stack = integrate_flow(spec, PhaseState(STACK_TH, STACK_I), 1.0, 0.1,
+    assert one.final.theta.shape == one.final.I.shape == (1, N)
+    assert one.thetas.shape == one.actions.shape == (T, 1, N)
+    assert one.times.shape == (T,) and one.energies.shape == (T, 1)
+    stack = integrate_flow(ham, PhaseState(STACK_TH, STACK_I), 1.0, 0.1,
                            method=method, record_every=record_every)
     P, T = len(STACK_TH), len(stack.times)
     assert stack.final.theta.shape == stack.final.I.shape == (P, N)
@@ -488,7 +498,7 @@ def test_one_point_leaving_the_domain_stops_the_stack():
            + FourierTaylorSeries.cosine(N, (1, 0), amplitude=0.5))
     theta = np.array([[0.2, 0.0], [0.2, 0.0]])
     acts = np.array([[0.0, 0.0], [0.9, 0.0]])
-    integrate_flow(ham, PhaseState(theta[0], acts[0]), 5.0, 0.01, domain_radius=1.0)
+    integrate_flow(ham, PhaseState(theta[:1], acts[:1]), 5.0, 0.01, domain_radius=1.0)
     with pytest.raises(DomainExceeded):
         integrate_flow(ham, PhaseState(theta, acts), 5.0, 0.01, domain_radius=1.0)
 
@@ -499,9 +509,9 @@ def test_one_stalled_point_stops_the_stack():
     ham = FourierTaylorSeries.cosine(N, (1, 0), (2, 0))
     theta = np.array([[0.1, 0.0], [0.1, 0.0]])
     acts = np.array([[0.0, 0.0], [0.5, 0.0]])
-    integrate_flow(ham, PhaseState(theta[0], acts[0]), 0.1, 0.01,
+    integrate_flow(ham, PhaseState(theta[:1], acts[:1]), 0.1, 0.01,
                    fixed_point_max_iter=1)
-    integrate_flow(ham, PhaseState(theta[1], acts[1]), 0.1, 0.01)
+    integrate_flow(ham, PhaseState(theta[1:], acts[1:]), 0.1, 0.01)
     with pytest.raises(NonConvergentStep, match="1 of 2 points"):
         integrate_flow(ham, PhaseState(theta, acts), 0.1, 0.01,
                        fixed_point_max_iter=1)
@@ -525,3 +535,17 @@ def test_independent_flows_stay_off_the_integrator():
     # the series jet checks the compiled evaluator, so the oracles import
     # nothing from the package
     assert "kamlab" not in (here / "oracles.py").read_text()
+
+
+def test_pipeline_evaluates_only_through_the_batched_queries():
+    # outside the evaluator's own module the pipeline evaluates stacks of
+    # points, through batch_value, batch_field and batch_hess_II only
+    single = {"value", "grad_theta", "grad_I", "hess_II", "canonical_field",
+              "batch_grad_I", "batch_grad_theta", "evaluate"}
+    for path in sorted(Path(kamlab.__file__).parent.glob("*.py")):
+        if path.name == "fourier_taylor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert name not in single, f"{path.name}:{node.lineno} calls {name}"

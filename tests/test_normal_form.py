@@ -122,17 +122,17 @@ def test_composition_matches_flow_realization(golden):
     # H_tilde(z) == H(Phi(z)) with Phi realized by numerical flow, both routes
     res = nf(golden, 1e-3)
     gen = res.generator.scale(res.spec_in.epsilon)
-    h_in = res.spec_in.combined_series()
-    h_out = res.spec_out.combined_series()
+    h_in = res.spec_in.combined_series().compile()
+    h_out = res.spec_out.combined_series().compile()
     rng = np.random.default_rng(5)
     for method, step in (("midpoint", 1e-2), ("dop853", 1e-1)):
         worst = 0.0
         for _ in range(5):
-            th = rng.uniform(0, 1, N)
-            act = rng.uniform(-0.5, 0.5, N)
+            th = rng.uniform(0, 1, (1, N))
+            act = rng.uniform(-0.5, 0.5, (1, N))
             flow = integrate_flow(gen, PhaseState(th, act), 1.0, step, method=method)
-            worst = max(worst, abs(h_out.evaluate(th, act)
-                                   - h_in.evaluate(flow.final.theta, flow.final.I)))
+            worst = max(worst, abs(h_out.batch_value(th, act)[0]
+                                   - h_in.batch_value(flow.final.theta, flow.final.I)[0]))
         assert worst < 1e-12
 
 

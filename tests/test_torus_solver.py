@@ -170,13 +170,14 @@ def test_grid_evaluations_match_embed(monkeypatch):
 
 
 def test_embed_single_equals_batch(solved):
+    # one angle is the stack of one, and gives its row of a larger stack
     _, emb = solved
-    phi = np.array([0.31, 0.64])
-    th1, a1 = emb.embed(phi)
-    th2, a2 = emb.embed(phi[None, :])
-    assert th1.shape == (2,)
-    assert np.array_equal(th1, th2[0])
-    assert np.array_equal(a1, a2[0])
+    phis = np.array([[0.13, 0.77], [0.31, 0.64], [0.901, 0.333]])
+    th1, a1 = emb.embed(phis[1:2])
+    th2, a2 = emb.embed(phis)
+    assert th1.shape == (1, 2)
+    assert np.array_equal(th1[0], th2[1])
+    assert np.array_equal(a1[0], a2[1])
 
 
 def test_verification_midpoint_and_dop853(solved):
@@ -226,6 +227,27 @@ def test_divisor_floor_violation_mid_solve():
     assert tgt.margin >= 1.0
     with pytest.raises(SmallDivisorBreakdown, match=r"k=\(1, -2\)"):
         ts.solve_torus(b3, np.zeros(2), grid=8, target=tgt)
+
+
+def test_given_target_is_rechecked_at_its_own_tau():
+    # k = (1, -2) has |k.w| = 0.06, below half the tau = 1 floor (0.0825) and
+    # above half the tau = 1.5 one (0.048): a target certified at tau = 1
+    # trips it whatever tau solve_torus is handed
+    freq = np.array([1.0, 0.53])
+    quad = quadratic_from_matrices(2, A0, [((1, 0), B, None)])
+    rest = FourierTaylorSeries.monomial(2, (3, 0), 0.05)
+    b3 = prepare_time_scaled(HamiltonianSpec(omega=freq, quad=quad, rest=rest,
+                                             epsilon=1e-3, state="physical"))
+    tgt = ts.certify_target(b3, np.zeros(2), tau=1.0, q_max=2)
+    for tau in (1.0, 1.5, 2.0):
+        with pytest.raises(SmallDivisorBreakdown, match=r"k=\(1, -2\)"):
+            ts.solve_torus(b3, np.zeros(2), tau=tau, grid=8, target=tgt)
+    # certified at tau = 1.5 the same mode passes, whatever tau is handed
+    tgt = ts.certify_target(b3, np.zeros(2), tau=1.5, q_max=2)
+    want = ts.solve_torus(b3, np.zeros(2), grid=8, target=tgt)
+    for tau in (1.0, 1.5):
+        got = ts.solve_torus(b3, np.zeros(2), tau=tau, grid=8, target=tgt)
+        assert got.to_record() == want.to_record()
 
 
 def test_degenerate_twist_gate():
@@ -427,7 +449,7 @@ def test_n3_torus_spectral_paths():
 @pytest.mark.parametrize("n", [2, 3])
 def test_embed_matches_dense_phase_sum(solved, n):
     # the separable embed against the sum over every mode of the grid, through
-    # a dense (N, grid^n) phase matrix, for a stack of angles and a single one
+    # a dense (N, grid^n) phase matrix, for a stack of angles and a stack of one
     emb = solved[1] if n == 2 else ts.solve_torus(
         cubic_spec(), np.array([0.2, -0.1, 0.15]), tau=1.5, grid=8)
     freqs = np.fft.fftfreq(emb.grid, d=1.0 / emb.grid)
@@ -441,8 +463,8 @@ def test_embed_matches_dense_phase_sum(solved, n):
     assert theta.shape == act.shape == (9, n)
     assert np.max(np.abs(theta - want_theta)) <= 1e-14
     assert np.max(np.abs(act - want_act)) <= 1e-14
-    theta, act = emb.embed(phis[4])
-    assert theta.shape == act.shape == (n,)
+    theta, act = emb.embed(phis[4:5])
+    assert theta.shape == act.shape == (1, n)
     assert np.max(np.abs(theta - want_theta[4])) <= 1e-14
     assert np.max(np.abs(act - want_act[4])) <= 1e-14
 
@@ -486,7 +508,7 @@ def test_n3_stack_equals_single_solves():
     h3 = cubic_spec()
     actions = np.array([[0.2, -0.1, 0.15], [-0.3, 0.05, 0.1], [0.1, 0.25, -0.2]])
     targets = [ts.certify_target(h3, I, grid=8) for I in actions]
-    outcomes = ts._solve_stack(h3, targets, actions, 8, 1e-11, 30, 1.5)
+    outcomes = ts._solve_stack(h3, targets, actions, 8, 1e-11, 30)
     for I, target, out in zip(actions, targets, outcomes):
         _same_solve(out, ts.solve_torus(h3, I, grid=8, target=target))
 
@@ -510,7 +532,7 @@ def test_stack_drops_each_failure_as_its_single_solve_raises():
     targets = [ts.certify_target(spec, I, grid=16) for I in actions]
     targets[3] = replace(targets[3], gamma=1e3 * targets[3].gamma)
     kwargs = dict(grid=16, tol=1e-10, max_iter=4)
-    outcomes = ts._solve_stack(spec, targets, actions, tau=1.5, **kwargs)
+    outcomes = ts._solve_stack(spec, targets, actions, **kwargs)
     ends = []
     for I, target, out in zip(actions, targets, outcomes):
         try:
@@ -531,7 +553,7 @@ def test_stack_stalls_as_single_solves_did():
     h3, _ = family_spec()
     actions = np.array([I_T, [0.1, 0.25]])
     targets = [ts.certify_target(h3, I, grid=32) for I in actions]
-    outcomes = ts._solve_stack(h3, targets, actions, 32, 1e-17, 30, 1.5)
+    outcomes = ts._solve_stack(h3, targets, actions, 32, 1e-17, 30)
     for I, target, out in zip(actions, targets, outcomes):
         with pytest.raises(NonConvergence, match="stagnated") as single:
             ts.solve_torus(h3, I, grid=32, tol=1e-17, target=target)
@@ -541,5 +563,5 @@ def test_stack_stalls_as_single_solves_did():
 
 def test_stack_of_none_solves_nothing():
     h3, _ = family_spec()
-    assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30, 1.5) == []
+    assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30) == []
     assert ts._certify_stack(h3, np.zeros((0, 2)), None, 1.5, None, 16) == []
