@@ -48,13 +48,31 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _stamped(path: Path) -> bool:
+    """Whether the file at `path` carries kamlab's stamp: a JSON record with
+    `_meta.tool`, or a CSV table under the `# kamlab` header."""
+    try:
+        with open(path) as fh:
+            if path.suffix == ".csv":
+                return fh.readline().startswith("# kamlab ")
+            meta = json.load(fh).get("_meta")
+    except (OSError, UnicodeDecodeError, ValueError, AttributeError):
+        return False
+    return isinstance(meta, dict) and str(meta.get("tool", "")).startswith("kamlab ")
+
+
 class _Sink:
     """Artifact writer: atomic, stamped, and removable as a group.  The output
-    directory is made on the first write."""
+    directory is made on the first write.  `names` are every artifact the
+    command can write besides error.json, and the only ones it may write; a
+    stale one an earlier run left is removed if it carries the stamp and is
+    none of the `inputs`."""
 
-    def __init__(self, out_dir: str, cfg_hash: str):
+    def __init__(self, out_dir: str, cfg_hash: str, names: tuple, inputs: set):
         self.dir = Path(out_dir)
         self.cfg_hash = cfg_hash
+        self.names = names + ("error.json",)
+        self.inputs = inputs
         self.written: list[Path] = []
 
     @property
@@ -62,6 +80,8 @@ class _Sink:
         return f"kamlab {__version__} config={self.cfg_hash}"
 
     def _commit(self, name: str, text: str) -> Path:
+        if name not in self.names:
+            raise ValueError(f"{name} is not among the command's artifacts {self.names}")
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         tmp = path.with_suffix(path.suffix + ".tmp")
@@ -83,7 +103,17 @@ class _Sink:
         lines += [",".join(_cell(v) for v in row) for row in rows]
         return self._commit(name, "\n".join(lines) + "\n")
 
+    def remove_stale(self):
+        """Remove what an earlier run left beside this run's artifacts: an
+        artifact of the command, or error.json, that this run did not write."""
+        for path in (self.dir / name for name in self.names):
+            if path.is_file() and path not in self.written \
+                    and path.resolve() not in self.inputs and _stamped(path):
+                path.unlink(missing_ok=True)
+
     def discard(self):
+        """Remove this run's artifacts and the stale ones."""
+        self.remove_stale()
         for path in self.written:
             path.unlink(missing_ok=True)
         self.written.clear()
@@ -156,44 +186,55 @@ def main():
     """Small-divisor arithmetic, normal forms, torus continuation, scans."""
 
 
-def _command(fn):
-    """Register `fn(sink, **options)` as a subcommand with an --out option.
+def _command(*names):
+    """Register `fn(sink, **options)`, which writes artifacts among `names`,
+    as a subcommand with an --out option.
 
     `options` are the options click parsed, less --out, with each input file
     (an option named in _PARSERS) read once and parsed.  The config hash
     covers the command name and every option, each input as the JSON read,
-    so identical inputs stamp identical artifacts.  On a pipeline error, or an
-    output that cannot be written, only error.json is kept, stamped
-    `unresolved` if an input could not be read, and written if it can be.
+    so identical inputs stamp identical artifacts.  A run leaves in --out
+    either its own artifacts or only error.json: a success removes a stale
+    error.json and the command's artifacts it did not write.  On a pipeline
+    error, or an output that cannot be written, the command's artifacts are
+    removed and error.json is kept, stamped `unresolved` if an input could
+    not be read, and written if it can be.  A stale file is removed only if
+    it carries kamlab's stamp and is not one of the run's inputs.
     """
-    @functools.wraps(fn)
-    def run(out, **options):
-        sink = None
-        try:
-            inputs = {key: _load_record(path) for key, path in options.items()
-                      if key in _PARSERS and path is not None}
-            config = {**options, **{key: rec for key, (rec, _) in inputs.items()}}
-            sink = _Sink(out, _config_hash({"cmd": fn.__name__, **config}))
-            parsed = {key: parse(_PARSERS[key]) for key, (_, parse) in inputs.items()}
-            fn(sink, **{**options, **parsed})
-        except (KamlabError, ValueError, np.linalg.LinAlgError, OSError) as exc:
-            sink = sink or _Sink(out, "unresolved")
+    def register(fn):
+        @functools.wraps(fn)
+        def run(out, **options):
+            sink = None
+            given = {Path(path).resolve() for key, path in options.items()
+                     if key in _PARSERS and path is not None}
             try:
-                sink.discard()
-                sink.write_json("error.json",
-                                {"record": "error", **KamlabError.as_record(exc)})
-            except OSError:
-                pass        # --out cannot take error.json either; stderr reports it
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            raise SystemExit(2)
-        for path in sink.written:
-            click.echo(str(path))
+                inputs = {key: _load_record(path) for key, path in options.items()
+                          if key in _PARSERS and path is not None}
+                config = {**options, **{key: rec for key, (rec, _) in inputs.items()}}
+                sink = _Sink(out, _config_hash({"cmd": fn.__name__, **config}),
+                             names, given)
+                parsed = {key: parse(_PARSERS[key]) for key, (_, parse) in inputs.items()}
+                fn(sink, **{**options, **parsed})
+                sink.remove_stale()
+            except (KamlabError, ValueError, np.linalg.LinAlgError, OSError) as exc:
+                sink = sink or _Sink(out, "unresolved", names, given)
+                try:
+                    sink.discard()
+                    sink.write_json("error.json",
+                                    {"record": "error", **KamlabError.as_record(exc)})
+                except OSError:
+                    pass        # --out cannot take error.json either; stderr reports it
+                click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+                raise SystemExit(2)
+            for path in sink.written:
+                click.echo(str(path))
 
-    out = click.option("--out", default=".", show_default=True, type=click.Path())
-    return main.command()(out(run))
+        out = click.option("--out", default=".", show_default=True, type=click.Path())
+        return main.command()(out(run))
+    return register
 
 
-@_command
+@_command("psi_table.csv", "profile_table.csv")
 @click.option("--omega", required=True, type=click.Path(),
               help="frequency record, or {\"name\": ...} for a built-in")
 @click.option("--qmax", default=50, show_default=True, help="table depth")
@@ -222,7 +263,7 @@ def freq(sink, omega, qmax, eps, alpha, cbar):
         sink.write_csv("profile_table.csv", cols, prows)
 
 
-@_command
+@_command("normal_form.json", "estimates.json")
 @click.option("--spec", required=True, type=click.Path())
 @click.option("--eps", default=None, type=float,
               help="override the template epsilon")
@@ -244,7 +285,7 @@ def nf(sink, spec, eps, c, omega, alpha, cbar):
                     {"record": "nf_estimates", **verify_estimates(result)})
 
 
-@_command
+@_command("torus.json", "torus_surface.csv", "verification.json")
 @click.option("--spec", required=True, type=click.Path())
 @click.option("--i0", required=True, help="target action, comma-separated")
 @click.option("--gamma", default=None, type=float,
@@ -282,7 +323,7 @@ def torus(sink, spec, i0, gamma, tau, tol, grid, t_final):
                     {"record": "torus_verification", **report})
 
 
-@_command
+@_command("scan_reports.csv", "scan_fit.json", "gevrey_forecast.csv")
 @click.option("--plan", required=True, type=click.Path())
 def scan(sink, plan):
     """Run the measure sweep of a plan and fit the complement scaling."""
@@ -310,7 +351,7 @@ def scan(sink, plan):
                          f["predicted_complement"]) for f in frows])
 
 
-@_command
+@_command("probe_trajectories.csv", "probe_summary.json")
 @click.option("--spec", required=True, type=click.Path())
 @click.option("--t", required=True, type=float, help="flow horizon")
 @click.option("--h", required=True, type=float, help="midpoint step")

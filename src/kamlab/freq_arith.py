@@ -11,19 +11,24 @@ vectors ``k`` are measured in the l1 norm, and the divisor of ``k`` is
 
 Enumeration runs over the half lattice (first nonzero component positive)
 with a compensated dot product; ``|(-k) . w| == |k . w|`` exactly in IEEE
-arithmetic, so this is loss-free.  With the tail t = (k3..kn) fixed, the
-divisor is linear in k2 along each half of the n=2 shell that (k1, k2) run
-over, with slope ``|w1 +- w2|``, so the table evaluates only the rows around
-each half's root (at most eight per tail, O(Q^(n-1)) rows to depth Q) and the
-rows (0, 0, t), and gets the same per-shell minima and witnesses as the whole
-shell.  Each computed divisor is within 2u s max|w| of the exact one (the n
-rounded products add at most u s max|w|, the compensated sum at most
-u |k . w| + O(n^2 u^2) s max|w|), so a slope above 4u s max|w| rules out a
-rounding tie with a row left out; below that bound the table evaluates whole
-shells.  A growth beyond ROW_BUDGET divisors is refused up front on either
-route.  A table of S vectors stacked as columns (a scan slice's
-certification) walks whole shells and gives each column its own table's
-floor.  Vectors built from continued fractions can carry an exact
+arithmetic, so this is loss-free.  The dot product adds to the running sum
+the exact rounding error of each of its steps (TwoSum), so its bits, on
+which the tables' reproducibility rests, do not depend on how that error is
+formed.  With the tail t = (k3..kn) fixed, the divisor is linear in k2 along
+each half of the n=2 shell that (k1, k2) run over, with slope ``|w1 +- w2|``,
+so the table evaluates only the rows around each half's root (at most eight
+per tail, O(Q^(n-1)) rows to depth Q) and the rows (0, 0, t), and gets the
+same per-shell minima and witnesses as the whole shell.  Each computed
+divisor is within 2u s max|w| of the exact one (the n rounded products add
+at most u s max|w|, the compensated sum at most u |k . w| + O(n^2 u^2)
+s max|w|), so a slope above 4u s max|w| rules out a rounding tie with a row
+left out; below that bound the table evaluates whole shells.  Candidate rows
+come out grouped by shell, so a growth takes each shell's minimum where it
+makes them and ranks, in enumeration order, only the rows that reach it; no
+candidate row is sorted.  A growth beyond ROW_BUDGET divisors is refused up
+front on either route.  A table of S vectors stacked as columns (a scan
+slice's certification) walks whole shells and gives each column its own
+table's floor.  Vectors built from continued fractions can carry an exact
 rational tag; ``delta``/``diophantine_check`` then use exact convergent
 windows, which stay meaningful far beyond float64 resolution.
 """
@@ -35,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +59,7 @@ RESONANCE_TOL = 1e-14
 # first (an n=3 table holds about 8 Q^2 candidate rows to depth Q).
 ENUMERATION_CAP = 200_000
 
-# Divisors (rows times vectors) per sort-and-merge pass of the divisor table.
+# Divisors (rows times vectors) per merge pass of the divisor table.
 _CHUNK = 65536
 
 # Most divisors one growth of a divisor table may evaluate; beyond it the
@@ -109,10 +114,107 @@ def _ball_count(d: int, m: int) -> int:
     return sum(2 ** j * math.comb(d, j) * math.comb(m, j) for j in range(d + 1))
 
 
-def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+class _Buffers:
+    """Five float buffers that the chunks of one table growth share, so a
+    chunk's arithmetic faults in no fresh memory; each grows on demand."""
+
+    def __init__(self):
+        self.flat = [np.empty(0)] * 5
+
+    def shaped(self, shape: tuple) -> list[np.ndarray]:
+        size = math.prod(shape)
+        self.flat = [f if f.size >= size else np.empty(size) for f in self.flat]
+        return [f[:size].reshape(shape) for f in self.flat]
+
+
+def _compensated_sum(products: Iterator[np.ndarray], buffers: list[np.ndarray]) -> np.ndarray:
+    """The products summed in order, plus the sum of each step's exact
+    rounding error (TwoSum, which needs no comparison of magnitudes), in four
+    buffers of the products' shape; each product may reuse the memory of the
+    one before.  The result is one of the buffers."""
+    s, err, t, e = buffers
+    np.copyto(s, next(products))
+    err.fill(0.0)
+    for p in products:
+        np.add(s, p, out=t)
+        np.subtract(t, s, out=e)            # bb = t - s
+        np.subtract(p, e, out=p)            # p - bb
+        np.subtract(t, e, out=e)
+        np.subtract(s, e, out=e)            # s - (t - bb)
+        e += p                              # s + p - t, exactly
+        err += e
+        s, t = t, s
+    return np.add(s, err, out=s)
+
+
+def _column_products(K: np.ndarray, w: np.ndarray, out: np.ndarray) -> Iterator[np.ndarray]:
+    """The products K[:, j] * w[j] in column order, each written into `out`
+    (rows,) + w.shape[1:]."""
+    col = K[:, :, None] if w.ndim == 2 else K
+    return (np.multiply(col[:, j], w[j], out=out) for j in range(w.shape[0]))
+
+
+def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """K @ w per row with Neumaier-compensated summation.
+
+    `w` is one vector (n,), giving (rows,), or S vectors as the columns of an
+    (n, S) array, giving (rows, S).  The products are summed in column order,
+    and the running sum's rounding errors, each computed exactly by TwoSum,
+    are summed beside it and added at the end.  Every step is exact or
+    correctly rounded, so the result does not depend on how the error terms
+    are formed: any code path that evaluates the same k and w through this
+    sum, one vector or many, gets bit-identical divisors.
+    """
+    p, *sums = _Buffers().shaped((len(K),) + w.shape[1:])
+    return _compensated_sum(_column_products(K, w, p), sums)
+
+
+class _Block(NamedTuple):
+    """Divisors |k . w| of a block of half-lattice rows, (m,) + columns,
+    grouped by shell: the group of shell shells[j] starts at row starts[j].
+    rank(i) orders rows i within their shell as `_halfspace_blocks` yields
+    them, and rows(i) gives them as lattice vectors (len(i), n).  `div` may
+    live in buffers that the next block of the same growth reuses."""
+    div: np.ndarray
+    starts: np.ndarray
+    shells: np.ndarray
+    rank: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray], np.ndarray]
+
+
+def _whole_shell_blocks(w: np.ndarray, blocks: Iterator[np.ndarray],
+                        buffers: _Buffers) -> Iterator[_Block]:
+    """Evaluate every row of `blocks`, in chunks of at most _CHUNK divisors
+    (rows times columns).  Each chunk is stably sorted by shell, so a row's
+    rank within its shell is its place in the chunk."""
+    cap = max(1, _CHUNK // (w.size // w.shape[0]))
+
+    def block(K: np.ndarray) -> _Block:
+        shells = np.abs(K).sum(axis=1)
+        order = np.argsort(shells, kind="stable")
+        K, shells = K[order], shells[order]
+        starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
+        p, *sums = buffers.shaped((len(K),) + w.shape[1:])
+        div = _compensated_sum(_column_products(K, w, p), sums)
+        return _Block(np.abs(div, out=div), starts, shells[starts],
+                      lambda i: i, K.__getitem__)
+
+    # generator blocks are tiny at large radii; gather them into chunks
+    pending, rows = [], 0
+    for K in blocks:
+        for part in (K[i:i + cap] for i in range(0, len(K), cap)):
+            if rows and rows + len(part) > cap:
+                yield block(np.concatenate(pending, axis=0))
+                pending, rows = [], 0
+            pending.append(part)
+            rows += len(part)
+    if rows:
+        yield block(np.concatenate(pending, axis=0))
+
+
+def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]:
     """Yield blocks holding, for every shell s in (lo, hi], each half-lattice
-    row that can carry the shell's first smallest compensated divisor, in the
-    order `_halfspace_blocks` yields them within a shell.
+    row that can carry the shell's first smallest compensated divisor.
 
     Write a row of shell s as (k1, k2, t) with tail t = (k3..kn) and
     r = s - |t|_1.  For r >= 1 the rows of a tail are the n=2 half shell of
@@ -133,6 +235,10 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndar
     columns of w, or a slope below the bound used, 8u Q max|w|) every row is
     yielded.  A growth whose rows, times the columns, exceed ROW_BUDGET
     raises before any is yielded.
+
+    The candidate rows come out shell-major, then by tail, then by k2, and
+    are evaluated in that layout; only the rows reaching a shell's minimum
+    get their rank, the row's place in yield order.
     """
     n, d = w.shape[0], w.shape[0] - 2
     bound = 4 * np.finfo(np.float64).eps * hi * float(np.max(np.abs(w)))
@@ -150,8 +256,9 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndar
         raise ConstructionFailed(
             f"{'whole' if whole else 'candidate'} rows of shells {lo + 1}..{hi} hold "
             f"{divisors} divisors, beyond the row budget {ROW_BUDGET}")
+    buffers = _Buffers()
     if whole:
-        yield from _halfspace_blocks(n, lo, hi)
+        yield from _whole_shell_blocks(w, _halfspace_blocks(n, lo, hi), buffers)
         return
     w1, w2 = float(w[0]), float(w[1])
     # every tail with |t|_1 < hi, by norm and lexicographically within a norm,
@@ -165,65 +272,71 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[np.ndar
     down = (len(norms) - np.searchsorted(norms, norms, side="right")
             + np.arange(len(norms)) - np.searchsorted(norms, norms, side="left"))
     offset = np.array([math.fsum(p) for p in (tails * w[2:]).tolist()])
-    span = 3 * (hi + 2) * len(tails)    # sort keys per shell
+    # the products t_j * w_j of each tail, as compensated_dot forms them
+    tail_products = tails.T * w[2:, None]
+    span = 3 * (hi + 2) * len(tails)    # rank keys per shell
     count = np.searchsorted(norms, np.arange(lo + 1, hi + 1), side="left")
     ends = np.r_[0, np.cumsum(count)]
     around = np.arange(-1, 3, dtype=np.int64)
-    start = lo
-    while start < hi:
-        # whole shells, about _CHUNK // 8 tails (at most _CHUNK rows) at a
-        # time, and few enough that their keys stay below 2^63
-        stop = lo - 1 + int(np.searchsorted(ends, ends[start - lo] + _CHUNK // 8, side="right"))
-        stop = min(max(start + 1, stop), start + (2 ** 63 - 1) // span)
+
+    def block(start: int, stop: int) -> _Block:
         per = count[start - lo:stop - lo]
         s = np.repeat(np.arange(start + 1, stop + 1, dtype=np.int64), per)
         g = np.arange(per.sum(), dtype=np.int64) - np.repeat(np.cumsum(per) - per, per)
-        s, r = s[:, None], (s - norms[g])[:, None]
-        level = r * w1 + offset[g][:, None]
-        k2 = []
-        for rate, end_lo, end_hi in ((w1 + w2, 1 - r, 0), (w2 - w1, 0, r)):
+        r = s - norms[g]
+        level = r * w1 + offset[g]
+        # per (shell, tail) pair, k2 ascending over the 8 slots: the k2 <= 0
+        # piece, then the k2 >= 0 piece
+        k2 = np.empty((len(g), 8), dtype=np.int64)
+        for half, (rate, end_lo, end_hi) in enumerate(((w1 + w2, 1 - r, 0), (w2 - w1, 0, r))):
             root = np.clip(-level / rate, end_lo - 2, end_hi + 2)
-            k2.append(np.clip(np.floor(root).astype(np.int64) + around, end_lo, end_hi))
-        k2 = np.concatenate(k2, axis=1)
-        k1 = r - np.abs(k2)
-        # within a shell: k1 ascending with the rows (0, r, t) last; then k2
-        # ascending, which for one k1 is k2 < 0 by |t|_1 ascending, k2 = 0,
-        # k2 > 0 by |t|_1 descending; then the tail
-        side = np.sign(k2) + 1
-        key = ((((s - start - 1) * (hi + 2) + np.where(k1 > 0, k1, s + 1)) * 3 + side)
-               * len(tails) + np.where(side == 2, down[g][:, None], g[:, None])).ravel()
-        order = np.argsort(key)
-        key = key[order]
-        fresh = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        order = order[fresh]
-        yield np.concatenate([k1.ravel()[order, None], k2.ravel()[order, None],
-                              tails[g[order // 8]]], axis=1)
+            k2[:, 4 * half:4 * half + 4] = np.clip(
+                np.floor(root).astype(np.int64)[:, None] + around,
+                np.reshape(end_lo, (-1, 1)), np.reshape(end_hi, (-1, 1)))
+        # a clipped repeat, or the k2 = 0 row of both pieces, follows its twin
+        fresh = np.empty(k2.shape, dtype=bool)
+        fresh[:, 0] = True
+        np.not_equal(k2[:, 1:], k2[:, :-1], out=fresh[:, 1:])
+        kept = np.flatnonzero(fresh)
+        pair = kept >> 3
+        k2 = k2.ravel()[kept]
+        k1 = r[pair] - np.abs(k2)
+        tail = g[pair]
+        p, *sums = buffers.shaped(kept.shape)
+
+        def products() -> Iterator[np.ndarray]:
+            yield np.multiply(k1, w[0], out=p)
+            yield np.multiply(k2, w[1], out=p)
+            for tp in tail_products:
+                yield np.take(tp, tail, out=p)
+
+        def rank(i: np.ndarray) -> np.ndarray:
+            # within a shell: k1 ascending with the rows (0, r, t) last; then
+            # k2 ascending, which for one k1 is k2 < 0 by |t|_1 ascending,
+            # k2 = 0, k2 > 0 by |t|_1 descending; then the tail
+            si, a, side, gi = s[pair[i]], k1[i], np.sign(k2[i]) + 1, tail[i]
+            return ((((si - start - 1) * (hi + 2) + np.where(a > 0, a, si + 1)) * 3 + side)
+                    * len(tails) + np.where(side == 2, down[gi], gi))
+
+        def rows(i: np.ndarray) -> np.ndarray:
+            return np.concatenate([k1[i, None], k2[i, None], tails[tail[i]]], axis=1)
+
+        div = _compensated_sum(products(), sums)
+        np.abs(div, out=div)
+        starts = np.searchsorted(pair, np.cumsum(per) - per)
+        return _Block(div, starts, np.arange(start + 1, stop + 1), rank, rows)
+
+    start = lo
+    while start < hi:
+        # whole shells, about _CHUNK // 8 tails (at most _CHUNK rows) at a
+        # time, and few enough that their rank keys stay below 2^63
+        stop = lo - 1 + int(np.searchsorted(ends, ends[start - lo] + _CHUNK // 8, side="right"))
+        stop = min(max(start + 1, stop), start + (2 ** 63 - 1) // span)
+        yield block(start, stop)
         start = stop
-    for tail in _halfspace_blocks(d, lo, hi):
-        yield np.concatenate([np.zeros((len(tail), 2), dtype=np.int64), tail], axis=1)
-
-
-def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """K @ w per row with Neumaier-compensated summation.
-
-    `w` is one vector (n,), giving (rows,), or S vectors as the columns of an
-    (n, S) array, giving (rows, S).  The op-for-op order (products in column
-    order, running compensated sum) is part of the reproducibility contract:
-    any code path that evaluates the same k and w through this expression,
-    one vector or many, gets bit-identical divisors.
-    """
-    Kf = K.astype(np.float64)
-    if w.ndim == 2:
-        Kf = Kf[:, :, None]
-    s = Kf[:, 0] * w[0]
-    err = np.zeros_like(s)
-    for j in range(1, w.shape[0]):
-        p = Kf[:, j] * w[j]
-        t = s + p
-        big = np.abs(s) >= np.abs(p)
-        err += np.where(big, (s - t) + p, (p - t) + s)
-        s = t
-    return s + err
+    yield from _whole_shell_blocks(w, (
+        np.concatenate([np.zeros((len(tail), 2), dtype=np.int64), tail], axis=1)
+        for tail in _halfspace_blocks(d, lo, hi)), buffers)
 
 
 class _DivisorTable:
@@ -248,37 +361,31 @@ class _DivisorTable:
         smin = np.concatenate([self.shell_min, np.full(grow, np.inf)])
         sarg = np.concatenate([self.shell_arg, np.zeros(grow + (self.n,), dtype=np.int64)])
 
-        def merge(block: np.ndarray) -> None:
-            # per shell, the block's smallest divisor and the first row in yield
-            # order attaining it; only a strictly smaller one replaces the
-            # table's, so exact ties resolve to the earliest row in yield order
-            shells = np.abs(block).sum(axis=1)
-            div = np.abs(compensated_dot(block, self.w))
-            order = np.argsort(shells, kind="stable")
-            shells, div = shells[order], div[order]
-            starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
-            low = np.fmin.reduceat(div, starts, axis=0)
-            hit = div == np.repeat(low, np.diff(np.r_[starts, len(block)]), axis=0)
-            row = np.arange(len(block)).reshape((-1,) + (1,) * len(self.cols))
-            first = np.minimum.reduceat(np.where(hit, row, len(block) - 1), starts, axis=0)
-            at = shells[starts] - 1
-            better = low < smin[at]
-            smin[at] = np.where(better, low, smin[at])
-            sarg[at] = np.where(better[..., None], block[order[first]], sarg[at])
+        # one column per vector, as views of the new table
+        table_min = smin.reshape(Q, -1)
+        table_arg = sarg.reshape(Q, -1, self.n)
 
-        # generator blocks are tiny at large radii; gather them into chunks of
-        # at most _CHUNK divisors (rows times columns) before sorting
-        cap = max(1, _CHUNK // math.prod(self.cols))
-        pending, rows = [], 0
+        def merge(block: _Block) -> None:
+            # per shell and column, the block's smallest divisor and, of the
+            # rows attaining it, the one of lowest rank; only a strictly
+            # smaller one replaces the table's, so exact ties resolve to the
+            # earliest row in yield order
+            div, starts = block.div.reshape(len(block.div), -1), block.starts
+            low = np.fmin.reduceat(div, starts, axis=0)
+            hit = div == np.repeat(low, np.diff(np.r_[starts, len(div)]), axis=0)
+            i, col = np.divmod(np.flatnonzero(hit), div.shape[1])
+            cell = (np.searchsorted(starts, i, side="right") - 1) * div.shape[1] + col
+            order = np.lexsort((block.rank(i), cell))
+            first = order[np.diff(cell[order], prepend=-1) != 0]
+            at, col = block.shells[cell[first] // div.shape[1]] - 1, col[first]
+            best = low.ravel()[cell[first]]
+            better = best < table_min[at, col]
+            at, col = at[better], col[better]
+            table_min[at, col] = best[better]
+            table_arg[at, col] = block.rows(i[first[better]])
+
         for block in _shell_candidate_blocks(self.w, self.q_built, Q):
-            for part in (block[i:i + cap] for i in range(0, len(block), cap)):
-                if rows and rows + len(part) > cap:
-                    merge(np.concatenate(pending, axis=0))
-                    pending, rows = [], 0
-                pending.append(part)
-                rows += len(part)
-        if rows:
-            merge(np.concatenate(pending, axis=0))
+            merge(block)
         self.shell_min, self.shell_arg, self.q_built = smin, sarg, Q
         self._prefix_min = np.minimum.accumulate(smin)
         # first shell attaining each prefix minimum

@@ -97,6 +97,59 @@ def test_freq_qmax_zero_writes_error_record(files):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+def test_reused_out_holds_only_the_last_run(files):
+    # a success after a refusal removes the stale error.json; a refusal after
+    # a success removes the stale artifacts; a success without --eps removes
+    # the profile table an earlier run wrote
+    out = files / "reused"
+    omega = files / "golden.json"
+    runs = [(["--qmax", 0], 2, ["error.json"]),
+            (["--qmax", 10, "--eps", 1e-2], 0, ["profile_table.csv", "psi_table.csv"]),
+            (["--qmax", 0], 2, ["error.json"]),
+            (["--qmax", 10, "--eps", 1e-2], 0, ["profile_table.csv", "psi_table.csv"]),
+            (["--qmax", 10], 0, ["psi_table.csv"])]
+    for args, code, names in runs:
+        res = invoke("freq", "--omega", omega, *args, "--out", out)
+        assert res.exit_code == code, res.output
+        assert sorted(p.name for p in out.iterdir()) == names, args
+    fresh = files / "fresh"
+    invoke("freq", "--omega", omega, "--qmax", 10, "--out", fresh)
+    assert (out / "psi_table.csv").read_bytes() == (fresh / "psi_table.csv").read_bytes()
+
+
+def test_cleanup_keeps_unstamped_files_and_inputs(files):
+    # a stale file is removed only if kamlab stamped it and it is no input:
+    # a refusal keeps the stamped spec it read, though it is named like an
+    # artifact, and an unstamped table; a success keeps a foreign error.json
+    out = files / "shared"
+    out.mkdir()
+    spec = json.loads((files / "spec.json").read_text())
+    spec["_meta"] = {"tool": "kamlab 0.1.0", "config": "0" * 16}
+    (out / "torus.json").write_text(json.dumps(spec))
+    (out / "torus_surface.csv").write_text("phi_1,phi_2\n0.5,0.5\n")
+    (out / "verification.json").write_text(json.dumps({"_meta": spec["_meta"]}))
+    kept = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "verification.json"}
+    res = invoke("torus", "--spec", out / "torus.json", "--i0", "bad", "--out", out)
+    assert res.exit_code == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json", *sorted(kept)]
+    assert all((out / name).read_bytes() == body for name, body in kept.items())
+
+    (out / "error.json").write_text(json.dumps({"mine": True}))
+    res = invoke("freq", "--omega", files / "golden.json", "--qmax", 10, "--out", out)
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "error.json").read_text()) == {"mine": True}
+    assert (out / "psi_table.csv").exists() and (out / "torus.json").exists()
+
+
+def test_sink_writes_only_declared_artifacts(tmp_path):
+    sink = cli._Sink(tmp_path, "0" * 16, ("a.csv",), set())
+    sink.write_csv("a.csv", ["x"], [(1,)])
+    sink.write_json("error.json", {})
+    with pytest.raises(ValueError, match="b.csv"):
+        sink.write_csv("b.csv", ["x"], [(1,)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "error.json"]
+
+
 def test_unwritable_out_ends_in_an_error_line(files):
     # an --out below a regular file cannot be made a directory, so not even
     # error.json can be written; the run still ends in exit 2, not a traceback

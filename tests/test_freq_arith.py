@@ -36,6 +36,7 @@ from oracles import (
     brute_min_divisor,
     exact_min_divisor_n2,
     half_lattice,
+    neumaier_abs_dot,
     shell_table,
 )
 
@@ -428,6 +429,28 @@ def test_table_ties_across_merge_chunks_match_loop_reference(monkeypatch, chunk,
     assert _table_state(table) == [a.tobytes() for a in shell_table(w, Q)]
 
 
+@pytest.mark.parametrize("chunk", [7, 50, 65536])
+def test_n3_ties_across_tails_and_halves_keep_the_first_row(monkeypatch, chunk):
+    # on 12 shells of (1, 1/2, 3/8) to Q = 24 the smallest divisor is reached
+    # exactly by rows of several tails k3 and of both pieces, k2 < 0 and
+    # k2 > 0 (on two shells the tied minimum is not zero): of those rows the
+    # table keeps the first in enumeration order, merge chunks of any size
+    w, Q = np.array([1.0, 0.5, 0.375]), 24
+    K = np.array(half_lattice(3, Q))
+    div, shells = neumaier_abs_dot(K, w), np.abs(K).sum(axis=1)
+    tied = []
+    for s in range(1, Q + 1):
+        reach = K[(shells == s) & (div == div[shells == s].min())]
+        if len(set(reach[:, 2])) > 1 and (reach[:, 1] < 0).any() and (reach[:, 1] > 0).any():
+            tied.append(div[shells == s].min())
+    assert len(tied) == 12 and sum(d > 0 for d in tied) == 2
+    monkeypatch.setattr(fa, "_CHUNK", chunk)
+    table = _DivisorTable(w)
+    for q in (5, 13, Q):
+        table.ensure(q)
+    assert _table_state(table) == [a.tobytes() for a in shell_table(w, Q)]
+
+
 @pytest.mark.parametrize("chunk", [7, 65536])
 @pytest.mark.parametrize("n, q_max", [(2, 40), (3, 12), (4, 6)])
 def test_stacked_table_floors_match_a_table_per_column(monkeypatch, chunk, n, q_max):
@@ -458,6 +481,29 @@ def test_compensated_dot_columns_equal_single_vectors():
         assert stacked[:, s].tobytes() == fa.compensated_dot(K, W[:, s].copy()).tobytes()
 
 
+def test_compensated_dot_matches_the_branchy_oracle_bytewise():
+    # the TwoSum error term against the oracle's magnitude-compared one: both
+    # are the exact rounding error of each step, so the divisors agree in
+    # every bit, for rows up to the enumeration cap, near-ties and stacks
+    rng = np.random.default_rng(1412)
+    cap = fa.ENUMERATION_CAP
+    for n in (2, 3, 4):
+        for scale in (3, 200, cap):
+            K = rng.integers(-scale, scale + 1, (4000, n))
+            w = rng.uniform(-1, 1, n)
+            assert np.abs(fa.compensated_dot(K, w)).tobytes() == \
+                neumaier_abs_dot(K, w).tobytes()
+        W = rng.uniform(-1, 1, (n, 5))
+        W[:, 0] = np.r_[1.0, 0.5, 0.25, 0.125][:n]
+        stacked = np.abs(fa.compensated_dot(K, W))
+        for s in range(W.shape[1]):
+            assert stacked[:, s].tobytes() == neumaier_abs_dot(K, W[:, s].copy()).tobytes()
+    K = np.array(half_lattice(2, 60) + [(cap - 1, cap - 1), (cap // 2, 1 - cap // 2)])
+    for k in range(3, 15):
+        w = np.array([1.0, -1 + 10.0 ** -k])
+        assert np.abs(fa.compensated_dot(K, w)).tobytes() == neumaier_abs_dot(K, w).tobytes()
+
+
 def _candidate_bound(n: int, Q: int) -> int:
     """Sum over shells s <= Q of 8 rows per tail t in Z^(n-2) with |t|_1 < s,
     plus half the tails with |t|_1 = s, counted point by point."""
@@ -474,18 +520,19 @@ def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
     def evaluated(steps):
         rows = []
 
-        def counting_dot(K, w):
-            rows.extend(map(tuple, K.tolist()))
-            return dot(K, w)
+        def recording_blocks(w, lo, hi):
+            for block in blocks(w, lo, hi):
+                rows.extend(map(tuple, block.rows(np.arange(len(block.div))).tolist()))
+                yield block
 
-        monkeypatch.setattr(fa, "compensated_dot", counting_dot)
+        monkeypatch.setattr(fa, "_shell_candidate_blocks", recording_blocks)
         table = _DivisorTable(np.array(w))
         for q in steps:
             table.ensure(q)
-        monkeypatch.setattr(fa, "compensated_dot", dot)
+        monkeypatch.setattr(fa, "_shell_candidate_blocks", blocks)
         return rows
 
-    dot = fa.compensated_dot
+    blocks = fa._shell_candidate_blocks
     grown, lattice = evaluated(steps), half_lattice(len(w), steps[-1])
     assert sorted(grown) == sorted(evaluated(steps[-1:]))
     if len(w) == 2:
@@ -545,7 +592,7 @@ def test_n2_table_matches_whole_shell_minima(n2_reference, steps):
 def test_n2_route_falls_back_when_a_slope_is_too_small():
     # (1, -1 + 1e-12) has slope 1e-12: candidates up to Q ~ 1100, every row after
     def rows(w, Q):
-        return sum(b.shape[0] for b in fa._shell_candidate_blocks(np.array(w), 0, Q))
+        return sum(len(b.div) for b in fa._shell_candidate_blocks(np.array(w), 0, Q))
 
     assert rows((1.0, -1 + 1e-12), 1000) <= 8 * 1000
     for w in ((1.0, 1.0), (1.0, -1.0), (1.0, -1 + 1e-12)):
@@ -619,7 +666,7 @@ def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch
     table.ensure(40)
     state = _table_state(table)
     rows = sum(8 * (2 * s - 1) + 1 for s in range(41, 81))
-    assert sum(b.shape[0] for b in fa._shell_candidate_blocks(table.w, 40, 80)) <= rows
+    assert sum(len(b.div) for b in fa._shell_candidate_blocks(table.w, 40, 80)) <= rows
     monkeypatch.setattr(fa, "ROW_BUDGET", rows - 1)
     with pytest.raises(ConstructionFailed, match="row budget"):
         table.ensure(80)
