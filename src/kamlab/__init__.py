@@ -37,7 +37,6 @@ from .fourier_taylor import (
     FourierTaylorSeries,
     CompiledSeries,
     HamiltonianSpec,
-    PhaseState,
     FlowResult,
     quadratic_from_matrices,
     integrate_flow,
@@ -81,7 +80,7 @@ __all__ = [
     "FrequencyVector", "DivisorRecord", "ArithmeticProfile", "DiophReport",
     "psi", "psi_table", "delta", "check_delta_invariant", "mu_nu",
     "diophantine_check", "make_test_frequency",
-    "FourierTaylorSeries", "CompiledSeries", "HamiltonianSpec", "PhaseState",
+    "FourierTaylorSeries", "CompiledSeries", "HamiltonianSpec",
     "FlowResult", "quadratic_from_matrices", "integrate_flow",
     "NormalFormResult", "solve_homological", "lie_transform",
     "one_step_normal_form", "verify_homological", "verify_estimates",

@@ -28,7 +28,6 @@ from .errors import InsufficientSpan, KamlabError
 from .fourier_taylor import (
     TIME_SCALED,
     HamiltonianSpec,
-    PhaseState,
     flow_steps,
     integrate_flow,
 )
@@ -366,8 +365,7 @@ def probe(sink, spec, t, h, i0, points):
         raise ValueError(f"--points must be at least 1, got {points}")
     every = max(1, flow_steps(t, h) // 256)
     theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
-    flow = integrate_flow(spec.combined_series(),
-                          PhaseState(theta0, np.tile(act0, (points, 1))),
+    flow = integrate_flow(spec.combined_series(), theta0, np.tile(act0, (points, 1)),
                           t, h, record_every=every)
     rows = []
     summary = []
@@ -383,7 +381,7 @@ def probe(sink, spec, t, h, i0, points):
             "max_action_deviation":
                 float(np.max(np.abs(flow.actions[:, p] - act0[None, :]))),
             "rotation_estimate":
-                [float(v) for v in (flow.final.theta[p] - theta0[p]) / t],
+                [float(v) for v in (flow.thetas[-1, p] - theta0[p]) / t],
         })
     cols = (["traj", "t"] + [f"theta_{j + 1}" for j in range(n)]
             + [f"I_{j + 1}" for j in range(n)] + ["energy"])

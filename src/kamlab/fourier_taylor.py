@@ -628,26 +628,13 @@ def check_kolmogorov(series: FourierTaylorSeries) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PhaseState:
-    """A stack of N phase-space points, theta and I each of shape (N, n); one
-    point is the stack of one."""
-    theta: np.ndarray
-    I: np.ndarray
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        self.I = np.asarray(self.I, dtype=np.float64)
-
-
-@dataclass
 class FlowResult:
-    final: PhaseState
+    """Recorded times (T,), and angles and actions (T, N, n) and energies
+    (T, N) of the N points at those times; the last entry is the final state."""
     times: np.ndarray
     thetas: np.ndarray
     actions: np.ndarray
     energies: np.ndarray
-    steps: int
-    method: str
 
     @property
     def energy_drift(self) -> float:
@@ -660,8 +647,10 @@ class FlowResult:
 FLOW_STEP_BUDGET = 10 ** 6
 
 # a midpoint step's fixed point is reached when no half-step increment moves
-# by more than this, relative to 1 + |I|
+# by more than this, relative to 1 + |I|, within FIXED_POINT_MAX_ITER
+# iterations
 FIXED_POINT_TOL = 1e-14
+FIXED_POINT_MAX_ITER = 100
 
 
 def flow_steps(t_final: float, step: float) -> int:
@@ -681,10 +670,10 @@ def flow_steps(t_final: float, step: float) -> int:
     return n_steps
 
 
-def integrate_flow(hamiltonian: FourierTaylorSeries, state0: PhaseState,
+def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
                    t_final: float, step: float, method: str = "midpoint",
-                   domain_radius: Optional[float] = None, record_every: int = 0,
-                   fixed_point_max_iter: int = 100) -> FlowResult:
+                   domain_radius: Optional[float] = None,
+                   record_every: int = 0) -> FlowResult:
     """Integrate theta' = dH/dI, I' = -dH/dtheta for the series H.
 
     "midpoint" is the implicit midpoint rule, symplectic, with a fixed-point
@@ -692,15 +681,15 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, state0: PhaseState,
     oracle.  Angles are not wrapped, so rotation numbers can be read off the
     final state.
 
-    The N points of state0 are integrated as one system: the recorded thetas
-    and actions have shape (T, N, n), energies (T, N), and the final state
-    (N, n).  The midpoint fixed point is solved per point, each with its own
-    warm start and stopping rule, on the rows still iterating; dop853 makes
-    one scipy solve of the whole stack.
+    The N points of theta and I, each (N, n), are integrated as one system:
+    the recorded thetas and actions have shape (T, N, n) and energies (T, N),
+    and end at the final state.  The midpoint fixed point is solved per
+    point, each with its own warm start and stopping rule, on the rows still
+    iterating; dop853 makes one scipy solve of the whole stack.
     """
     n_steps = flow_steps(t_final, step)
     comp = hamiltonian.compile()
-    theta, I = state0.theta, state0.I
+    theta, I = (np.asarray(side, dtype=np.float64) for side in (theta, I))
     n_pts, n = theta.shape
 
     # (t, theta, I) per recorded time; states are replaced, never updated
@@ -729,7 +718,7 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, state0: PhaseState,
         for s in range(1, n_steps + 1):
             # a slice while every point iterates: views, not gathers
             live = slice(None)
-            for _ in range(fixed_point_max_iter):
+            for _ in range(FIXED_POINT_MAX_ITER):
                 I_live = I[live]
                 gI, gTh = field(theta[live] + d_th[live], I_live + d_I[live])
                 new_th, new_I = half * gI, half * gTh
@@ -781,5 +770,4 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, state0: PhaseState,
     times, thetas, actions = (np.array(side) for side in zip(*rec))
     energies = comp.batch_value(thetas.reshape(-1, n),
                                 actions.reshape(-1, n)).reshape(len(times), n_pts)
-    return FlowResult(final=PhaseState(theta, I), times=times, thetas=thetas,
-                      actions=actions, energies=energies, steps=n_steps, method=method)
+    return FlowResult(times=times, thetas=thetas, actions=actions, energies=energies)

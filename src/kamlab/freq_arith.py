@@ -36,6 +36,7 @@ windows, which stay meaningful far beyond float64 resolution.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -582,8 +583,7 @@ class ExactCF:
 # public record types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisorRecord:
+class DivisorRecord(NamedTuple):
     """Smallest divisor over the lattice ball of l1 radius Q."""
     Q: int
     min_divisor: float
@@ -705,7 +705,7 @@ class FrequencyVector:
         return rec
 
     @classmethod
-    def from_record(cls, rec: dict, q_check: Optional[int] = None) -> "FrequencyVector":
+    def from_record(cls, rec: dict) -> "FrequencyVector":
         if rec.get("record") != "frequency_vector":
             raise ConstructionFailed("not a frequency_vector record")
         comps = [float(s) for s in rec["components"]]
@@ -717,7 +717,7 @@ class FrequencyVector:
         return cls(
             comps,
             kind=rec.get("kind", "explicit"),
-            q_check=rec.get("q_checked", 30) if q_check is None else q_check,
+            q_check=rec.get("q_checked", 30),
             decimal_components=list(rec["components"]),
             exact=exact,
             construction=rec.get("construction"),
@@ -753,7 +753,7 @@ def psi_table(omega: FrequencyVector, Q: int) -> list[DivisorRecord]:
         return []
     d, k = omega._table.prefix_minima(0, min(Q, ENUMERATION_CAP))
     _check_cap(Q)
-    return [DivisorRecord(Q=q, min_divisor=dq, argmin_k=tuple(kq), psi=1.0 / dq)
+    return [DivisorRecord(q, dq, tuple(kq), 1.0 / dq)
             for q, dq, kq in zip(range(1, Q + 1), d.tolist(), k.tolist())]
 
 
@@ -820,10 +820,8 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
     mu = 1.0 / D
     nu = None
     if alpha is not None:
+        check_gevrey(alpha, c_bar)
         cb = 1.0 if c_bar is None else float(c_bar)
-        if not (0 < alpha < math.inf and 0 < cb < math.inf):
-            raise ConstructionFailed(f"Gevrey alpha and c_bar must be finite and "
-                                     f"positive, got alpha={alpha!r}, c_bar={cb!r}")
         try:
             nu = math.exp(-cb * mu ** (-1.0 / alpha))
         except OverflowError:
@@ -831,6 +829,17 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
         return ArithmeticProfile(epsilon=float(epsilon), c=float(c), Delta=D, mu=mu,
                                  alpha=float(alpha), c_bar=cb, nu=nu)
     return ArithmeticProfile(epsilon=float(epsilon), c=float(c), Delta=D, mu=mu)
+
+
+def check_gevrey(alpha, c_bar) -> None:
+    """Raise ConstructionFailed unless the Gevrey alpha and c_bar are each
+    None or a finite positive real number."""
+    for value in (alpha, c_bar):
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, numbers.Real)
+                                  or not 0 < value < math.inf):
+            raise ConstructionFailed(f"Gevrey alpha and c_bar must be finite and "
+                                     f"positive, got alpha={alpha!r}, c_bar={c_bar!r}")
 
 
 def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,
@@ -1023,8 +1032,7 @@ def _liouville_lacunary(n: int, schedule_exponent: float) -> FrequencyVector:
 
 def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0,
                         schedule_exponent: float = 22.0, levels: int = 3,
-                        c: float = 1.0,
-                        components=None, q_check: int = 30) -> FrequencyVector:
+                        c: float = 1.0) -> FrequencyVector:
     """Construct a frequency vector of the requested arithmetic type.
 
     kind "golden": (1, (sqrt(5)-1)/2), n=2.
@@ -1033,7 +1041,7 @@ def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0,
         (exact rational tag, scale sequence in construction metadata),
         lacunary decimal series for n>=3.
     kind "liouville_constant": truncated sum of 10^(-j!), n=2.
-    kind "explicit": caller-supplied components.
+    A vector of given components is FrequencyVector(components).
     """
     if kind == "golden":
         if n != 2:
@@ -1051,8 +1059,4 @@ def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0,
         if n != 2:
             raise ConstructionFailed("liouville_constant is n=2")
         return _liouville_constant()
-    if kind == "explicit":
-        if components is None:
-            raise ConstructionFailed("explicit construction needs components")
-        return FrequencyVector(components, kind="explicit", q_check=q_check)
     raise ConstructionFailed(f"unknown frequency kind {kind!r}")

@@ -26,6 +26,7 @@ instead; gevrey_forecast produces the arithmetic-only prediction table.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -208,15 +209,30 @@ class ScanPlan:
         self.epsilons = tuple(float(e) for e in self.epsilons)
         if self.base.state != PHYSICAL:
             raise ValueError("plan template must be a physical-state spec")
+        for name in ("density", "max_iter", "grid"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"field {name!r} must be a positive integer, "
+                                 f"got {value!r}")
+        for name in ("tau", "tol", "c", "mu_gate", "sqrt_mu_gate", "gamma_coeff",
+                     "margin_coeff", "gamma_floor"):
+            value = getattr(self, name)
+            positive = name != "gamma_floor"        # a zero floor leaves gamma_coeff
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+                raise ValueError(f"field {name!r} must be a finite "
+                                 f"{'positive' if positive else 'non-negative'} real "
+                                 f"number, got {value!r}")
+        fa.check_gevrey(self.gevrey_alpha, self.gevrey_c_bar)
+        if not isinstance(self.record_timings, bool):
+            raise ValueError(f"field 'record_timings' must be a bool, "
+                             f"got {self.record_timings!r}")
         n = self.base.n
         if not self.tau > n - 1:
             raise ValueError(f"tau must exceed n-1 = {n - 1}")
-        if self.margin_coeff <= 0 or self.gamma_coeff <= 0:
-            raise ValueError("selection coefficients must be positive")
-        if self.density < 1:
-            raise ValueError("density must be positive")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
+        if not all(0 < e < math.inf for e in self.epsilons):
+            raise ValueError("epsilons must be finite and positive")
         check_grid(self.grid, n)
 
     @property

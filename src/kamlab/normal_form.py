@@ -36,6 +36,7 @@ from .fourier_taylor import (
     HamiltonianSpec,
     TIME_SCALED,
     check_kolmogorov,
+    integrate_flow,
 )
 from .freq_arith import (
     ArithmeticProfile,
@@ -52,8 +53,14 @@ TWO_PI_I = 2j * math.pi
 PRUNE_ABS = 1e-18
 
 # the Lie series stops once a term's coefficient norm, relative to the
-# first term's, falls below this
+# first term's, falls below this, within LIE_MAX_ORDER brackets
 LIE_TAIL_TOL = 1e-12
+LIE_MAX_ORDER = 16
+
+# verify_estimates flows this many probe points by the change of variables,
+# at this midpoint step
+ESTIMATE_PROBES = 24
+ESTIMATE_FLOW_STEP = 1e-3
 
 
 def solve_homological(target: FourierTaylorSeries, omega: np.ndarray,
@@ -82,16 +89,15 @@ def solve_homological(target: FourierTaylorSeries, omega: np.ndarray,
     return FourierTaylorSeries(n, terms)
 
 
-def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries,
-                  max_order: int = 16) -> tuple[
-                      FourierTaylorSeries, int, float]:
+def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries
+                  ) -> tuple[FourierTaylorSeries, int, float]:
     """exp(L_generator) applied to h_series: sum_j (ad_generator)^j h / j!.
 
     Terms are added until the j-th term's coefficient norm falls below
     LIE_TAIL_TOL relative to the perturbation size, with at least two brackets
     taken so the quadratic remainder is always represented.  Returns
     (transformed, order_used, tail_ratio).  Raises TailNotConverged if the
-    tail is still above tolerance at max_order.
+    tail is still above tolerance at LIE_MAX_ORDER.
     """
     out = h_series
     term = h_series
@@ -99,7 +105,7 @@ def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries,
     # part cancels in the first bracket, so measure against the first term
     ref = None
     tail = math.inf
-    for j in range(1, max_order + 1):
+    for j in range(1, LIE_MAX_ORDER + 1):
         term = term.poisson(generator).prune(PRUNE_ABS)
         term = term.scale(1.0 / j)
         out = out + term
@@ -110,7 +116,7 @@ def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries,
         if j >= 2 and tail <= LIE_TAIL_TOL:
             return out.prune(PRUNE_ABS), j, tail
     raise TailNotConverged(
-        f"Lie tail ratio {tail:.3e} above {LIE_TAIL_TOL:g} at order {max_order}")
+        f"Lie tail ratio {tail:.3e} above {LIE_TAIL_TOL:g} at order {LIE_MAX_ORDER}")
 
 
 @dataclass
@@ -160,7 +166,6 @@ class NormalFormResult:
 
 def one_step_normal_form(spec: HamiltonianSpec, freq: FrequencyVector,
                          c: float = 1.0, mu_max: float = 0.3,
-                         max_order: int = 16,
                          gevrey_alpha: Optional[float] = None,
                          gevrey_c_bar: Optional[float] = None) -> NormalFormResult:
     """One resonant normal-form step at truncation order K = delta(c/eps).
@@ -195,8 +200,7 @@ def one_step_normal_form(spec: HamiltonianSpec, freq: FrequencyVector,
     generator = chihat.scale(spec.epsilon)
 
     h_full = spec.combined_series()
-    h_new, lie_order, tail_ratio = lie_transform(
-        h_full, generator, max_order=max_order)
+    h_new, lie_order, tail_ratio = lie_transform(h_full, generator)
 
     # exact bookkeeping: ftilde := (H o Phi - linear - fbar) / mu, using the
     # integer K = 1/mu directly so the reciprocal is not rounded twice
@@ -249,19 +253,17 @@ def verify_homological(chihat: FourierTaylorSeries, target: FourierTaylorSeries,
     return resid.coefficient_norm()
 
 
-def verify_estimates(result: NormalFormResult, n_probe: int = 24,
-                     flow_step: float = 1e-3, seed: int = 0) -> dict:
+def verify_estimates(result: NormalFormResult, seed: int = 0) -> dict:
     """Independent checks that the declared decomposition is the real one.
 
     * bookkeeping: linear + fbar + mu*ftilde rebuilt from spec_out matches the
       Lie-transformed series exactly (identity by construction; verified).
     * realization: H(Phi(z)) == (H o Phi)(z) at random probe points, with
       Phi computed as the time-1 midpoint flow of the generator, an entirely
-      different route than the Lie series.
+      different route than the Lie series, at ESTIMATE_PROBES points drawn
+      from `seed`.
     * size: ||ftilde|| / ||f|| ratio, which the truncation choice keeps O(1).
     """
-    from .fourier_taylor import PhaseState, integrate_flow
-
     spec_in, spec_out = result.spec_in, result.spec_out
     h_in = spec_in.combined_series().compile()
     h_out = spec_out.combined_series().compile()
@@ -273,12 +275,12 @@ def verify_estimates(result: NormalFormResult, n_probe: int = 24,
     scale_ref = max(abs(H_ref), 1.0)
     # drawn probe by probe, angle then action, so the points do not depend
     # on the probes being flowed as one stack
-    probes = [(rng.uniform(0.0, 1.0, n), rng.uniform(-r, r, n)) for _ in range(n_probe)]
+    probes = [(rng.uniform(0.0, 1.0, n), rng.uniform(-r, r, n))
+              for _ in range(ESTIMATE_PROBES)]
     theta, act = (np.array(side) for side in zip(*probes))
-    final = integrate_flow(result.flow_generator(), PhaseState(theta, act), 1.0,
-                           flow_step).final
+    flow = integrate_flow(result.flow_generator(), theta, act, 1.0, ESTIMATE_FLOW_STEP)
     lhs = h_out.batch_value(theta, act)
-    rhs = h_in.batch_value(final.theta, final.I)
+    rhs = h_in.batch_value(flow.thetas[-1], flow.actions[-1])
     return {
         "composition_error": float(np.max(np.abs(lhs - rhs))) / scale_ref,
         "f_tilde_ratio": result.diagnostics["f_tilde_ratio"],

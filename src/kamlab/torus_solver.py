@@ -38,7 +38,7 @@ from .errors import (
     OutsideImage,
     SmallDivisorBreakdown,
 )
-from .fourier_taylor import COND_MAX, HamiltonianSpec, PhaseState, integrate_flow
+from .fourier_taylor import COND_MAX, HamiltonianSpec, integrate_flow
 from .freq_arith import _DivisorTable, compensated_dot
 
 # pulled-back tori must stay inside this fraction of the declared domain
@@ -55,6 +55,12 @@ COEFF_TOL = 1e-16
 
 # verify_by_integration records every this many steps of its trajectories
 VERIFY_RECORD_EVERY = 200
+
+# pull_back refuses a scaled torus within PULLBACK_MARGIN_COEFF * sqrt(mu) of
+# the unit action boundary, and flows it by the normal-form change of
+# variables at PULLBACK_FLOW_STEP
+PULLBACK_MARGIN_COEFF = 1.0
+PULLBACK_FLOW_STEP = 0.125
 
 
 def check_grid(grid: int, n: int) -> None:
@@ -214,6 +220,10 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     divisor table for all their frequencies.  Entry s is the TargetFrequency
     certify_target returns for I_targets[s], or the SmallDivisorBreakdown it
     raises."""
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     if not len(I_targets):
         return []
     f_avg = spec.perturbation(include_extra=True).average().compile()
@@ -413,6 +423,8 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     condition and the counterterm solve.  A sample that fails drops out with
     the exception solve_torus raises for it and the others go on.  Returns
     one _Outcome per sample, in order."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     S, n = I_start.shape
     outcomes = [_Outcome() for _ in range(S)]
     if not S:
@@ -630,7 +642,7 @@ def verify_by_integration(spec: HamiltonianSpec, emb: TorusEmbedding,
     w_slow = emb.target.omega_slow
     phi0 = np.repeat((np.arange(n_points) + 0.5)[:, None] / n_points, emb.n, axis=1)
     th0, I0 = emb.embed(phi0)
-    res = integrate_flow(h_slow, PhaseState(th0, I0), t_final, step,
+    res = integrate_flow(h_slow, th0, I0, t_final, step,
                          method=method, record_every=VERIFY_RECORD_EVERY)
     # the rigid rotation of every start angle at every recorded time, (T, N, n)
     rotated = phi0[None] + np.outer(res.times, w_slow)[:, None]
@@ -653,8 +665,7 @@ def verify_by_integration(spec: HamiltonianSpec, emb: TorusEmbedding,
 
 
 def pull_back(emb: TorusEmbedding, physical_radius: float,
-              nf=None, margin_coeff: float = 1.0,
-              flow_step: float = 0.125) -> TorusEmbedding:
+              nf=None) -> TorusEmbedding:
     """Map the torus to original coordinates: undo the normal-form change of
     variables (when its result is given), then the action scaling.
 
@@ -665,8 +676,8 @@ def pull_back(emb: TorusEmbedding, physical_radius: float,
     parametrization and the action average into I0.
 
     Raises OutsideImage when the scaled torus sits closer to the unit action
-    boundary than margin_coeff * sqrt(mu) (nf given), or when the pulled-back
-    actions leave PULLBACK_MARGIN of the physical domain."""
+    boundary than PULLBACK_MARGIN_COEFF * sqrt(mu) (nf given), or when the
+    pulled-back actions leave PULLBACK_MARGIN of the physical domain."""
     eps = emb.epsilon
     n = emb.n
     grid = emb.grid
@@ -674,16 +685,15 @@ def pull_back(emb: TorusEmbedding, physical_radius: float,
     if nf is not None:
         theta, acts = emb.grid_points()
         sup_norm = float(np.max(np.linalg.norm(acts, axis=1)))
-        margin = margin_coeff * math.sqrt(nf.mu)
+        margin = PULLBACK_MARGIN_COEFF * math.sqrt(nf.mu)
         if 1.0 - sup_norm < margin:
             raise OutsideImage(
                 f"scaled torus is {1.0 - sup_norm:.6g} from the unit action "
                 f"boundary, inside the sqrt(mu) margin {margin:.6g}")
-        final = integrate_flow(nf.flow_generator(), PhaseState(theta, acts), 1.0,
-                               flow_step).final
+        flow = integrate_flow(nf.flow_generator(), theta, acts, 1.0, PULLBACK_FLOW_STEP)
         stack = (n,) + (grid,) * n
-        u_hat = _hat((final.theta - emb.grid_phis()).T.reshape(stack), n)
-        v_hat = _hat(final.I.T.reshape(stack), n)
+        u_hat = _hat((flow.thetas[-1] - emb.grid_phis()).T.reshape(stack), n)
+        v_hat = _hat(flow.actions[-1].T.reshape(stack), n)
         # re-gauge: move the angle means into the parameter origin and the
         # action means into I0 (exact phase shift, no interpolation)
         mean = (slice(None),) + (0,) * n

@@ -285,6 +285,49 @@ def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, e
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+# plan fields of the wrong type or range; unrefused, each ended in a
+# traceback (max_iter 0 or less in an IndexError after the Newton sweeps)
+_BAD_PLAN_FIELDS = [("density", 1.5), ("density", True), ("max_iter", 0), ("max_iter", -3),
+                    ("max_iter", 2.5), ("grid", "x"), ("tau", "x"), ("tol", "x"),
+                    ("tol", 0.0), ("c", math.inf), ("mu_gate", "x"), ("sqrt_mu_gate", -1.0),
+                    ("gamma_coeff", math.nan), ("margin_coeff", "x"),
+                    ("gamma_floor", -1.0), ("gevrey_alpha", "x"), ("gevrey_c_bar", 0.0),
+                    ("record_timings", 1), ("epsilons", [1e-3, math.inf])]
+
+
+@pytest.mark.parametrize("field, value", _BAD_PLAN_FIELDS,
+                         ids=[f"{field}-{value}" for field, value in _BAD_PLAN_FIELDS])
+def test_malformed_plan_field_writes_error_record(files, monkeypatch, field, value):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("run_plan ran on a plan refused up front")
+
+    monkeypatch.setattr(ms, "run_plan", no_scan)
+    rec = json.loads((files / "plan.json").read_text())
+    rec[field] = value
+    (files / "malformed.json").write_text(json.dumps(rec))
+    out = files / "malformed"
+    res = invoke("scan", "--plan", files / "malformed.json", "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    gevrey = field.startswith("gevrey")
+    assert err["kind"] == ("ConstructionFailed" if gevrey else "ValueError")
+    assert (field.replace("gevrey_", "") if gevrey else field) in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+@pytest.mark.parametrize("option, value", [(option, value) for option in ("--gamma", "--tau")
+                                           for value in ("-1", "0", "nan")])
+def test_torus_refuses_gamma_or_tau_not_finite_and_positive(files, option, value):
+    out = files / "torus"
+    res = invoke("torus", "--spec", files / "spec.json", "--i0", "0.3,-0.2",
+                 option, value, "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "ValueError"
+    assert f"{option[2:]} must be finite and positive" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 _DROP = object()
 _PARSERS = {"--spec": HamiltonianSpec.from_record, "--omega": cli._frequency,
             "--plan": ms.ScanPlan.from_record}

@@ -11,6 +11,7 @@ import pytest
 from oracles import series_jet
 
 import kamlab
+from kamlab import fourier_taylor
 from kamlab.errors import (
     DomainExceeded,
     KolmogorovDegenerate,
@@ -21,7 +22,6 @@ from kamlab.fourier_taylor import (
     CompiledSeries,
     FourierTaylorSeries,
     HamiltonianSpec,
-    PhaseState,
     averaged_quadratic_matrix,
     check_kolmogorov,
     integrate_flow,
@@ -352,29 +352,27 @@ ONE_TH, ONE_I = TH[None], II[None]
 def test_integrable_flow_is_exact_rotation():
     spec = HamiltonianSpec(omega=OMEGA, quad=quadratic_from_matrices(N, A0),
                            rest=FourierTaylorSeries.zero(N), epsilon=1e-3)
-    st = PhaseState(ONE_TH, ONE_I)
-    res = integrate_flow(spec.combined_series(), st, 10.0, 0.01)
+    res = integrate_flow(spec.combined_series(), ONE_TH, ONE_I, 10.0, 0.01)
     expect = TH + 10.0 * (OMEGA + 2 * A0 @ II)
-    assert np.max(np.abs(res.final.theta - expect)) < 1e-10
-    assert np.max(np.abs(res.final.I - II)) == 0.0
+    assert np.max(np.abs(res.thetas[-1] - expect)) < 1e-10
+    assert np.max(np.abs(res.actions[-1] - II)) == 0.0
     assert res.energy_drift < 1e-12
 
 
 def test_midpoint_second_order_richardson():
     ham = sample_spec().combined_series()
-    st = PhaseState(ONE_TH, ONE_I)
-    ref = integrate_flow(ham, st, 2.0, 0.02, method="dop853")
-    e1 = np.max(np.abs(integrate_flow(ham, st, 2.0, 0.02).final.I - ref.final.I))
-    e2 = np.max(np.abs(integrate_flow(ham, st, 2.0, 0.01).final.I - ref.final.I))
+    ref = integrate_flow(ham, ONE_TH, ONE_I, 2.0, 0.02, method="dop853")
+    e1, e2 = (np.max(np.abs(integrate_flow(ham, ONE_TH, ONE_I, 2.0, step).actions[-1]
+                            - ref.actions[-1])) for step in (0.02, 0.01))
     assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
 
 def test_midpoint_energy_drift_bounded():
     ham = sample_spec().combined_series()
-    res = integrate_flow(ham, PhaseState(ONE_TH, ONE_I), 20.0, 0.01, record_every=100)
+    res = integrate_flow(ham, ONE_TH, ONE_I, 20.0, 0.01, record_every=100)
     assert res.energy_drift < 1e-4
     # drift scales like h^2
-    res2 = integrate_flow(ham, PhaseState(ONE_TH, ONE_I), 20.0, 0.005, record_every=100)
+    res2 = integrate_flow(ham, ONE_TH, ONE_I, 20.0, 0.005, record_every=100)
     assert res2.energy_drift < 0.3 * res.energy_drift
 
 
@@ -384,7 +382,7 @@ def test_flow_domain_guard():
            + FourierTaylorSeries.monomial(N, (0, 1), OMEGA[1])
            + FourierTaylorSeries.cosine(N, (1, 0), amplitude=0.5))
     with pytest.raises(DomainExceeded):
-        integrate_flow(ham, PhaseState(np.array([[0.2, 0.0]]), np.array([[0.9, 0.0]])),
+        integrate_flow(ham, np.array([[0.2, 0.0]]), np.array([[0.9, 0.0]]),
                        5.0, 0.01, domain_radius=1.0)
 
 
@@ -395,33 +393,31 @@ def test_flow_domain_guard():
                                            (1e3, 1e-4)])
 def test_flow_refuses_a_horizon_that_is_no_positive_step_count(method, t_final, step):
     with pytest.raises(ValueError, match="t_final"):
-        integrate_flow(sample_spec().combined_series(), PhaseState(ONE_TH, ONE_I),
+        integrate_flow(sample_spec().combined_series(), ONE_TH, ONE_I,
                        t_final, step, method=method)
 
 
 def test_flow_initial_state_outside_domain():
     spec = sample_spec()
     with pytest.raises(DomainExceeded):
-        integrate_flow(spec.combined_series(), PhaseState(ONE_TH, np.array([[3.0, 0.0]])),
+        integrate_flow(spec.combined_series(), ONE_TH, np.array([[3.0, 0.0]]),
                        1.0, 0.01, domain_radius=2.0)
 
 
 def test_midpoint_matches_dop853():
     ham = sample_spec().combined_series()
-    st = PhaseState(ONE_TH, ONE_I)
-    res_m = integrate_flow(ham, st, 5.0, 0.002)
-    res_d = integrate_flow(ham, st, 5.0, 0.002, method="dop853")
-    assert np.max(np.abs(res_m.final.I - res_d.final.I)) < 5e-6
-    assert np.max(np.abs(res_m.final.theta - res_d.final.theta)) < 5e-6
+    res_m = integrate_flow(ham, ONE_TH, ONE_I, 5.0, 0.002)
+    res_d = integrate_flow(ham, ONE_TH, ONE_I, 5.0, 0.002, method="dop853")
+    assert np.max(np.abs(res_m.actions[-1] - res_d.actions[-1])) < 5e-6
+    assert np.max(np.abs(res_m.thetas[-1] - res_d.thetas[-1])) < 5e-6
 
 
 def test_time_reversibility():
     ham = sample_spec().combined_series()
-    st = PhaseState(ONE_TH, ONE_I)
-    fwd = integrate_flow(ham, st, 3.0, 0.01)
-    back = integrate_flow(ham.scale(-1.0), fwd.final, 3.0, 0.01)
-    assert np.max(np.abs(back.final.theta - TH)) < 1e-11
-    assert np.max(np.abs(back.final.I - II)) < 1e-11
+    fwd = integrate_flow(ham, ONE_TH, ONE_I, 3.0, 0.01)
+    back = integrate_flow(ham.scale(-1.0), fwd.thetas[-1], fwd.actions[-1], 3.0, 0.01)
+    assert np.max(np.abs(back.thetas[-1] - TH)) < 1e-11
+    assert np.max(np.abs(back.actions[-1] - II)) < 1e-11
 
 
 # -- stacked flows -------------------------------------------------------------------
@@ -444,11 +440,11 @@ def rows_per_field_call(monkeypatch) -> list:
 def test_stacked_midpoint_equals_single_point_flows(monkeypatch):
     ham = sample_spec().combined_series()
     rows = rows_per_field_call(monkeypatch)
-    stack = integrate_flow(ham, PhaseState(STACK_TH, STACK_I), 2.0, 0.01, record_every=40)
+    stack = integrate_flow(ham, STACK_TH, STACK_I, 2.0, 0.01, record_every=40)
     stacked_rows, single_rows = sum(rows), 0
     for p in range(len(STACK_TH)):
         rows.clear()
-        one = integrate_flow(ham, PhaseState(STACK_TH[p:p + 1], STACK_I[p:p + 1]), 2.0,
+        one = integrate_flow(ham, STACK_TH[p:p + 1], STACK_I[p:p + 1], 2.0,
                              0.01, record_every=40)
         single_rows += sum(rows)
         assert np.array_equal(stack.times, one.times)
@@ -462,10 +458,10 @@ def test_stacked_midpoint_equals_single_point_flows(monkeypatch):
 
 def test_stacked_dop853_matches_single_point_flows():
     ham = sample_spec().combined_series()
-    stack = integrate_flow(ham, PhaseState(STACK_TH, STACK_I), 2.0, 0.02,
+    stack = integrate_flow(ham, STACK_TH, STACK_I, 2.0, 0.02,
                            method="dop853", record_every=25)
     for p in range(len(STACK_TH)):
-        one = integrate_flow(ham, PhaseState(STACK_TH[p:p + 1], STACK_I[p:p + 1]), 2.0,
+        one = integrate_flow(ham, STACK_TH[p:p + 1], STACK_I[p:p + 1], 2.0,
                              0.02, method="dop853", record_every=25)
         assert np.array_equal(stack.times, one.times)
         assert np.max(np.abs(stack.thetas[:, p] - one.thetas[:, 0])) <= 1e-10
@@ -476,18 +472,18 @@ def test_stacked_dop853_matches_single_point_flows():
 @pytest.mark.parametrize("record_every", [0, 5])
 def test_flow_shapes_single_and_stacked(method, record_every):
     ham = sample_spec().combined_series()
-    one = integrate_flow(ham, PhaseState(ONE_TH, ONE_I), 1.0, 0.1, method=method,
+    one = integrate_flow(ham, ONE_TH, ONE_I, 1.0, 0.1, method=method,
                          record_every=record_every)
     # unrecorded dop853 keeps every accepted step
     T = len(one.times)
     assert T == 3 if record_every else (T == 2 or method == "dop853")
-    assert one.final.theta.shape == one.final.I.shape == (1, N)
+    assert one.thetas[-1].shape == one.actions[-1].shape == (1, N)
     assert one.thetas.shape == one.actions.shape == (T, 1, N)
     assert one.times.shape == (T,) and one.energies.shape == (T, 1)
-    stack = integrate_flow(ham, PhaseState(STACK_TH, STACK_I), 1.0, 0.1,
+    stack = integrate_flow(ham, STACK_TH, STACK_I, 1.0, 0.1,
                            method=method, record_every=record_every)
     P, T = len(STACK_TH), len(stack.times)
-    assert stack.final.theta.shape == stack.final.I.shape == (P, N)
+    assert stack.thetas[-1].shape == stack.actions[-1].shape == (P, N)
     assert stack.thetas.shape == stack.actions.shape == (T, P, N)
     assert stack.times.shape == (T,) and stack.energies.shape == (T, P)
 
@@ -498,23 +494,22 @@ def test_one_point_leaving_the_domain_stops_the_stack():
            + FourierTaylorSeries.cosine(N, (1, 0), amplitude=0.5))
     theta = np.array([[0.2, 0.0], [0.2, 0.0]])
     acts = np.array([[0.0, 0.0], [0.9, 0.0]])
-    integrate_flow(ham, PhaseState(theta[:1], acts[:1]), 5.0, 0.01, domain_radius=1.0)
+    integrate_flow(ham, theta[:1], acts[:1], 5.0, 0.01, domain_radius=1.0)
     with pytest.raises(DomainExceeded):
-        integrate_flow(ham, PhaseState(theta, acts), 5.0, 0.01, domain_radius=1.0)
+        integrate_flow(ham, theta, acts, 5.0, 0.01, domain_radius=1.0)
 
 
-def test_one_stalled_point_stops_the_stack():
+def test_one_stalled_point_stops_the_stack(monkeypatch):
     # H = I1^2 cos(2 pi th1): the point at I = 0 is at rest and settles in
     # one iteration, the moving one needs more than the single one allowed
     ham = FourierTaylorSeries.cosine(N, (1, 0), (2, 0))
     theta = np.array([[0.1, 0.0], [0.1, 0.0]])
     acts = np.array([[0.0, 0.0], [0.5, 0.0]])
-    integrate_flow(ham, PhaseState(theta[:1], acts[:1]), 0.1, 0.01,
-                   fixed_point_max_iter=1)
-    integrate_flow(ham, PhaseState(theta[1:], acts[1:]), 0.1, 0.01)
+    integrate_flow(ham, theta[1:], acts[1:], 0.1, 0.01)
+    monkeypatch.setattr(fourier_taylor, "FIXED_POINT_MAX_ITER", 1)
+    integrate_flow(ham, theta[:1], acts[:1], 0.1, 0.01)
     with pytest.raises(NonConvergentStep, match="1 of 2 points"):
-        integrate_flow(ham, PhaseState(theta, acts), 0.1, 0.01,
-                       fixed_point_max_iter=1)
+        integrate_flow(ham, theta, acts, 0.1, 0.01)
 
 
 def test_independent_flows_stay_off_the_integrator():
@@ -530,8 +525,7 @@ def test_independent_flows_stay_off_the_integrator():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert not names & {"integrate_flow", "PhaseState", "canonical_field",
-                            "batch_field"}
+        assert not names & {"integrate_flow", "canonical_field", "batch_field"}
     # the series jet checks the compiled evaluator, so the oracles import
     # nothing from the package
     assert "kamlab" not in (here / "oracles.py").read_text()

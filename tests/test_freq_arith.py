@@ -118,8 +118,7 @@ def test_psi_matches_brute_force_bitwise(golden, Q):
 
 
 def test_psi_matches_brute_force_n3():
-    w = make_test_frequency(
-        "explicit", components=[1.0, 1 / math.sqrt(2), 1 / math.sqrt(3)], q_check=10)
+    w = FrequencyVector([1.0, 1 / math.sqrt(2), 1 / math.sqrt(3)], q_check=10)
     for Q in (1, 3, 7, 12):
         d_brute, _ = brute_min_divisor(w.components, Q)
         assert psi(w, Q).min_divisor == d_brute
@@ -129,7 +128,7 @@ def test_psi_random_vectors_match_brute_force():
     rng = np.random.default_rng(20260814)
     for _ in range(6):
         comps = rng.uniform(0.3, 1.0, size=2)
-        w = make_test_frequency("explicit", components=comps, q_check=5)
+        w = FrequencyVector(comps, q_check=5)
         for Q in (2, 9, 17):
             d_brute, _ = brute_min_divisor(w.components, Q)
             assert psi(w, Q).min_divisor == d_brute
@@ -159,7 +158,7 @@ def test_delta_invariant_random_x(golden):
 # -- resonance handling ---------------------------------------------------------
 
 def test_resonant_vector_detected():
-    w = make_test_frequency("explicit", components=[1.0, 0.5], q_check=2)
+    w = FrequencyVector([1.0, 0.5], q_check=2)
     with pytest.raises(ResonanceDetected) as exc:
         psi(w, 3)
     assert "(1, -2)" in str(exc.value)
@@ -167,12 +166,12 @@ def test_resonant_vector_detected():
 
 def test_resonant_construction_rejected_at_q_check():
     with pytest.raises(ResonanceDetected):
-        make_test_frequency("explicit", components=[1.0, 0.5], q_check=3)
+        FrequencyVector([1.0, 0.5], q_check=3)
 
 
 def test_rational_vector_wider_check():
     with pytest.raises(ResonanceDetected):
-        make_test_frequency("explicit", components=[1.0, 2.0 / 7.0], q_check=30)
+        FrequencyVector([1.0, 2.0 / 7.0], q_check=30)
 
 
 # -- diophantine_check ----------------------------------------------------------
@@ -201,8 +200,7 @@ def test_enumerated_dioph_values_frozen(golden):
     # frozen before the table and the torus certificate shared one floor routine
     rep = diophantine_check(golden, 1.0, 0.5, 200, method="enumerate")
     assert rep.witness == (55, -89) and rep.margin_log10 == -1.2196827967018768
-    w = make_test_frequency("explicit", components=[1.0, 0.7548776662466927,
-                                                    0.5698402909980532])
+    w = FrequencyVector([1.0, 0.7548776662466927, 0.5698402909980532])
     rep = diophantine_check(w, 1.0, 1.0, 40, method="enumerate")
     assert rep.witness == (1, 10, -15) and rep.margin_log10 == -1.515988814637004
 
@@ -243,7 +241,7 @@ def test_exact_windows_match_exact_scan():
 def test_exact_delta_matches_float_delta():
     alpha = Fraction(2, 7) + Fraction(1, 7 ** 6)
     ex = ExactCF(alpha)
-    w = make_test_frequency("explicit", components=[1.0, float(alpha)], q_check=6)
+    w = FrequencyVector([1.0, float(alpha)], q_check=6)
     for x in (4.0, 10.0, 30.0, 55.0):
         assert ex.delta_exact(Fraction(x)) == delta(w, x)
 
@@ -328,7 +326,7 @@ def test_diophantine_construction():
 # -- construction hygiene and records -------------------------------------------
 
 def test_components_sup_normalized_and_frozen():
-    w = make_test_frequency("explicit", components=[3.0, 3.0 / math.sqrt(7)], q_check=5)
+    w = FrequencyVector([3.0, 3.0 / math.sqrt(7)], q_check=5)
     assert np.max(np.abs(w.components)) == 1.0
     with pytest.raises(ValueError):
         w.components[0] = 3.0
@@ -692,8 +690,7 @@ def test_enumerated_dioph_floor_matches_whole_shells():
 
 
 def test_psi_table_equals_psi_per_q(golden):
-    w3 = make_test_frequency("explicit", components=[1.0, 0.7548776662466927,
-                                                     0.5698402909980532])
+    w3 = FrequencyVector([1.0, 0.7548776662466927, 0.5698402909980532])
     for w, Q in ((golden, 500), (w3, 40)):
         assert psi_table(w, Q) == [psi(w, q) for q in range(1, Q + 1)]
     assert psi_table(golden, 0) == []

@@ -214,6 +214,30 @@ def test_certification_rejects_excessive_gamma():
         ts.certify_target(h3, I_T, gamma=1.5, tau=1.5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gamma", -1.0), ("gamma", 0.0), ("gamma", math.nan), ("gamma", math.inf),
+    ("tau", -1.0), ("tau", 0.0), ("tau", math.nan), ("tau", math.inf)])
+def test_certification_refuses_gamma_or_tau_not_finite_and_positive(name, value):
+    # unrefused, each certified a target carrying that gamma or tau, with
+    # margin inf; the stacked certification the scan uses refuses them too
+    h3, _ = family_spec()
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        ts.certify_target(h3, I_T, **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        ts._certify_stack(h3, I_T[None], **{"gamma": 0.01, "tau": 1.5, name: value},
+                          q_max=None, grid=16)
+    # a tau at or below n - 1 is a certificate of its own, and stays allowed
+    assert ts.certify_target(h3, I_T, tau=1.0, grid=16).tau == 1.0
+
+
+def test_newton_needs_one_sweep_at_least():
+    # max_iter 0 used to end in an IndexError on the empty defect history
+    h3, _ = family_spec()
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            ts.solve_torus(h3, I_T, grid=16, max_iter=max_iter)
+
+
 def test_divisor_floor_violation_mid_solve():
     # near-resonant frequency certified only on |k|_1 <= 2; the grid then
     # exposes the k = (1, -2) mode, which must trip the half-floor guard
@@ -405,13 +429,14 @@ def test_pull_back_through_transform_preserves_defect():
     assert ts.invariance_defect(phys, naive) > 1e-5
 
 
-def test_pull_back_rejects_torus_inside_margin():
+def test_pull_back_rejects_torus_inside_margin(monkeypatch):
     h3, _ = family_spec()
     nf = one_step_normal_form(h3, fa.make_test_frequency("golden"))
     emb = ts.solve_torus(nf.spec_out, np.array([0.9, -0.3]), tau=1.5, grid=32)
     with pytest.raises(OutsideImage, match="margin"):
         ts.pull_back(emb, physical_radius=1.0, nf=nf)
-    ok = ts.pull_back(emb, physical_radius=1.0, nf=nf, margin_coeff=0.2)
+    monkeypatch.setattr(ts, "PULLBACK_MARGIN_COEFF", 0.2)
+    ok = ts.pull_back(emb, physical_radius=1.0, nf=nf)
     assert ok.frame == "physical"
 
 
