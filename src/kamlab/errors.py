@@ -8,10 +8,6 @@ class; the CLI maps the class name into the machine-readable error record.
 class KamlabError(Exception):
     """Base class for all kamlab errors."""
 
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
-
     def as_record(self) -> dict:
         """Kind and message.  Reads nothing but the class name and str(), so
         KamlabError.as_record(exc) also records a foreign exception."""

@@ -38,6 +38,7 @@ from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
 from .fourier_taylor import PHYSICAL, HamiltonianSpec
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled
+from .records import dataclass_from_record, dataclass_record
 from .torus_solver import GRID_POINT_BUDGET, _certify_stack, _solve_stack, check_grid
 
 __all__ = [
@@ -147,34 +148,15 @@ class MeasureReport:
         return self.selected - self.converged
 
     def to_record(self) -> dict:
-        rec = {
-            "record": "measure_report",
-            "epsilon": self.epsilon,
-            "mu": self.mu,
-            "gamma_used": self.gamma_used,
-            "tau_used": self.tau_used,
-            "samples": self.samples,
-            "selected": self.selected,
-            "converged": self.converged,
-            "complement_fraction": self.complement_fraction,
-            "wall_time": self.wall_time,
-            "detail": dict(self.detail),
-        }
-        if self.nu is not None:
-            rec["nu"] = self.nu
+        rec = dataclass_record(self, "measure_report", detail=dict)
+        nu = rec.pop("nu")              # last, and only in Gevrey mode
+        if nu is not None:
+            rec["nu"] = nu
         return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "MeasureReport":
-        if rec.get("record") != "measure_report":
-            raise ValueError("not a measure_report record")
-        return cls(epsilon=rec["epsilon"], mu=rec["mu"],
-                   gamma_used=rec["gamma_used"], tau_used=rec["tau_used"],
-                   samples=rec["samples"], selected=rec["selected"],
-                   converged=rec["converged"],
-                   complement_fraction=rec["complement_fraction"],
-                   wall_time=rec.get("wall_time", 0.0),
-                   nu=rec.get("nu"), detail=dict(rec.get("detail", {})))
+        return dataclass_from_record(cls, rec, "measure_report", detail=dict)
 
 
 @dataclass(eq=False)
@@ -206,7 +188,11 @@ class ScanPlan:
     record_timings: bool = False
 
     def __post_init__(self):
-        self.epsilons = tuple(float(e) for e in self.epsilons)
+        try:
+            self.epsilons = tuple(float(e) for e in self.epsilons)
+        except (TypeError, ValueError):
+            raise ValueError(f"field 'epsilons' must be a list of real numbers, "
+                             f"got {self.epsilons!r}") from None
         if self.base.state != PHYSICAL:
             raise ValueError("plan template must be a physical-state spec")
         for name in ("density", "max_iter", "grid"):
@@ -240,38 +226,14 @@ class ScanPlan:
         return self.base.n
 
     def to_record(self) -> dict:
-        return {
-            "record": "scan_plan",
-            "base": self.base.to_record(),
-            "freq": self.freq.to_record(),
-            "epsilons": list(self.epsilons),
-            "density": self.density,
-            "gamma_coeff": self.gamma_coeff,
-            "gamma_floor": self.gamma_floor,
-            "tau": self.tau,
-            "margin_coeff": self.margin_coeff,
-            "mu_gate": self.mu_gate,
-            "sqrt_mu_gate": self.sqrt_mu_gate,
-            "grid": self.grid,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "c": self.c,
-            "gevrey_alpha": self.gevrey_alpha,
-            "gevrey_c_bar": self.gevrey_c_bar,
-            "record_timings": self.record_timings,
-        }
+        return dataclass_record(self, "scan_plan", base=HamiltonianSpec.to_record,
+                                freq=FrequencyVector.to_record, epsilons=list)
 
     @classmethod
     def from_record(cls, rec: dict) -> "ScanPlan":
-        if rec.get("record") != "scan_plan":
-            raise ValueError("not a scan_plan record")
-        kwargs = {k: rec[k] for k in (
-            "density", "gamma_coeff", "gamma_floor", "tau", "margin_coeff",
-            "mu_gate", "sqrt_mu_gate", "grid", "tol", "max_iter", "c",
-            "gevrey_alpha", "gevrey_c_bar", "record_timings") if k in rec}
-        return cls(base=HamiltonianSpec.from_record(rec["base"]),
-                   freq=FrequencyVector.from_record(rec["freq"]),
-                   epsilons=tuple(rec["epsilons"]), **kwargs)
+        return dataclass_from_record(cls, rec, "scan_plan",
+                                     base=HamiltonianSpec.from_record,
+                                     freq=FrequencyVector.from_record)
 
 
 def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
@@ -350,9 +312,11 @@ class FitResult:
     points: int
 
     def to_record(self) -> dict:
-        return {"record": "fit_result", "exponent": self.exponent,
-                "c_low": self.c_low, "c_high": self.c_high,
-                "points": self.points}
+        return dataclass_record(self, "fit_result")
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "FitResult":
+        return dataclass_from_record(cls, rec, "fit_result")
 
 
 def fit_scaling(reports: Sequence[MeasureReport],

@@ -53,9 +53,13 @@ TWO_PI_I = 2j * math.pi
 PRUNE_ABS = 1e-18
 
 # the Lie series stops once a term's coefficient norm, relative to the
-# first term's, falls below this, within LIE_MAX_ORDER brackets
+# first term's, falls below this, within LIE_MAX_ORDER brackets and within
+# LIE_PAIR_BUDGET term pairs multiplied by its Poisson brackets (a bracket of
+# a and b multiplies at most 2 n len(a) len(b) pairs), so it ends in bounded
+# time on every input
 LIE_TAIL_TOL = 1e-12
 LIE_MAX_ORDER = 16
+LIE_PAIR_BUDGET = 2 ** 22
 
 # verify_estimates flows this many probe points by the change of variables,
 # at this midpoint step
@@ -97,7 +101,8 @@ def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries
     LIE_TAIL_TOL relative to the perturbation size, with at least two brackets
     taken so the quadratic remainder is always represented.  Returns
     (transformed, order_used, tail_ratio).  Raises TailNotConverged if the
-    tail is still above tolerance at LIE_MAX_ORDER.
+    tail is still above tolerance at LIE_MAX_ORDER, or before a bracket
+    would take the pairs multiplied past LIE_PAIR_BUDGET.
     """
     out = h_series
     term = h_series
@@ -105,7 +110,13 @@ def lie_transform(h_series: FourierTaylorSeries, generator: FourierTaylorSeries
     # part cancels in the first bracket, so measure against the first term
     ref = None
     tail = math.inf
+    pairs = 0
     for j in range(1, LIE_MAX_ORDER + 1):
+        pairs += 2 * h_series.n * len(term) * len(generator)
+        if pairs > LIE_PAIR_BUDGET:
+            raise TailNotConverged(
+                f"Lie bracket {j} would take the series to {pairs} term pairs, "
+                f"beyond the budget of {LIE_PAIR_BUDGET}; tail ratio {tail:.3e}")
         term = term.poisson(generator).prune(PRUNE_ABS)
         term = term.scale(1.0 / j)
         out = out + term

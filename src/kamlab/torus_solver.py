@@ -40,6 +40,7 @@ from .errors import (
 )
 from .fourier_taylor import COND_MAX, HamiltonianSpec, integrate_flow
 from .freq_arith import _DivisorTable, compensated_dot
+from .records import dataclass_from_record, dataclass_record
 
 # pulled-back tori must stay inside this fraction of the declared domain
 PULLBACK_MARGIN = 0.9
@@ -164,6 +165,18 @@ def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
     return theta, acts, E_ang, E_act
 
 
+def _reprs(vector: np.ndarray) -> list:
+    """The repr strings of a float vector, read back bit for bit by _floats."""
+    return [repr(float(x)) for x in vector]
+
+
+def _floats(strings: list) -> np.ndarray:
+    return np.array([float(s) for s in strings])
+
+
+_VECTORS = ("I0", "Omega", "shift", "omega_slow")     # TargetFrequency's vector fields
+
+
 @dataclass(eq=False)
 class TargetFrequency:
     """Certified internal frequency of a torus.
@@ -183,15 +196,13 @@ class TargetFrequency:
     margin: float          # min |k.w| |k|^tau / gamma over the checked ball
 
     def to_record(self) -> dict:
-        return {
-            "record": "target_frequency",
-            "I0": [repr(float(x)) for x in self.I0],
-            "Omega": [repr(float(x)) for x in self.Omega],
-            "shift": [repr(float(x)) for x in self.shift],
-            "omega_slow": [repr(float(x)) for x in self.omega_slow],
-            "gamma": self.gamma, "tau": self.tau,
-            "q_max": self.q_max, "margin": self.margin,
-        }
+        return dataclass_record(self, "target_frequency",
+                                **dict.fromkeys(_VECTORS, _reprs))
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "TargetFrequency":
+        return dataclass_from_record(cls, rec, "target_frequency",
+                                     **dict.fromkeys(_VECTORS, _floats))
 
 
 def certify_target(spec: HamiltonianSpec, I_target: np.ndarray,
@@ -339,7 +350,7 @@ class TorusEmbedding:
             "grid": self.grid,
             "frame": self.frame,
             "epsilon": self.epsilon,
-            "I0": [repr(float(x)) for x in self.I0],
+            "I0": _reprs(self.I0),
             "u_coeffs": sparse(self.u_hat),
             "v_coeffs": sparse(self.v_hat),
             "target": self.target.to_record(),
@@ -360,15 +371,8 @@ class TorusEmbedding:
             flat = hat.reshape(n, -1)
             for kvec, j, re, im in rec[key]:
                 flat[j, index[tuple(kvec)]] = complex(re, im)
-        t = rec["target"]
-        target = TargetFrequency(
-            I0=np.array([float(s) for s in t["I0"]]),
-            Omega=np.array([float(s) for s in t["Omega"]]),
-            shift=np.array([float(s) for s in t["shift"]]),
-            omega_slow=np.array([float(s) for s in t["omega_slow"]]),
-            gamma=t["gamma"], tau=t["tau"], q_max=t["q_max"], margin=t["margin"])
-        return cls(grid=grid, I0=np.array([float(s) for s in rec["I0"]]),
-                   u_hat=u_hat, v_hat=v_hat, target=target,
+        return cls(grid=grid, I0=_floats(rec["I0"]), u_hat=u_hat, v_hat=v_hat,
+                   target=TargetFrequency.from_record(rec["target"]),
                    epsilon=rec["epsilon"], frame=rec["frame"],
                    diagnostics=rec.get("diagnostics", {}))
 
@@ -530,17 +534,9 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
         # counterterm from Kolmogorov non-degeneracy
         Tdv = np.einsum("spij,spj->spi", T, dv_vals)
         rhs_mean = E_ang.mean(axis=1) + Tdv.mean(axis=1)
-        singular = np.zeros(T_mean.shape[0], dtype=bool)
-        try:
-            dI0 = -np.linalg.solve(T_mean, rhs_mean[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular matrix fails the whole batch: solve one by one
-            dI0 = np.zeros_like(rhs_mean)
-            for i in range(T_mean.shape[0]):
-                try:
-                    dI0[i] = -np.linalg.solve(T_mean[i], rhs_mean[i])
-                except np.linalg.LinAlgError:
-                    singular[i] = True
+        # every <T> left has cond <= COND_MAX, far below the ~1e13 at which
+        # LU could meet an exactly zero pivot
+        dI0 = -np.linalg.solve(T_mean, rhs_mean[..., None])[..., 0]
 
         # angle correction: L_Omega du = E_ang + T (dv + dI0), mean removed
         ang_rhs = E_ang + Tdv + np.einsum("spij,sj->spi", T, dI0)
@@ -549,8 +545,6 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
         state["u_hat"] = state["u_hat"] + du_hat
         state["v_hat"] = state["v_hat"] + dv_hat
         state["I0"] = state["I0"] + dI0
-        drop(singular, lambda i: KolmogorovDegenerate(
-            "averaged twist matrix is singular; no counterterm exists"))
     for s in state["ids"]:
         outcomes[s].error = NonConvergence(
             f"defect {outcomes[s].history[-1]:.3e} above tol {tol:g} "

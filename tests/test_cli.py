@@ -1,5 +1,6 @@
 """CLI: artifact contents, stamps, determinism, error records and cleanup."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from kamlab import cli
 from kamlab import freq_arith as fa
 from kamlab import measure_scan as ms
+from kamlab import normal_form
 from kamlab.errors import KamlabError
 from kamlab.fourier_taylor import (
     FourierTaylorSeries,
     HamiltonianSpec,
     quadratic_from_matrices,
 )
+from kamlab.normal_form import prepare_time_scaled
 from kamlab.torus_solver import TorusEmbedding
 
 A0 = np.array([[1.0, 0.25], [0.25, 0.8]])
@@ -79,12 +82,15 @@ def test_freq_profile_table_and_rerun_identical(files):
 
 
 def test_freq_bad_input_writes_error_record(files):
-    out = files / "bad"
-    res = invoke("freq", "--omega", files / "missing.json", "--out", out)
-    assert res.exit_code == 2
-    err = json.loads((out / "error.json").read_text())
-    assert err["kind"] == "ValueError"
-    assert [p.name for p in out.iterdir()] == ["error.json"]
+    (files / "not_json.json").write_text("golden\n")
+    for name in ("missing.json", "not_json.json"):
+        out = files / f"bad-{name}"
+        res = invoke("freq", "--omega", files / name, "--out", out)
+        assert res.exit_code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["kind"] == "ValueError"
+        assert err["_meta"]["config"] == "unresolved"
+        assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_freq_qmax_zero_writes_error_record(files):
@@ -292,7 +298,8 @@ _BAD_PLAN_FIELDS = [("density", 1.5), ("density", True), ("max_iter", 0), ("max_
                     ("tol", 0.0), ("c", math.inf), ("mu_gate", "x"), ("sqrt_mu_gate", -1.0),
                     ("gamma_coeff", math.nan), ("margin_coeff", "x"),
                     ("gamma_floor", -1.0), ("gevrey_alpha", "x"), ("gevrey_c_bar", 0.0),
-                    ("record_timings", 1), ("epsilons", [1e-3, math.inf])]
+                    ("record_timings", 1), ("epsilons", [1e-3, math.inf]),
+                    ("epsilons", ["x"]), ("epsilons", [[1e-3]])]
 
 
 @pytest.mark.parametrize("field, value", _BAD_PLAN_FIELDS,
@@ -509,6 +516,55 @@ def test_nf_artifacts(files):
     assert nf_rec["_meta"]["config"] == est["_meta"]["config"]
     assert est["composition_error"] < 1e-9
     assert est["record"] == "nf_estimates"
+
+
+def _bodies(out) -> dict:
+    """Each artifact in out less its stamp: a JSON record without _meta, or a
+    CSV table without its header line."""
+    return {path.name: ({k: v for k, v in json.loads(path.read_text()).items() if k != "_meta"}
+                        if path.suffix == ".json" else path.read_text().split("\n", 1)[1])
+            for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("cmd, args", [("nf", ()), ("torus", ("--i0", "0.3,-0.2", "--grid", 32,
+                                                              "--t-final", 50))])
+def test_time_scaled_spec_gives_the_physical_spec_artifacts(files, cmd, args):
+    # a spec already time-scaled is taken as it is, not scaled again
+    scaled = prepare_time_scaled(family_base())
+    (files / "scaled.json").write_text(json.dumps(scaled.to_record()))
+    bodies = []
+    for spec in ("spec.json", "scaled.json"):
+        out = files / f"{cmd}-{spec}"
+        assert invoke(cmd, "--spec", files / spec, *args, "--out", out).exit_code == 0
+        bodies.append(_bodies(out))
+    assert bodies[0] == bodies[1]
+
+
+def rich_base(kmax: int) -> HamiltonianSpec:
+    """The golden family at eps 1e-2 with every harmonic 0 < |k|_1 <= kmax,
+    one k of each pair +-k, weighted e^(-|k|_1): in A(theta) and in I1^3."""
+    ks = [k for k in itertools.product(range(-kmax, kmax + 1), repeat=2)
+          if 0 < abs(k[0]) + abs(k[1]) <= kmax and k > (0, 0)]
+    quad = quadratic_from_matrices(2, A0, [(k, math.exp(-sum(map(abs, k))) * B, None)
+                                           for k in ks])
+    rest = FourierTaylorSeries.monomial(2, (3, 0), 0.05)
+    for k in ks:
+        rest = rest + FourierTaylorSeries.cosine(2, k, (3, 0),
+                                                 0.01 * math.exp(-sum(map(abs, k))))
+    return HamiltonianSpec(omega=fa.make_test_frequency("golden").components,
+                           quad=quad, rest=rest, epsilon=1e-2, state="physical")
+
+
+def test_nf_refuses_a_lie_series_past_the_pair_budget(files, monkeypatch):
+    # the 20 terms at |k|_1 <= 1 take 205,312 term pairs to converge
+    monkeypatch.setattr(normal_form, "LIE_PAIR_BUDGET", 10 ** 5)
+    (files / "rich.json").write_text(json.dumps(rich_base(1).to_record()))
+    out = files / "rich"
+    res = invoke("nf", "--spec", files / "rich.json", "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "TailNotConverged" and "budget of 100000" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_torus_artifacts_and_roundtrip(files):

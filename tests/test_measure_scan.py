@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,43 @@ def test_records_round_trip(sweep):
     with pytest.raises(ValueError):
         ms.ScanPlan.from_record({"record": "other"})
 
+    # each record reads back to itself and holds the class's fields, in their
+    # order, under their own names; a report's nu comes last, and only when set
+    plan = family_plan(epsilons=(2e-3, 5e-4), density=64, gamma_coeff=0.4,
+                       gamma_floor=1e-7, tau=1.75, margin_coeff=0.5, mu_gate=0.25,
+                       sqrt_mu_gate=0.45, grid=8, tol=1e-9, max_iter=20, c=1.5,
+                       gevrey_alpha=1.0, gevrey_c_bar=2.0, record_timings=True)
+    assert all(getattr(plan, f.name) != f.default for f in fields(plan)
+               if f.default is not MISSING)
+    report = ms.MeasureReport(
+        epsilon=1e-3, mu=0.03, gamma_used=0.08, tau_used=1.5, samples=100,
+        selected=80, converged=70, complement_fraction=0.3, wall_time=0.25, nu=1e-9,
+        detail={"margin_rejected": 10, "dioph_rejected": 10, "newton_failed": 10,
+                "newton_sweeps": 400})
+    target = ts.TargetFrequency(
+        I0=np.array([0.3, -0.2]), Omega=np.array([1.0 / 3.0, -0.1]),
+        shift=np.array([2.0 ** -40, 0.7]), omega_slow=np.array([1e-3 / 3.0, -1e-4]),
+        gamma=0.01, tau=1.5, q_max=64, margin=1.25)
+    fit = ms.FitResult(exponent=0.5, c_low=0.25, c_high=0.375, points=5)
+
+    def names(obj):
+        return ["record"] + [f.name for f in fields(obj)]
+
+    for obj, keys in ((plan, names(plan)), (report, names(report)[:-2] + ["detail", "nu"]),
+                      (rep, names(rep)[:-2] + ["detail"]), (target, names(target)),
+                      (fit, names(fit))):
+        rec = obj.to_record()
+        assert list(rec) == keys
+        assert type(obj).from_record(rec).to_record() == rec
+    assert rep.nu is None
+    # a field with a default may be left out; one without is missed by name
+    rec = plan.to_record()
+    del rec["density"], rec["epsilons"]
+    with pytest.raises(KeyError, match="epsilons"):
+        ms.ScanPlan.from_record(rec)
+    rec["epsilons"] = [1e-3]
+    assert ms.ScanPlan.from_record(rec).density == 512
+
 
 def synthetic_reports(coeff=0.3, samples=1000, ks=(10, 20, 40, 80, 160)):
     out = []
@@ -395,6 +433,15 @@ def test_fit_scaling_span_guards():
         ms.fit_scaling(reps, normalize="log")
     with pytest.raises(ValueError, match="nu"):
         ms.fit_scaling(reps, normalize="nu")
+
+
+def test_fit_scaling_normalizes_gevrey_reports_by_nu():
+    reps = [replace(r, nu=r.mu ** 3) for r in synthetic_reports()]
+    fit = ms.fit_scaling(reps, normalize="nu")
+    ratios = [r.complement_fraction / math.sqrt(r.nu) for r in reps]
+    assert (fit.c_low, fit.c_high) == (min(ratios), max(ratios))
+    assert fit.exponent == ms.fit_scaling(reps).exponent
+    assert fit.c_high > fit.c_low
 
 
 def test_gevrey_sweep_and_forecast():
