@@ -17,8 +17,10 @@ which the tables' reproducibility rests, do not depend on how that error is
 formed.  With the tail t = (k3..kn) fixed, the divisor is linear in k2 along
 each half of the n=2 shell that (k1, k2) run over, with slope ``|w1 +- w2|``,
 so the table evaluates only the rows around each half's root (at most eight
-per tail, O(Q^(n-1)) rows to depth Q) and the rows (0, 0, t), and gets the
-same per-shell minima and witnesses as the whole shell.  Each computed
+per tail) and the rows (0, 0, t), and gets the same per-shell minima and
+witnesses as the whole shell.  For n >= 3 it first values each tail's
+rows on the shell in plain float, within a certified error, and makes rows
+only for the tails that can reach the shell's minimum.  Each computed
 divisor is within 2u s max|w| of the exact one (the n rounded products add
 at most u s max|w|, the compensated sum at most u |k . w| + O(n^2 u^2)
 s max|w|), so a slope above 4u s max|w| rules out a rounding tie with a row
@@ -57,7 +59,8 @@ RESONANCE_TOL = 1e-14
 # Largest Q the float enumeration path will attempt before demanding an
 # exact tag.  For n=2 the table's 8 rows per shell up to the cap (1.6M) stay
 # within ROW_BUDGET, so the cap is what binds; for n >= 3 the budget binds
-# first (an n=3 table holds about 8 Q^2 candidate rows to depth Q).
+# first (it counts about 8 Q^2 unscreened candidates of an n=3 table to depth
+# Q, although the screen evaluates only a few rows per shell).
 ENUMERATION_CAP = 200_000
 
 # Divisors (rows times vectors) per merge pass of the divisor table.
@@ -232,24 +235,59 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
     with t.w_tail summed by math.fsum, is within 1/2 of the exact one.  The
     r = 0 rows (0, 0, t) are kept whole.  This is at most 8 rows per tail
     with |t|_1 < s plus the r = 0 rows (8 per shell for n=2, 8(2s - 1) + 1
-    for n=3), O(Q^(n-1)) rows to depth Q.  Otherwise (vectors stacked as the
-    columns of w, or a slope below the bound used, 8u Q max|w|) every row is
-    yielded.  A growth whose rows, times the columns, exceed ROW_BUDGET
-    raises before any is yielded.
+    for n=3).  Otherwise (vectors stacked as the columns of w, or a slope
+    below the bound used, 8u Q max|w|) every row is yielded.  A growth whose
+    rows, times the columns, exceed ROW_BUDGET raises before any is yielded;
+    the budget counts the 8 rows per (shell, tail) pair above, screened or
+    not.
+
+    The screen (n >= 3; for n = 2 a shell is one pair).  Of a shell's pairs
+    only those whose rows can reach its minimum are made into rows.  With M =
+    max|w|, L = r*w1 + t.w_tail as computed and a = w1 +- w2 rounded, let k^
+    be the integer nearest -L/a clipped to the piece, and V = |L + k^ a| in
+    plain float.  A pair's value V_P is the smaller V of its two pieces,
+    V_best the smallest V_P on the shell, and only the pairs with
+    V_P <= V_best + 2 eta_s, eta_s = 16u s M, are kept.  Write D(k) for the
+    exact |k . w| and c(k) for the compensated one.  To first order in u:
+    (1) |V - D(k^)| <= 7u s M.  L is within 3u s M of the exact level: the
+        products t_j w_j and their fsum add 2u |t|_1 M, r*w1 and the sum
+        u r M + u s M.  k^ a is within 4u r M of k^ times the exact slope
+        (two roundings, |k^| <= r, |w1 +- w2| <= 2M).  The last sum adds
+        u s M, since L + k^ a is within O(u) of a row's k . w, at most s M.
+    (2) D(k^) exceeds the piece's smallest D by at most 10u s M.  The float
+        root lies within delta of the exact one, where delta |slope| <=
+        3u s M + 2u |L| <= 5u s M (the level's error, and the roundings of a
+        and of the quotient), and k^, the piece's integer nearest the float
+        root, is at most 2 delta farther from the exact root than the
+        piece's integer nearest it.
+    (3) |c - D| <= 2u s M for every row, as above.
+    So every row k of a dropped pair has c(k) >= V_P - 19u s M, while the
+    best pair's row k^, one of its 8 slots, has c <= V_best + 9u s M: c(k)
+    exceeds it by more than 2 eta_s - 28u s M = 4u s M, which covers the
+    terms of second order in u and the rounding of V_best + 2 eta_s and,
+    for a normal M, its underflow (a subnormal component adds no error of
+    its own: integer multiples of it and float sums underflow exactly, and
+    the quotient's underflow moves the root by less than 2^-1074).  A
+    dropped row thus neither reaches nor ties the smallest divisor of the
+    rows kept, which a block holds for whole shells, and the tie rule ranks
+    rows by what they are, not by where they lie.  To depth Q this is
+    O(Q^(n-1)) pair values in plain float and, for a vector without near
+    ties, a few compensated rows per shell besides the rows (0, 0, t).
 
     The candidate rows come out shell-major, then by tail, then by k2, and
     are evaluated in that layout; only the rows reaching a shell's minimum
     get their rank, the row's place in yield order.
     """
     n, d = w.shape[0], w.shape[0] - 2
-    bound = 4 * np.finfo(np.float64).eps * hi * float(np.max(np.abs(w)))
+    eps, scale = np.finfo(np.float64).eps, float(np.max(np.abs(w)))
+    bound = 4 * eps * hi * scale
     whole = w.ndim != 1 or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound
     if whole:
         # half the lattice points with lo < |k|_1 <= hi, once per column
         divisors = (_ball_count(n, hi) - _ball_count(n, lo)) // 2 * (w.size // n)
     else:
-        # 8 per tail with |t|_1 < s, summed over s in (lo, hi] (the sum of
-        # comb(s - 1, j) telescopes), plus the r = 0 rows
+        # 8 per tail with |t|_1 < s before the screen, summed over s in
+        # (lo, hi] (the sum of comb(s - 1, j) telescopes), plus the r = 0 rows
         pairs = sum(2 ** j * math.comb(d, j) * (math.comb(hi, j + 1) - math.comb(lo, j + 1))
                     for j in range(d + 1))
         divisors = 8 * pairs + (_ball_count(d, hi) - _ball_count(d, lo)) // 2
@@ -280,16 +318,33 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
     ends = np.r_[0, np.cumsum(count)]
     around = np.arange(-1, 3, dtype=np.int64)
 
+    def pieces(r: np.ndarray) -> tuple:
+        # the k2 <= 0 and k2 >= 0 pieces of the pairs' half shells: the
+        # divisor's slope in k2, and the ends of k2
+        return (w1 + w2, 1 - r, 0), (w2 - w1, 0, r)
+
     def block(start: int, stop: int) -> _Block:
+        shells = np.arange(start + 1, stop + 1, dtype=np.int64)
         per = count[start - lo:stop - lo]
-        s = np.repeat(np.arange(start + 1, stop + 1, dtype=np.int64), per)
-        g = np.arange(per.sum(), dtype=np.int64) - np.repeat(np.cumsum(per) - per, per)
+        first = np.cumsum(per) - per
+        s = np.repeat(shells, per)
+        g = np.arange(per.sum(), dtype=np.int64) - np.repeat(first, per)
         r = s - norms[g]
         level = r * w1 + offset[g]
+        if d:
+            # the screen (see above): each pair's float value V_P, and the
+            # pairs within 2 eta_s of their shell's best
+            nearest = (np.minimum(np.maximum(np.rint(level / -rate), end_lo), end_hi) * rate
+                       for rate, end_lo, end_hi in pieces(r))
+            value = np.minimum(*(np.abs(level + step) for step in nearest))
+            near = value <= np.repeat(np.minimum.reduceat(value, first)
+                                      + 16 * eps * scale * shells, per)
+            per = np.add.reduceat(near, first, dtype=np.int64)
+            s, g, r, level = s[near], g[near], r[near], level[near]
         # per (shell, tail) pair, k2 ascending over the 8 slots: the k2 <= 0
         # piece, then the k2 >= 0 piece
         k2 = np.empty((len(g), 8), dtype=np.int64)
-        for half, (rate, end_lo, end_hi) in enumerate(((w1 + w2, 1 - r, 0), (w2 - w1, 0, r))):
+        for half, (rate, end_lo, end_hi) in enumerate(pieces(r)):
             root = np.clip(-level / rate, end_lo - 2, end_hi + 2)
             k2[:, 4 * half:4 * half + 4] = np.clip(
                 np.floor(root).astype(np.int64)[:, None] + around,
@@ -325,7 +380,7 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
         div = _compensated_sum(products(), sums)
         np.abs(div, out=div)
         starts = np.searchsorted(pair, np.cumsum(per) - per)
-        return _Block(div, starts, np.arange(start + 1, stop + 1), rank, rows)
+        return _Block(div, starts, shells, rank, rows)
 
     start = lo
     while start < hi:

@@ -510,29 +510,31 @@ def _candidate_bound(n: int, Q: int) -> int:
                for s in range(1, Q + 1))
 
 
+def _evaluated_rows(monkeypatch, w, steps) -> list[tuple[int, ...]]:
+    """The rows the candidate blocks yield while a table of w grows through
+    `steps`, in yield order."""
+    blocks, rows = fa._shell_candidate_blocks, []
+
+    def recording_blocks(w, lo, hi):
+        for block in blocks(w, lo, hi):
+            rows.extend(map(tuple, block.rows(np.arange(len(block.div))).tolist()))
+            yield block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fa, "_shell_candidate_blocks", recording_blocks)
+        table = _DivisorTable(np.array(w))
+        for q in steps:
+            table.ensure(q)
+    return rows
+
+
 @pytest.mark.parametrize("w, steps", [((1.0, 0.6180339887498949), (3, 16, 17, 40)),
                                       ((1.0, 0.25, 0.5), (1, 2, 9, 12)),
                                       ((1.0, 0.3, -0.55, 0.71), (7,)),
                                       ((1.0, 0.3, -0.55, 0.71), (2, 5, 6, 7))])
 def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
-    def evaluated(steps):
-        rows = []
-
-        def recording_blocks(w, lo, hi):
-            for block in blocks(w, lo, hi):
-                rows.extend(map(tuple, block.rows(np.arange(len(block.div))).tolist()))
-                yield block
-
-        monkeypatch.setattr(fa, "_shell_candidate_blocks", recording_blocks)
-        table = _DivisorTable(np.array(w))
-        for q in steps:
-            table.ensure(q)
-        monkeypatch.setattr(fa, "_shell_candidate_blocks", blocks)
-        return rows
-
-    blocks = fa._shell_candidate_blocks
-    grown, lattice = evaluated(steps), half_lattice(len(w), steps[-1])
-    assert sorted(grown) == sorted(evaluated(steps[-1:]))
+    grown, lattice = _evaluated_rows(monkeypatch, w, steps), half_lattice(len(w), steps[-1])
+    assert sorted(grown) == sorted(_evaluated_rows(monkeypatch, w, steps[-1:]))
     if len(w) == 2:
         # the n=2 route evaluates at most 8 candidate rows per shell
         assert len(set(grown)) == len(grown) <= 8 * steps[-1]
@@ -542,6 +544,91 @@ def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
         # |t|_1 < s and every row (0, 0, t) with |t|_1 = s
         assert len(set(grown)) == len(grown) <= _candidate_bound(len(w), steps[-1])
         assert set(grown) <= set(lattice)
+
+
+_CUBIC = (1.0, 0.7548776662466927, 0.5698402909980532)
+
+
+@pytest.mark.parametrize("w, steps", [
+    (_CUBIC, (200,)), (_CUBIC, (3, 200, 201, 640, 1000)),
+    *((tuple(np.random.default_rng(seed).uniform(-1, 1, 3)), (300,)) for seed in (1, 2)),
+    (tuple(np.random.default_rng(3).uniform(-1, 1, 4)), (30,))])
+def test_screen_leaves_few_candidate_rows_per_shell(monkeypatch, w, steps):
+    # without near ties only the (shell, tail) pairs whose float value comes
+    # within 2 eta_s of the shell's best are made into rows: at most 16 per
+    # shell besides the rows (0, 0, t), and at most 16 in all for n=3
+    K = np.array(_evaluated_rows(monkeypatch, w, steps))
+    shells = np.abs(K).sum(axis=1)
+    candidates = np.bincount(shells[(K[:, :2] != 0).any(axis=1)], minlength=steps[-1] + 1)
+    assert candidates[0] == 0 and candidates[1:].max() <= 16
+    if len(w) == 3:
+        assert np.bincount(shells)[1:].max() <= 16
+
+
+# decimal and small-denominator rationals (random vectors showed no pair near
+# the slack at these depths): on some shells a runner-up pair's smallest
+# divisor ties the best pair's exactly or comes within a few ulps of it, where
+# the screen's float values may order the pairs wrongly; and components of
+# very different sizes, down to a subnormal one
+_SLACK_VECTORS = [(1.0, 0.1, 0.3), (1.0, 0.3, 0.7), (1.0, 1 / 3, 1 / 9), (1.0, 1 / 7, 3 / 7),
+                  (0.7, 1.0, 0.1), (1.0, 0.4, -0.3)]
+_SIZE_VECTORS = [(1.0, 1e-9, 0.5), (1.0, 0.5, 1e-17), (1.0, 0.5, 5e-324)]
+_SLACK_DEPTH = 24
+
+
+@pytest.fixture(scope="module")
+def slack_reference():
+    """Per vector: the loop oracle's table, and per shell the gap between the
+    two smallest of its pairs' smallest compensated divisors, a pair being the
+    rows of one tail k3 with (k1, k2) != (0, 0)."""
+    K = np.array(half_lattice(3, _SLACK_DEPTH))
+    K = K[(K[:, :2] != 0).any(axis=1)]
+    shells = np.abs(K).sum(axis=1)
+    reference = {}
+    for w in _SLACK_VECTORS + _SIZE_VECTORS:
+        best = {}
+        for s, k3, d in zip(shells.tolist(), K[:, 2].tolist(), neumaier_abs_dot(K, np.array(w))):
+            best[s, k3] = min(best.get((s, k3), math.inf), d)
+        values = {}
+        for (s, _), d in best.items():
+            values.setdefault(s, []).append(d)
+        gaps = {s: np.diff(sorted(v))[0] for s, v in values.items() if len(v) > 1}
+        reference[w] = shell_table(np.array(w), _SLACK_DEPTH), gaps
+    return reference
+
+
+@pytest.mark.parametrize("chunk", [7, 50, 65536])
+def test_screen_keeps_the_pairs_inside_its_slack(monkeypatch, slack_reference, chunk):
+    # each of _SLACK_VECTORS has a shell whose runner-up pair lies within
+    # 2 eta_s = 32u s max|w| of its best pair; among them are exact ties and
+    # gaps of a few ulps
+    inside = [[g for s, g in slack_reference[w][1].items()
+               if g <= 32 * 2.0 ** -53 * s * max(map(abs, w))] for w in _SLACK_VECTORS]
+    assert all(inside)
+    assert min(map(min, inside)) == 0 < max(map(max, inside))
+    monkeypatch.setattr(fa, "_CHUNK", chunk)
+    for w, (reference, _) in slack_reference.items():
+        for steps in ((_SLACK_DEPTH,), (1, 5, 13, _SLACK_DEPTH)):
+            table = _DivisorTable(np.array(w))
+            for q in steps:
+                table.ensure(q)
+            assert _table_state(table) == [a.tobytes() for a in reference], (w, steps)
+
+
+def test_n3_mu_spans_the_two_decades_a_fit_needs():
+    # the cubic-field vector's Delta to eps = 1e-9 (tables to Q=2048): mu
+    # falls by 2 decades, and every Delta meets its invariant; eps = 1e-10
+    # would grow the table to Q=4096, which the row budget refuses
+    w = FrequencyVector(_CUBIC)
+    eps = [10.0 ** -e for e in range(3, 10)]
+    profiles = [mu_nu(w, e) for e in eps]
+    assert [p.Delta for p in profiles] == [11, 24, 48, 95, 233, 560, 1118]
+    for e, p in zip(eps, profiles):
+        assert check_delta_invariant(w, Fraction(1) / Fraction(e), p.Delta)
+    assert math.log10(profiles[0].mu / profiles[-1].mu) >= 2
+    with pytest.raises(ConstructionFailed, match="row budget"):
+        mu_nu(w, 1e-10)
+    assert w._table.q_built == 2048
 
 
 # -- the n=2 candidate route ----------------------------------------------------------
