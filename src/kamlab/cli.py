@@ -26,6 +26,7 @@ from . import freq_arith as fa
 from . import measure_scan as ms
 from .errors import InsufficientSpan, KamlabError
 from .fourier_taylor import (
+    FLOW_STEP_BUDGET,
     TIME_SCALED,
     HamiltonianSpec,
     flow_steps,
@@ -363,7 +364,13 @@ def probe(sink, spec, t, h, i0, points):
     act0 = _action(i0, n)
     if points < 1:
         raise ValueError(f"--points must be at least 1, got {points}")
-    every = max(1, flow_steps(t, h) // 256)
+    steps = flow_steps(t, h)
+    # at most what the torus command's verification may take: 8 trajectories
+    # of FLOW_STEP_BUDGET steps
+    if points * steps > 8 * FLOW_STEP_BUDGET:
+        raise ValueError(f"--points {points} at {steps} steps takes {points * steps} "
+                         f"trajectory steps, beyond the budget of {8 * FLOW_STEP_BUDGET}")
+    every = max(1, steps // 256)
     theta0 = np.repeat((np.arange(points) + 0.5)[:, None] / points, n, axis=1)
     flow = integrate_flow(spec.combined_series(), theta0, np.tile(act0, (points, 1)),
                           t, h, record_every=every)

@@ -24,13 +24,13 @@ only for the tails that can reach the shell's minimum.  Each computed
 divisor is within 2u s max|w| of the exact one (the n rounded products add
 at most u s max|w|, the compensated sum at most u |k . w| + O(n^2 u^2)
 s max|w|), so a slope above 4u s max|w| rules out a rounding tie with a row
-left out; below that bound the table evaluates whole shells.  Candidate rows
-come out grouped by shell, so a growth takes each shell's minimum where it
-makes them and ranks, in enumeration order, only the rows that reach it; no
-candidate row is sorted.  A growth beyond ROW_BUDGET divisors is refused up
-front on either route.  A table of S vectors stacked as columns (a scan
-slice's certification) walks whole shells and gives each column its own
-table's floor.  Vectors built from continued fractions can carry an exact
+left out; below that bound the table evaluates whole shells.  Of the rows
+that reach a shell's minimum the table keeps the first by the position of
+their first nonzero component, then lexicographically; each block of rows
+carries its rows, and the merge computes this from them.  A growth beyond
+ROW_BUDGET divisors is refused up front on either route.  A table of S
+vectors stacked as columns (a scan slice's certification) walks whole
+shells and gives each column its own table's floor.  Vectors built from continued fractions can carry an exact
 rational tag; ``delta``/``diophantine_check`` then use exact convergent
 windows, which stay meaningful far beyond float64 resolution.
 """
@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -176,21 +176,20 @@ def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
 class _Block(NamedTuple):
     """Divisors |k . w| of a block of half-lattice rows, (m,) + columns,
     grouped by shell: the group of shell shells[j] starts at row starts[j].
-    rank(i) orders rows i within their shell as `_halfspace_blocks` yields
-    them, and rows(i) gives them as lattice vectors (len(i), n).  `div` may
-    live in buffers that the next block of the same growth reuses."""
+    rows holds the rows component-major, (n, m); of the rows reaching a
+    shell's minimum the merge keeps the first by the position of their first
+    nonzero component, then lexicographically.  `div` may live in buffers
+    that the next block of the same growth reuses."""
     div: np.ndarray
     starts: np.ndarray
     shells: np.ndarray
-    rank: Callable[[np.ndarray], np.ndarray]
-    rows: Callable[[np.ndarray], np.ndarray]
+    rows: np.ndarray
 
 
 def _whole_shell_blocks(w: np.ndarray, blocks: Iterator[np.ndarray],
                         buffers: _Buffers) -> Iterator[_Block]:
     """Evaluate every row of `blocks`, in chunks of at most _CHUNK divisors
-    (rows times columns).  Each chunk is stably sorted by shell, so a row's
-    rank within its shell is its place in the chunk."""
+    (rows times columns), each grouped by shell."""
     cap = max(1, _CHUNK // (w.size // w.shape[0]))
 
     def block(K: np.ndarray) -> _Block:
@@ -200,8 +199,7 @@ def _whole_shell_blocks(w: np.ndarray, blocks: Iterator[np.ndarray],
         starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
         p, *sums = buffers.shaped((len(K),) + w.shape[1:])
         div = _compensated_sum(_column_products(K, w, p), sums)
-        return _Block(np.abs(div, out=div), starts, shells[starts],
-                      lambda i: i, K.__getitem__)
+        return _Block(np.abs(div, out=div), starts, shells[starts], K.T)
 
     # generator blocks are tiny at large radii; gather them into chunks
     pending, rows = [], 0
@@ -269,14 +267,15 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
     its own: integer multiples of it and float sums underflow exactly, and
     the quotient's underflow moves the root by less than 2^-1074).  A
     dropped row thus neither reaches nor ties the smallest divisor of the
-    rows kept, which a block holds for whole shells, and the tie rule ranks
-    rows by what they are, not by where they lie.  To depth Q this is
+    rows kept, which a block holds for whole shells.  To depth Q this is
     O(Q^(n-1)) pair values in plain float and, for a vector without near
     ties, a few compensated rows per shell besides the rows (0, 0, t).
 
-    The candidate rows come out shell-major, then by tail, then by k2, and
-    are evaluated in that layout; only the rows reaching a shell's minimum
-    get their rank, the row's place in yield order.
+    The candidate rows come out shell-major, then by tail, then by k2, in
+    blocks of whole shells, and the rows (0, 0, t) follow in blocks of their
+    own.  Of the rows reaching a shell's minimum the merge keeps the first
+    by the position of their first nonzero component, then
+    lexicographically, computed from the rows each block carries.
     """
     n, d = w.shape[0], w.shape[0] - 2
     eps, scale = np.finfo(np.float64).eps, float(np.max(np.abs(w)))
@@ -307,13 +306,7 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
     norms = np.abs(tails).sum(axis=1)
     by_norm = np.argsort(norms, kind="stable")
     tails, norms = tails[by_norm], norms[by_norm]
-    # each tail's place in the order (norm descending, lexicographically)
-    down = (len(norms) - np.searchsorted(norms, norms, side="right")
-            + np.arange(len(norms)) - np.searchsorted(norms, norms, side="left"))
     offset = np.array([math.fsum(p) for p in (tails * w[2:]).tolist()])
-    # the products t_j * w_j of each tail, as compensated_dot forms them
-    tail_products = tails.T * w[2:, None]
-    span = 3 * (hi + 2) * len(tails)    # rank keys per shell
     count = np.searchsorted(norms, np.arange(lo + 1, hi + 1), side="left")
     ends = np.r_[0, np.cumsum(count)]
     around = np.arange(-1, 3, dtype=np.int64)
@@ -327,9 +320,8 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
         shells = np.arange(start + 1, stop + 1, dtype=np.int64)
         per = count[start - lo:stop - lo]
         first = np.cumsum(per) - per
-        s = np.repeat(shells, per)
         g = np.arange(per.sum(), dtype=np.int64) - np.repeat(first, per)
-        r = s - norms[g]
+        r = np.repeat(shells, per) - norms[g]
         level = r * w1 + offset[g]
         if d:
             # the screen (see above): each pair's float value V_P, and the
@@ -340,7 +332,7 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
             near = value <= np.repeat(np.minimum.reduceat(value, first)
                                       + 16 * eps * scale * shells, per)
             per = np.add.reduceat(near, first, dtype=np.int64)
-            s, g, r, level = s[near], g[near], r[near], level[near]
+            g, r, level = g[near], r[near], level[near]
         # per (shell, tail) pair, k2 ascending over the 8 slots: the k2 <= 0
         # piece, then the k2 >= 0 piece
         k2 = np.empty((len(g), 8), dtype=np.int64)
@@ -355,39 +347,21 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
         np.not_equal(k2[:, 1:], k2[:, :-1], out=fresh[:, 1:])
         kept = np.flatnonzero(fresh)
         pair = kept >> 3
-        k2 = k2.ravel()[kept]
-        k1 = r[pair] - np.abs(k2)
-        tail = g[pair]
+        rows = np.empty((n, len(kept)), dtype=np.int64)
+        np.take(k2, kept, out=rows[1])
+        np.subtract(r[pair], np.abs(rows[1]), out=rows[0])
+        np.take(tails.T, g[pair], axis=1, out=rows[2:])
         p, *sums = buffers.shaped(kept.shape)
-
-        def products() -> Iterator[np.ndarray]:
-            yield np.multiply(k1, w[0], out=p)
-            yield np.multiply(k2, w[1], out=p)
-            for tp in tail_products:
-                yield np.take(tp, tail, out=p)
-
-        def rank(i: np.ndarray) -> np.ndarray:
-            # within a shell: k1 ascending with the rows (0, r, t) last; then
-            # k2 ascending, which for one k1 is k2 < 0 by |t|_1 ascending,
-            # k2 = 0, k2 > 0 by |t|_1 descending; then the tail
-            si, a, side, gi = s[pair[i]], k1[i], np.sign(k2[i]) + 1, tail[i]
-            return ((((si - start - 1) * (hi + 2) + np.where(a > 0, a, si + 1)) * 3 + side)
-                    * len(tails) + np.where(side == 2, down[gi], gi))
-
-        def rows(i: np.ndarray) -> np.ndarray:
-            return np.concatenate([k1[i, None], k2[i, None], tails[tail[i]]], axis=1)
-
-        div = _compensated_sum(products(), sums)
+        div = _compensated_sum(_column_products(rows.T, w, p), sums)
         np.abs(div, out=div)
         starts = np.searchsorted(pair, np.cumsum(per) - per)
-        return _Block(div, starts, shells, rank, rows)
+        return _Block(div, starts, shells, rows)
 
     start = lo
     while start < hi:
-        # whole shells, about _CHUNK // 8 tails (at most _CHUNK rows) at a
-        # time, and few enough that their rank keys stay below 2^63
+        # whole shells, about _CHUNK // 8 tails (at most _CHUNK rows) at a time
         stop = lo - 1 + int(np.searchsorted(ends, ends[start - lo] + _CHUNK // 8, side="right"))
-        stop = min(max(start + 1, stop), start + (2 ** 63 - 1) // span)
+        stop = max(start + 1, stop)
         yield block(start, stop)
         start = stop
     yield from _whole_shell_blocks(w, (
@@ -423,22 +397,23 @@ class _DivisorTable:
 
         def merge(block: _Block) -> None:
             # per shell and column, the block's smallest divisor and, of the
-            # rows attaining it, the one of lowest rank; only a strictly
-            # smaller one replaces the table's, so exact ties resolve to the
-            # earliest row in yield order
+            # rows attaining it, the first in the order `_Block` states; only
+            # a strictly smaller one replaces the table's, and the blocks of
+            # a shell come in that order
             div, starts = block.div.reshape(len(block.div), -1), block.starts
             low = np.fmin.reduceat(div, starts, axis=0)
             hit = div == np.repeat(low, np.diff(np.r_[starts, len(div)]), axis=0)
             i, col = np.divmod(np.flatnonzero(hit), div.shape[1])
             cell = (np.searchsorted(starts, i, side="right") - 1) * div.shape[1] + col
-            order = np.lexsort((block.rank(i), cell))
+            rows = block.rows[:, i]
+            order = np.lexsort((*rows[::-1], np.argmax(rows != 0, axis=0), cell))
             first = order[np.diff(cell[order], prepend=-1) != 0]
             at, col = block.shells[cell[first] // div.shape[1]] - 1, col[first]
             best = low.ravel()[cell[first]]
             better = best < table_min[at, col]
             at, col = at[better], col[better]
             table_min[at, col] = best[better]
-            table_arg[at, col] = block.rows(i[first[better]])
+            table_arg[at, col] = rows[:, first[better]].T
 
         for block in _shell_candidate_blocks(self.w, self.q_built, Q):
             merge(block)
@@ -950,8 +925,9 @@ def _golden() -> FrequencyVector:
     )
 
 
-def _diophantine(tau: float, q_target: int = 10 ** 6) -> FrequencyVector:
-    """n=2 vector with continued-fraction quotients a_{j+1} ~ q_j^(tau-1).
+def _diophantine(tau: float) -> FrequencyVector:
+    """n=2 vector with continued-fraction quotients a_{j+1} ~ q_j^(tau-1),
+    up to the first convergent denominator beyond 10^6.
 
     The convergent errors then satisfy e_j ~ q_j^(-tau), giving an effective
     (gamma, tau) Diophantine vector; gamma is measured and recorded.
@@ -959,7 +935,7 @@ def _diophantine(tau: float, q_target: int = 10 ** 6) -> FrequencyVector:
     if tau < 1:
         raise ConstructionFailed("diophantine construction needs tau >= 1")
     terms = [0, 2]
-    while (q := _convergents(terms)[-1][1]) <= q_target:
+    while (q := _convergents(terms)[-1][1]) <= 10 ** 6:
         terms.append(max(1, int(round(q ** (tau - 1.0)))))
     p, q = _convergents(terms)[-1]
     alpha = Fraction(p, q)
@@ -977,27 +953,22 @@ def _diophantine(tau: float, q_target: int = 10 ** 6) -> FrequencyVector:
     )
 
 
-def _liouville_n2(schedule_exponent: float, levels: int, c: float) -> FrequencyVector:
-    """Continued-fraction Liouville vector with Psi(Q_j) >= Q_j^p at jump points.
+def _liouville_n2() -> FrequencyVector:
+    """Continued-fraction Liouville vector with Psi(Q_j) >= Q_j^p at jump points,
+    p = 22, over 3 levels.
 
     Partial quotients a_{j+1} = ceil(Q_j^p / q_j) + 1 make the convergent
     error at level j smaller than Q_j^(-p).  The value is kept as an exact
     rational (levels beyond the first are far below float64 resolution); the
     scale sequence records, per level, the largest eps whose truncation-order
-    window starts at Q_j, i.e. eps_j = c / (Q_j * Psi(Q_j)).
+    window starts at Q_j, i.e. eps_j = c / (Q_j * Psi(Q_j)) with c = 1.
     """
-    p = float(schedule_exponent)
-    if p < 2 or levels < 1:
-        raise ConstructionFailed("need schedule exponent >= 2 and levels >= 1")
+    p, levels = 22, 3
     terms = [0, 2]
     for _ in range(levels):
         pc, qc = _convergents(terms)[-1]
         Qj = pc + qc
-        a_next = -(-Qj ** int(p) // qc) + 1 if float(p).is_integer() else \
-            int(math.ceil(math.exp(p * math.log(Qj)) / qc)) + 1
-        if a_next <= 0:
-            raise ConstructionFailed("schedule produced a non-positive quotient")
-        terms.append(int(a_next))
+        terms.append(-(-Qj ** p // qc) + 1)
     pc, qc = _convergents(terms)[-1]
     alpha = Fraction(pc, qc)
     exact = ExactCF(alpha, use_for_delta=True)
@@ -1008,10 +979,10 @@ def _liouville_n2(schedule_exponent: float, levels: int, c: float) -> FrequencyV
             # below float64: keep the exact record only
             eps_f = 0.0
         else:
-            eps_f = float(Fraction(c) * ej / Qj)
+            eps_f = float(ej / Qj)
         if Qj > 1:
             # schedule certification, exact: 1/e_j >= Q_j^p
-            if ej * Qj ** int(math.floor(p)) > 1:
+            if ej * Qj ** p > 1:
                 raise ConstructionFailed(
                     f"schedule Psi(Q) >= Q^{p:g} violated at Q={Qj}"
                 )
@@ -1031,9 +1002,9 @@ def _liouville_n2(schedule_exponent: float, levels: int, c: float) -> FrequencyV
         decimal_components=[_decimal_string(1.0), _decimal_string(pc / qc)],
         exact=exact,
         construction={
-            "schedule_exponent": p,
+            "schedule_exponent": float(p),
             "levels": levels,
-            "c": c,
+            "c": 1.0,
             "cf_terms": [_int_to_str(t) for t in terms],
             "scale_sequence": sequence,
         },
@@ -1062,11 +1033,12 @@ def _liouville_constant(truncation_level: int = 4) -> FrequencyVector:
     )
 
 
-def _liouville_lacunary(n: int, schedule_exponent: float) -> FrequencyVector:
-    """n>=3 Liouville vector from lacunary decimal series (first level verifiable)."""
+def _liouville_lacunary(n: int) -> FrequencyVector:
+    """n>=3 Liouville vector from lacunary decimal series with schedule
+    exponent p = 3 (first level verifiable)."""
     if n < 3:
         raise ConstructionFailed("lacunary construction is for n >= 3")
-    p = schedule_exponent
+    p = 3.0
     comps = [Fraction(1)]
     seqs = []
     for i in range(n - 1):
@@ -1085,9 +1057,7 @@ def _liouville_lacunary(n: int, schedule_exponent: float) -> FrequencyVector:
     )
 
 
-def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0,
-                        schedule_exponent: float = 22.0, levels: int = 3,
-                        c: float = 1.0) -> FrequencyVector:
+def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0) -> FrequencyVector:
     """Construct a frequency vector of the requested arithmetic type.
 
     kind "golden": (1, (sqrt(5)-1)/2), n=2.
@@ -1108,8 +1078,8 @@ def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0,
         return _diophantine(tau)
     if kind == "liouville":
         if n == 2:
-            return _liouville_n2(schedule_exponent, levels, c)
-        return _liouville_lacunary(n, min(schedule_exponent, 3.0))
+            return _liouville_n2()
+        return _liouville_lacunary(n)
     if kind == "liouville_constant":
         if n != 2:
             raise ConstructionFailed("liouville_constant is n=2")

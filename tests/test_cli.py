@@ -223,12 +223,13 @@ _BAD_GEVREY = [("freq", "--omega", ("--eps", "1e-2", "--alpha", "nan"), "alpha=n
 # that leaves torus.json behind, and `probe --h -0.01` and `probe --points 0`
 # in meaningless tables.  `torus` refuses its horizon before the Newton solve,
 # so the cases at the default grid 64 cost no solve (the test makes any call
-# of solve_torus fail).  A horizon of 1e18 steps and a grid of 1e10 points
-# are past the step and grid budgets, and are refused before any array of
-# that size is made
+# of solve_torus fail).  A horizon of 1e18 steps, 1e12 probe points of 100
+# steps and a grid of 1e10 points are past the step, trajectory-step and
+# grid budgets, and are refused before any array of that size is made
 _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_final=inf"),
              ("probe", ("--h", -0.01), "step=-0.01"), ("probe", ("--points", 0), "--points"),
              ("probe", ("--t", "1e15", "--h", "1e-3"), "steps, beyond the budget"),
+             ("probe", ("--points", 10 ** 12), "trajectory steps, beyond the budget"),
              ("torus", ("--i0", "0.3,-0.2", "--grid", 16, "--t-final", 0), "t_final=0.0"),
              ("torus", ("--i0", "0.3,-0.2", "--t-final", -1), "t_final=-1.0"),
              ("torus", ("--i0", "0.3,-0.2", "--t-final", "inf"), "t_final=inf"),
@@ -270,8 +271,8 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     + [f"{cmd}-gevrey-{text}" for cmd, _, _, text in _BAD_GEVREY]
     + ["scan-plan-gevrey-alpha-nan"]
     + ["probe-h-0", "probe-t-inf", "probe-h-negative", "probe-points-0",
-       "probe-t-1e15-h-1e-3", "torus-t-final-0", "torus-grid-64-t-final-negative",
-       "torus-grid-64-t-final-inf", "torus-grid-100000"])
+       "probe-t-1e15-h-1e-3", "probe-points-1e12", "torus-t-final-0",
+       "torus-grid-64-t-final-negative", "torus-grid-64-t-final-inf", "torus-grid-100000"])
 def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, edit, args,
                                               kind, text):
     def no_solve(*args, **kwargs):

@@ -250,7 +250,7 @@ def test_exact_delta_matches_float_delta():
 
 @pytest.fixture(scope="module")
 def liouville():
-    return make_test_frequency("liouville", schedule_exponent=22.0, levels=3)
+    return make_test_frequency("liouville")
 
 
 def test_liouville_schedule_certified(liouville):
@@ -416,10 +416,13 @@ def test_table_growth_order_is_irrelevant(data):
 
 
 @pytest.mark.parametrize("chunk", [7, 50, 1000])
-@pytest.mark.parametrize("w, Q", [((1.0, 1.0), 60), ((1.0, 0.25, 0.5), 16)])
+@pytest.mark.parametrize("w, Q", [((1.0, 1.0), 60), ((1.0, 0.25, 0.5), 16),
+                                  ((1.0, 0.5, 0.5, 0.25), 8), ((1.0, 0.5, 0.25, 0.25), 8)])
 def test_table_ties_across_merge_chunks_match_loop_reference(monkeypatch, chunk, w, Q):
     # small merge chunks: shells span many merges, single blocks outgrow a
-    # chunk, and an exact tie in a later merge must not replace the earlier row
+    # chunk, and an exact tie in a later merge must not replace the earlier
+    # row; at n = 4 the tied rows' first nonzero components sit at index 0, 1
+    # and 2
     monkeypatch.setattr(fa, "_CHUNK", chunk)
     w = np.array(w)
     table = _DivisorTable(w)
@@ -517,7 +520,7 @@ def _evaluated_rows(monkeypatch, w, steps) -> list[tuple[int, ...]]:
 
     def recording_blocks(w, lo, hi):
         for block in blocks(w, lo, hi):
-            rows.extend(map(tuple, block.rows(np.arange(len(block.div))).tolist()))
+            rows.extend(map(tuple, block.rows.T.tolist()))
             yield block
 
     with monkeypatch.context() as patch:
