@@ -14,23 +14,27 @@ with a compensated dot product; ``|(-k) . w| == |k . w|`` exactly in IEEE
 arithmetic, so this is loss-free.  The dot product adds to the running sum
 the exact rounding error of each of its steps (TwoSum), so its bits, on
 which the tables' reproducibility rests, do not depend on how that error is
-formed.  With the tail t = (k3..kn) fixed, the divisor is linear in k2 along
-each half of the n=2 shell that (k1, k2) run over, with slope ``|w1 +- w2|``,
-so the table evaluates only the rows around each half's root (at most eight
-per tail) and the rows (0, 0, t), and gets the same per-shell minima and
-witnesses as the whole shell.  For n >= 3 it first values each tail's
-rows on the shell in plain float, within a certified error, and makes rows
-only for the tails that can reach the shell's minimum.  Each computed
-divisor is within 2u s max|w| of the exact one (the n rounded products add
-at most u s max|w|, the compensated sum at most u |k . w| + O(n^2 u^2)
-s max|w|), so a slope above 4u s max|w| rules out a rounding tie with a row
-left out; below that bound the table evaluates whole shells.  Of the rows
-that reach a shell's minimum the table keeps the first by the position of
-their first nonzero component, then lexicographically; each block of rows
-carries its rows, and the merge computes this from them.  A growth beyond
-ROW_BUDGET divisors is refused up front on either route.  A table of S
-vectors stacked as columns (a scan slice's certification) walks whole
-shells and gives each column its own table's floor.  Vectors built from continued fractions can carry an exact
+formed.  One walk makes every row: shell s pairs with each tail
+t = (k3..kn) with |t|_1 < s, and with |t|_1 = s if t's first nonzero
+component is positive, and the rows of a pair are the n=2 half shell that
+(k1, k2) run over, of radius s - |t|_1.  Along each half of it the
+divisor is linear in k2, with slope ``|w1 +- w2|``, so in candidate mode the
+table evaluates only the rows around each half's root (at most eight per
+pair) and gets the same per-shell minima and witnesses as the whole shell.
+For n >= 3 it first values each pair's rows on the shell in plain float,
+within a certified error, and makes rows only for the pairs that can reach
+the shell's minimum.  Each computed divisor is within 2u s max|w| of the
+exact one (the n rounded products add at most u s max|w|, the compensated
+sum at most u |k . w| + O(n^2 u^2) s max|w|), so a slope above 4u s max|w|
+rules out a rounding tie with a row left out; at or below that bound, and
+for a table of S vectors stacked as columns (a scan slice's certification),
+whole mode keeps every k2 of every pair, and a stack gives each column its
+own table's bits.  Each block of rows holds whole shells, so each shell is
+merged exactly once.  Of the rows that reach a shell's minimum the table
+keeps the first by the position of their first nonzero component, then
+lexicographically; each block carries its rows, and the merge computes this
+from them.  A growth beyond ROW_BUDGET divisors is refused up front in
+either mode.  Vectors built from continued fractions can carry an exact
 rational tag; ``delta``/``diophantine_check`` then use exact convergent
 windows, which stay meaningful far beyond float64 resolution.
 """
@@ -75,42 +79,17 @@ ROW_BUDGET = 2 ** 25
 # lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _ball_blocks(d: int, lo: int, hi: int, positive: bool = False) -> Iterator[np.ndarray]:
-    """Yield int64 blocks covering {k in Z^d : lo < |k|_1 <= hi}, d >= 1, in
-    lexicographic order.
-
-    `positive` keeps only k with first component >= 1.  Blocks for d <= 2 are
-    built without a loop over lattice points and hold at most _CHUNK rows.
-    """
-    first = 1 if positive else -hi
-    if d == 1:
-        k = np.arange(first, hi + 1, dtype=np.int64)
-        yield k[np.abs(k) > lo, None]
-    elif d == 2:
-        step = max(1, _CHUNK // (2 * min(hi, hi - lo) + 1))
-        for start in range(first, hi + 1, step):
-            a = np.arange(start, min(start + step, hi + 1), dtype=np.int64)
-            # per lead, k_2 runs over [-top, -low] and then [max(low, 1), top]
-            top, low = hi - np.abs(a), np.maximum(lo + 1 - np.abs(a), 0)
-            starts = np.stack([-top, np.maximum(low, 1)], axis=1).ravel()
-            lens = np.maximum(np.stack([1 - low, top + 1], axis=1).ravel() - starts, 0)
-            k2 = np.arange(lens.sum(), dtype=np.int64)
-            k2 += np.repeat(starts - np.cumsum(lens) + lens, lens)
-            yield np.stack([np.repeat(np.repeat(a, 2), lens), k2], axis=1)
-    else:
-        for lead in range(first, hi + 1):
-            for tail in _ball_blocks(d - 1, lo - abs(lead), hi - abs(lead)):
-                lead_col = np.full((tail.shape[0], 1), lead, dtype=np.int64)
-                yield np.concatenate([lead_col, tail], axis=1)
-
-
-def _halfspace_blocks(n: int, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield blocks covering {k : lo < |k|_1 <= hi, first nonzero > 0}."""
-    for j in range(n):
-        for tail in _ball_blocks(n - j, lo, hi, positive=True):
-            block = np.zeros((tail.shape[0], n), dtype=np.int64)
-            block[:, j:] = tail
-            yield block
+def _ball(d: int, m: int) -> np.ndarray:
+    """Every t in Z^d with |t|_1 <= m, d >= 0, component-major (d, N), in
+    lexicographic order: each component runs over what the earlier ones
+    leave of m."""
+    ball = np.zeros((0, 1), dtype=np.int64)
+    for _ in range(d):
+        left = m - np.abs(ball).sum(axis=0)
+        per = 2 * left + 1
+        last = np.arange(per.sum(), dtype=np.int64) - np.repeat(np.cumsum(per) - per + left, per)
+        ball = np.vstack([np.repeat(ball, per, axis=1), last])
+    return ball
 
 
 def _ball_count(d: int, m: int) -> int:
@@ -175,78 +154,57 @@ def compensated_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class _Block(NamedTuple):
     """Divisors |k . w| of a block of half-lattice rows, (m,) + columns,
-    grouped by shell: the group of shell shells[j] starts at row starts[j].
-    rows holds the rows component-major, (n, m); of the rows reaching a
-    shell's minimum the merge keeps the first by the position of their first
-    nonzero component, then lexicographically.  `div` may live in buffers
-    that the next block of the same growth reuses."""
+    grouped by shell: the group of shell shells[j] starts at row starts[j],
+    and holds every row of that shell the walk keeps, so no other block
+    holds the shell.  rows holds the rows component-major, (n, m); of the
+    rows reaching a shell's minimum the merge keeps the first by the
+    position of their first nonzero component, then lexicographically.
+    `div` may live in buffers that the next block of the same growth
+    reuses."""
     div: np.ndarray
     starts: np.ndarray
     shells: np.ndarray
     rows: np.ndarray
 
 
-def _whole_shell_blocks(w: np.ndarray, blocks: Iterator[np.ndarray],
-                        buffers: _Buffers) -> Iterator[_Block]:
-    """Evaluate every row of `blocks`, in chunks of at most _CHUNK divisors
-    (rows times columns), each grouped by shell."""
-    cap = max(1, _CHUNK // (w.size // w.shape[0]))
-
-    def block(K: np.ndarray) -> _Block:
-        shells = np.abs(K).sum(axis=1)
-        order = np.argsort(shells, kind="stable")
-        K, shells = K[order], shells[order]
-        starts = np.flatnonzero(np.r_[True, shells[1:] != shells[:-1]])
-        p, *sums = buffers.shaped((len(K),) + w.shape[1:])
-        div = _compensated_sum(_column_products(K, w, p), sums)
-        return _Block(np.abs(div, out=div), starts, shells[starts], K.T)
-
-    # generator blocks are tiny at large radii; gather them into chunks
-    pending, rows = [], 0
-    for K in blocks:
-        for part in (K[i:i + cap] for i in range(0, len(K), cap)):
-            if rows and rows + len(part) > cap:
-                yield block(np.concatenate(pending, axis=0))
-                pending, rows = [], 0
-            pending.append(part)
-            rows += len(part)
-    if rows:
-        yield block(np.concatenate(pending, axis=0))
-
-
-def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]:
+def _shell_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]:
     """Yield blocks holding, for every shell s in (lo, hi], each half-lattice
     row that can carry the shell's first smallest compensated divisor.
 
     Write a row of shell s as (k1, k2, t) with tail t = (k3..kn) and
-    r = s - |t|_1.  For r >= 1 the rows of a tail are the n=2 half shell of
-    radius r, (r - |k2|, k2, t) for -r < k2 <= r, and the divisor
-    r*w1 + t.w_tail + k2*(w1 + w2) (k2 <= 0) or ... + k2*(w2 - w1) (k2 >= 0)
-    is linear on each piece.  The rows kept per tail are the four integers
-    around each piece's root, clipped to the piece (a root beyond it gives
-    its end).  A row not kept lies farther from its piece's root than some
-    kept row on the same side, so its exact |k . w| exceeds that row's by at
-    least the slope.  Each computed |k . w| is within 2u s max|w| of the
-    exact one: the rounded products add at most u s max|w|, the compensated
-    sum at most u |k . w| + O(n^2 u^2) s max|w|.  So a slope above
-    4u s max|w| rules out a rounding tie with a row not kept, and the root,
-    with t.w_tail summed by math.fsum, is within 1/2 of the exact one.  The
-    r = 0 rows (0, 0, t) are kept whole.  This is at most 8 rows per tail
-    with |t|_1 < s plus the r = 0 rows (8 per shell for n=2, 8(2s - 1) + 1
-    for n=3).  Otherwise (vectors stacked as the columns of w, or a slope
-    below the bound used, 8u Q max|w|) every row is yielded.  A growth whose
-    rows, times the columns, exceed ROW_BUDGET raises before any is yielded;
-    the budget counts the 8 rows per (shell, tail) pair above, screened or
-    not.
+    r = s - |t|_1.  Shell s pairs with every tail with |t|_1 < s and with
+    each tail with |t|_1 = s whose first nonzero component is positive.  The
+    rows of a pair are the n=2 half shell of radius r, (r - |k2|, k2, t) for
+    min(1 - r, 0) <= k2 <= r: -r < k2 <= r for r >= 1, and the one row
+    (0, 0, t) for r = 0.  The divisor r*w1 + t.w_tail + k2*(w1 + w2)
+    (k2 <= 0) or ... + k2*(w2 - w1) (k2 >= 0) is linear on each piece.
 
-    The screen (n >= 3; for n = 2 a shell is one pair).  Of a shell's pairs
-    only those whose rows can reach its minimum are made into rows.  With M =
-    max|w|, L = r*w1 + t.w_tail as computed and a = w1 +- w2 rounded, let k^
-    be the integer nearest -L/a clipped to the piece, and V = |L + k^ a| in
-    plain float.  A pair's value V_P is the smaller V of its two pieces,
-    V_best the smallest V_P on the shell, and only the pairs with
-    V_P <= V_best + 2 eta_s, eta_s = 16u s M, are kept.  Write D(k) for the
-    exact |k . w| and c(k) for the compensated one.  To first order in u:
+    Whole mode (vectors stacked as the columns of w, or a slope at most the
+    bound used, 4u hi max|w|) yields every row of every pair, that is every
+    half-lattice row of the shell.  Candidate mode keeps per pair the four
+    integers around each piece's root, clipped to the piece (a root beyond it
+    gives its end): at most 8 rows, and for r = 0 its one row.  A row not
+    kept lies farther from its piece's root than some kept row on the same
+    side, so its exact |k . w| exceeds that row's by at least the slope.
+    Each computed |k . w| is within 2u s max|w| of the exact one: the rounded
+    products add at most u s max|w|, the compensated sum at most
+    u |k . w| + O(n^2 u^2) s max|w|.  So a slope above 4u s max|w| rules out
+    a rounding tie with a row not kept, and the root, with t.w_tail summed
+    by math.fsum, is within 1/2 of the exact one.  A growth whose divisors
+    before the screen exceed ROW_BUDGET raises before any tail is built:
+    in candidate mode 8 per pair with r >= 1 and 1 per pair with r = 0 (8
+    per shell for n=2, 8(2s - 1) + 1 for n=3), in whole mode every row times
+    the columns.
+
+    The screen (candidate mode, n >= 3; for n = 2 a shell is one pair).  Of
+    a shell's pairs only those whose rows can reach its minimum are made
+    into rows.  With M = max|w|, L = r*w1 + t.w_tail as computed and
+    a = w1 +- w2 rounded, let k^ be the integer nearest -L/a clipped to the
+    piece, and V = |L + k^ a| in plain float.  A pair's value V_P is the
+    smaller V of its two pieces, V_best the smallest V_P on the shell, and
+    only the pairs with V_P <= V_best + 2 eta_s, eta_s = 16u s M, are kept.
+    Write D(k) for the exact |k . w| and c(k) for the compensated one.  To
+    first order in u:
     (1) |V - D(k^)| <= 7u s M.  L is within 3u s M of the exact level: the
         products t_j w_j and their fsum add 2u |t|_1 M, r*w1 and the sum
         u r M + u s M.  k^ a is within 4u r M of k^ times the exact slope
@@ -257,7 +215,8 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
         3u s M + 2u |L| <= 5u s M (the level's error, and the roundings of a
         and of the quotient), and k^, the piece's integer nearest the float
         root, is at most 2 delta farther from the exact root than the
-        piece's integer nearest it.
+        piece's integer nearest it.  For r = 0 both pieces are the one
+        integer k^ = 0, and (1) and (2) hold with r = 0.
     (3) |c - D| <= 2u s M for every row, as above.
     So every row k of a dropped pair has c(k) >= V_P - 19u s M, while the
     best pair's row k^, one of its 8 slots, has c <= V_best + 9u s M: c(k)
@@ -267,23 +226,27 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
     its own: integer multiples of it and float sums underflow exactly, and
     the quotient's underflow moves the root by less than 2^-1074).  A
     dropped row thus neither reaches nor ties the smallest divisor of the
-    rows kept, which a block holds for whole shells.  To depth Q this is
-    O(Q^(n-1)) pair values in plain float and, for a vector without near
-    ties, a few compensated rows per shell besides the rows (0, 0, t).
+    rows kept.  To depth Q this is O(Q^(n-1)) pair values in plain float
+    and, for a vector without near ties, a few compensated rows per shell.
 
-    The candidate rows come out shell-major, then by tail, then by k2, in
-    blocks of whole shells, and the rows (0, 0, t) follow in blocks of their
-    own.  Of the rows reaching a shell's minimum the merge keeps the first
-    by the position of their first nonzero component, then
-    lexicographically, computed from the rows each block carries.
+    The merge takes a block's minimum of a shell, and its first row there,
+    as the table's, so a block holds every row the walk keeps of its shells:
+    in whole mode the whole shell, in candidate mode every row that the
+    argument above compares with the dropped ones.  A block holds whole
+    shells, at most _CHUNK divisors before the screen or a single shell
+    that alone holds more, and each shell lands in exactly one block.  The
+    rows come out shell-major, then by pair, then by k2; of the rows
+    reaching a shell's minimum the merge keeps the first by the position of
+    their first nonzero component, then lexicographically, computed from
+    the rows the block carries.
     """
-    n, d = w.shape[0], w.shape[0] - 2
+    n, d, cols = w.shape[0], w.shape[0] - 2, w.size // w.shape[0]
     eps, scale = np.finfo(np.float64).eps, float(np.max(np.abs(w)))
     bound = 4 * eps * hi * scale
     whole = w.ndim != 1 or not min(abs(w[0] + w[1]), abs(w[1] - w[0])) > bound
     if whole:
         # half the lattice points with lo < |k|_1 <= hi, once per column
-        divisors = (_ball_count(n, hi) - _ball_count(n, lo)) // 2 * (w.size // n)
+        divisors = (_ball_count(n, hi) - _ball_count(n, lo)) // 2 * cols
     else:
         # 8 per tail with |t|_1 < s before the screen, summed over s in
         # (lo, hi] (the sum of comb(s - 1, j) telescopes), plus the r = 0 rows
@@ -294,79 +257,91 @@ def _shell_candidate_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]
         raise ConstructionFailed(
             f"{'whole' if whole else 'candidate'} rows of shells {lo + 1}..{hi} hold "
             f"{divisors} divisors, beyond the row budget {ROW_BUDGET}")
-    buffers = _Buffers()
+    # every tail with |t|_1 <= hi.  The ball is in lexicographic order and
+    # symmetric under t -> -t, so the tails after its middle row t = 0 are
+    # those whose first nonzero component is positive; ordered by norm, and
+    # within a norm those first, shell s pairs with the first count[s - lo - 1]
+    tails = _ball(d, hi)
+    key = 2 * np.abs(tails).sum(axis=0) + (np.arange(tails.shape[1]) <= tails.shape[1] // 2)
+    by_key = np.argsort(key, kind="stable")
+    tails, key = tails[:, by_key], key[by_key]
+    norms = key // 2
+    shells = np.arange(lo + 1, hi + 1, dtype=np.int64)
+    count = np.searchsorted(key, 2 * shells, side="right")
+    below = np.searchsorted(key, 2 * shells, side="left")      # |t|_1 < s
     if whole:
-        yield from _whole_shell_blocks(w, _halfspace_blocks(n, lo, hi), buffers)
-        return
-    w1, w2 = float(w[0]), float(w[1])
-    # every tail with |t|_1 < hi, by norm and lexicographically within a norm,
-    # so shell s takes the first `count[s - lo - 1]` of them
-    tails = (np.concatenate(list(_ball_blocks(d, -1, hi - 1)), axis=0) if d
-             else np.zeros((1, 0), dtype=np.int64))
-    norms = np.abs(tails).sum(axis=1)
-    by_norm = np.argsort(norms, kind="stable")
-    tails, norms = tails[by_norm], norms[by_norm]
-    offset = np.array([math.fsum(p) for p in (tails * w[2:]).tolist()])
-    count = np.searchsorted(norms, np.arange(lo + 1, hi + 1), side="left")
-    ends = np.r_[0, np.cumsum(count)]
-    around = np.arange(-1, 3, dtype=np.int64)
+        # 2r rows per pair with r >= 1 and one per pair with r = 0, per column
+        cost = (2 * (shells * below - np.r_[0, np.cumsum(norms)][below]) + count - below) * cols
+    else:
+        cost = 8 * below + count - below
+    ends = np.r_[0, np.cumsum(cost)]
+    buffers = _Buffers()
+    if not whole:
+        w1, w2 = float(w[0]), float(w[1])
+        offset = np.array([math.fsum(p) for p in (tails.T * w[2:]).tolist()])
+        around = np.arange(-1, 3, dtype=np.int64)
 
     def pieces(r: np.ndarray) -> tuple:
         # the k2 <= 0 and k2 >= 0 pieces of the pairs' half shells: the
         # divisor's slope in k2, and the ends of k2
-        return (w1 + w2, 1 - r, 0), (w2 - w1, 0, r)
+        return (w1 + w2, np.minimum(1 - r, 0), 0), (w2 - w1, 0, r)
 
     def block(start: int, stop: int) -> _Block:
-        shells = np.arange(start + 1, stop + 1, dtype=np.int64)
-        per = count[start - lo:stop - lo]
+        per = count[start:stop]
         first = np.cumsum(per) - per
         g = np.arange(per.sum(), dtype=np.int64) - np.repeat(first, per)
-        r = np.repeat(shells, per) - norms[g]
-        level = r * w1 + offset[g]
-        if d:
-            # the screen (see above): each pair's float value V_P, and the
-            # pairs within 2 eta_s of their shell's best
-            nearest = (np.minimum(np.maximum(np.rint(level / -rate), end_lo), end_hi) * rate
-                       for rate, end_lo, end_hi in pieces(r))
-            value = np.minimum(*(np.abs(level + step) for step in nearest))
-            near = value <= np.repeat(np.minimum.reduceat(value, first)
-                                      + 16 * eps * scale * shells, per)
-            per = np.add.reduceat(near, first, dtype=np.int64)
-            g, r, level = g[near], r[near], level[near]
-        # per (shell, tail) pair, k2 ascending over the 8 slots: the k2 <= 0
-        # piece, then the k2 >= 0 piece
-        k2 = np.empty((len(g), 8), dtype=np.int64)
-        for half, (rate, end_lo, end_hi) in enumerate(pieces(r)):
-            root = np.clip(-level / rate, end_lo - 2, end_hi + 2)
-            k2[:, 4 * half:4 * half + 4] = np.clip(
-                np.floor(root).astype(np.int64)[:, None] + around,
-                np.reshape(end_lo, (-1, 1)), np.reshape(end_hi, (-1, 1)))
-        # a clipped repeat, or the k2 = 0 row of both pieces, follows its twin
-        fresh = np.empty(k2.shape, dtype=bool)
-        fresh[:, 0] = True
-        np.not_equal(k2[:, 1:], k2[:, :-1], out=fresh[:, 1:])
-        kept = np.flatnonzero(fresh)
-        pair = kept >> 3
-        rows = np.empty((n, len(kept)), dtype=np.int64)
-        np.take(k2, kept, out=rows[1])
+        r = np.repeat(shells[start:stop], per) - norms[g]
+        if whole:
+            # every k2 of each pair, from min(1 - r, 0) up to r
+            low = np.minimum(1 - r, 0)
+            lens = r + 1 - low
+            pair = np.repeat(np.arange(len(g)), lens)
+            rows = np.empty((n, len(pair)), dtype=np.int64)
+            rows[1] = np.repeat(low + lens - np.cumsum(lens), lens)
+            rows[1] += np.arange(len(pair))
+        else:
+            level = r * w1 + offset[g]
+            if d:
+                # the screen (see above): each pair's float value V_P, and
+                # the pairs within 2 eta_s of their shell's best
+                nearest = (np.minimum(np.maximum(np.rint(level / -rate), end_lo), end_hi) * rate
+                           for rate, end_lo, end_hi in pieces(r))
+                value = np.minimum(*(np.abs(level + step) for step in nearest))
+                near = value <= np.repeat(np.minimum.reduceat(value, first)
+                                          + 16 * eps * scale * shells[start:stop], per)
+                per = np.add.reduceat(near, first, dtype=np.int64)
+                g, r, level = g[near], r[near], level[near]
+            # per pair, k2 ascending over the 8 slots: the k2 <= 0 piece,
+            # then the k2 >= 0 piece
+            slots = np.empty((len(g), 8), dtype=np.int64)
+            for half, (rate, end_lo, end_hi) in enumerate(pieces(r)):
+                root = np.clip(-level / rate, end_lo - 2, end_hi + 2)
+                slots[:, 4 * half:4 * half + 4] = np.clip(
+                    np.floor(root).astype(np.int64)[:, None] + around,
+                    np.reshape(end_lo, (-1, 1)), np.reshape(end_hi, (-1, 1)))
+            # a clipped repeat, or the k2 = 0 row of both pieces, follows its
+            # twin
+            fresh = np.empty(slots.shape, dtype=bool)
+            fresh[:, 0] = True
+            np.not_equal(slots[:, 1:], slots[:, :-1], out=fresh[:, 1:])
+            kept = np.flatnonzero(fresh)
+            pair = kept >> 3
+            rows = np.empty((n, len(pair)), dtype=np.int64)
+            np.take(slots, kept, out=rows[1])
         np.subtract(r[pair], np.abs(rows[1]), out=rows[0])
-        np.take(tails.T, g[pair], axis=1, out=rows[2:])
-        p, *sums = buffers.shaped(kept.shape)
+        np.take(tails, g[pair], axis=1, out=rows[2:])
+        p, *sums = buffers.shaped((len(pair),) + w.shape[1:])
         div = _compensated_sum(_column_products(rows.T, w, p), sums)
-        np.abs(div, out=div)
         starts = np.searchsorted(pair, np.cumsum(per) - per)
-        return _Block(div, starts, shells, rows)
+        return _Block(np.abs(div, out=div), starts, shells[start:stop], rows)
 
-    start = lo
-    while start < hi:
-        # whole shells, about _CHUNK // 8 tails (at most _CHUNK rows) at a time
-        stop = lo - 1 + int(np.searchsorted(ends, ends[start - lo] + _CHUNK // 8, side="right"))
+    start = 0
+    while start < len(shells):
+        # whole shells, at most _CHUNK divisors before the screen, or one
+        stop = int(np.searchsorted(ends, ends[start] + _CHUNK, side="right")) - 1
         stop = max(start + 1, stop)
         yield block(start, stop)
         start = stop
-    yield from _whole_shell_blocks(w, (
-        np.concatenate([np.zeros((len(tail), 2), dtype=np.int64), tail], axis=1)
-        for tail in _halfspace_blocks(d, lo, hi)), buffers)
 
 
 class _DivisorTable:
@@ -397,9 +372,8 @@ class _DivisorTable:
 
         def merge(block: _Block) -> None:
             # per shell and column, the block's smallest divisor and, of the
-            # rows attaining it, the first in the order `_Block` states; only
-            # a strictly smaller one replaces the table's, and the blocks of
-            # a shell come in that order
+            # rows attaining it, the first in the order `_Block` states; a
+            # block holds every row of its shells, so both are the table's
             div, starts = block.div.reshape(len(block.div), -1), block.starts
             low = np.fmin.reduceat(div, starts, axis=0)
             hit = div == np.repeat(low, np.diff(np.r_[starts, len(div)]), axis=0)
@@ -408,14 +382,10 @@ class _DivisorTable:
             rows = block.rows[:, i]
             order = np.lexsort((*rows[::-1], np.argmax(rows != 0, axis=0), cell))
             first = order[np.diff(cell[order], prepend=-1) != 0]
-            at, col = block.shells[cell[first] // div.shape[1]] - 1, col[first]
-            best = low.ravel()[cell[first]]
-            better = best < table_min[at, col]
-            at, col = at[better], col[better]
-            table_min[at, col] = best[better]
-            table_arg[at, col] = rows[:, first[better]].T
+            table_min[block.shells - 1] = low
+            table_arg[block.shells[cell[first] // div.shape[1]] - 1, col[first]] = rows[:, first].T
 
-        for block in _shell_candidate_blocks(self.w, self.q_built, Q):
+        for block in _shell_blocks(self.w, self.q_built, Q):
             merge(block)
         self.shell_min, self.shell_arg, self.q_built = smin, sarg, Q
         self._prefix_min = np.minimum.accumulate(smin)
@@ -1034,10 +1004,8 @@ def _liouville_constant(truncation_level: int = 4) -> FrequencyVector:
 
 
 def _liouville_lacunary(n: int) -> FrequencyVector:
-    """n>=3 Liouville vector from lacunary decimal series with schedule
+    """n=3 Liouville vector from lacunary decimal series with schedule
     exponent p = 3 (first level verifiable)."""
-    if n < 3:
-        raise ConstructionFailed("lacunary construction is for n >= 3")
     p = 3.0
     comps = [Fraction(1)]
     seqs = []
@@ -1050,7 +1018,7 @@ def _liouville_lacunary(n: int) -> FrequencyVector:
         seqs.append({"exponents": [s0, s1, s2]})
     floats = [float(v) for v in comps]
     return FrequencyVector(
-        floats, kind="liouville", q_check=min(200, 10 ** 2),
+        floats, kind="liouville", q_check=100,
         decimal_components=[_decimal_string(v) for v in floats],
         construction={"lacunary": seqs, "schedule_exponent": p,
                       "note": "only the first scale level is enumeration-verifiable"},
@@ -1062,9 +1030,11 @@ def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0) -> FrequencyVec
 
     kind "golden": (1, (sqrt(5)-1)/2), n=2.
     kind "diophantine": continued-fraction vector with exponent tau, n=2.
-    kind "liouville": prescribed-growth vector; continued fractions for n=2
-        (exact rational tag, scale sequence in construction metadata),
-        lacunary decimal series for n>=3.
+    kind "liouville": prescribed-growth vector, n = 2 or 3; continued
+        fractions for n=2 (exact rational tag, scale sequence in construction
+        metadata), lacunary decimal series for n=3.  For n >= 4 the lacunary
+        components are within 1e-13 of a 10:1 ratio, a resonance at
+        k = (0, 0, 1, -10), so n >= 4 is refused.
     kind "liouville_constant": truncated sum of 10^(-j!), n=2.
     A vector of given components is FrequencyVector(components).
     """
@@ -1077,6 +1047,9 @@ def make_test_frequency(kind: str, n: int = 2, tau: float = 2.0) -> FrequencyVec
             raise ConstructionFailed("diophantine construction implemented for n=2")
         return _diophantine(tau)
     if kind == "liouville":
+        if n not in (2, 3):
+            raise ConstructionFailed(f"liouville construction is n = 2 or 3, not n = {n}: "
+                                     "for n >= 4 its lacunary components are resonant")
         if n == 2:
             return _liouville_n2()
         return _liouville_lacunary(n)

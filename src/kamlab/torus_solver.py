@@ -246,9 +246,9 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     omega_slow = spec.epsilon * Omega
     if q_max is None:
         q_max = 4 * (grid // 2)
-    # a non-finite frequency has no divisor floor (its column would keep the
-    # table's inf start or a NaN, and neither fails the test below), so only
-    # the finite ones enter the table
+    # a non-finite frequency has no divisor floor (its column's floor would
+    # be inf or NaN, and neither fails the test below), so only the finite
+    # ones enter the table
     finite = np.all(np.isfinite(omega_slow), axis=1)
     floors = np.full(len(I_targets), math.nan)
     witnesses = np.zeros(omega_slow.shape, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately do not import enumeration helpers from the package: the
-full lattice ball is generated here by itertools-style recursion and the
+full lattice ball is generated here by itertools-style recursion, and the
+half-lattice rows of one shell by a numpy builder of their own, and the
 minimum divisor is taken over every vector, so agreement with the package's
 half-lattice shell tables is a two-route check.  The compensated dot product
 is re-implemented inline, op for op, which makes the minima bit-identical
@@ -28,10 +29,12 @@ def full_ball(n: int, Q: int):
 
 
 def neumaier_abs_dot(K: np.ndarray, w: np.ndarray) -> np.ndarray:
-    Kf = K.astype(np.float64)
+    """|K @ w| per row, for one vector w (n,) or as many as the columns of
+    an (n, S) array, giving (rows, S)."""
+    Kf = K.astype(np.float64).reshape(K.shape + (1,) * (w.ndim - 1))
     s = Kf[:, 0] * w[0]
     err = np.zeros_like(s)
-    for j in range(1, w.size):
+    for j in range(1, len(w)):
         p = Kf[:, j] * w[j]
         t = s + p
         big = np.abs(s) >= np.abs(p)
@@ -47,6 +50,29 @@ def half_lattice(n: int, Q: int) -> list[tuple[int, ...]]:
         return next(j for j, v in enumerate(k) if v)
     ks = [tuple(int(v) for v in k) for k in full_ball(n, Q)]
     return sorted((k for k in ks if k[lead(k)] > 0), key=lambda k: (lead(k), k))
+
+
+def half_shell(n: int, s: int) -> np.ndarray:
+    """k in Z^n with |k|_1 = s >= 1 and first nonzero component positive, as
+    one int array in half_lattice order, built without a loop over points:
+    for each position j of that component, k_j runs over 1..s, each later
+    component but the last over what the earlier ones leave of s, and the
+    last takes -left, then +left (once when nothing is left)."""
+    blocks = []
+    for j in range(n - 1):
+        head = np.arange(1, s + 1, dtype=np.int64)[:, None]
+        for _ in range(n - j - 2):
+            left = s - np.abs(head).sum(axis=1)
+            per = 2 * left + 1
+            c = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per + left, per)
+            head = np.column_stack([np.repeat(head, per, axis=0), c])
+        left = s - np.abs(head).sum(axis=1)
+        last = np.stack([-left, left], axis=1).ravel()
+        once = np.stack([left > 0, np.ones(len(left), dtype=bool)], axis=1).ravel()
+        rows = np.column_stack([np.repeat(head, 2, axis=0), last])[once]
+        blocks.append(np.column_stack([np.zeros((len(rows), j), dtype=np.int64), rows]))
+    blocks.append(np.array([[0] * (n - 1) + [s]], dtype=np.int64))
+    return np.concatenate(blocks)
 
 
 def shell_table(w: np.ndarray, Q: int) -> tuple[np.ndarray, ...]:

@@ -249,6 +249,9 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     # those beyond the row budget are refused before any is enumerated
     ("freq", "--omega", lambda rec: rec.update(components=["1.0", "-0.999999999999"]),
      ("--eps", "1e-16"), "ConstructionFailed", "row budget"),
+    # the named Liouville vector is n = 2 or 3; n = 4 is resonant
+    ("freq", "--omega", lambda rec: (rec.clear(), rec.update(name="liouville", n=4)), (),
+     "ConstructionFailed", "n = 2 or 3"),
 ] + [(cmd, "--spec", lambda rec: rec["omega"].__setitem__(0, "nan"), args, "ValueError",
        "'omega'") for cmd, args in (("nf", ()), ("torus", ("--i0", "0.3,-0.2")))]
   + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
@@ -264,7 +267,8 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     ids=["nf-spec-without-quad", "freq-omega-without-components",
          "freq-omega-components-3", "scan-plan-without-base",
          "scan-plan-freq-without-components", "scan-plan-epsilons-5",
-         "freq-near-tie-eps-1e-16", "nf-spec-omega-nan", "torus-spec-omega-nan"]
+         "freq-near-tie-eps-1e-16", "freq-omega-liouville-n4", "nf-spec-omega-nan",
+         "torus-spec-omega-nan"]
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
        for field, value in _BAD_SPEC_FIELDS]
     + [f"{cmd}-eps-{eps}" for cmd, _, eps, _, _ in _BAD_EPS]

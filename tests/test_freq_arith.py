@@ -36,6 +36,7 @@ from oracles import (
     brute_min_divisor,
     exact_min_divisor_n2,
     half_lattice,
+    half_shell,
     neumaier_abs_dot,
     shell_table,
 )
@@ -301,7 +302,12 @@ def test_liouville_gevrey_nu_below_mu_squared(liouville):
 def test_liouville_lacunary_n3():
     w = make_test_frequency("liouville", n=3)
     assert w.n == 3 and w.kind == "liouville"
-    assert "lacunary" in w.construction
+    assert "lacunary" in w.construction and w.q_checked == 100
+    # n >= 4 is refused up front: the n = 4 components are resonant at
+    # k = (0, 0, 1, -10), below the q_check radius
+    for n in (1, 4, 5):
+        with pytest.raises(ConstructionFailed, match="n = 2 or 3"):
+            make_test_frequency("liouville", n=n)
 
 
 # -- diophantine construction ---------------------------------------------------
@@ -419,10 +425,9 @@ def test_table_growth_order_is_irrelevant(data):
 @pytest.mark.parametrize("w, Q", [((1.0, 1.0), 60), ((1.0, 0.25, 0.5), 16),
                                   ((1.0, 0.5, 0.5, 0.25), 8), ((1.0, 0.5, 0.25, 0.25), 8)])
 def test_table_ties_across_merge_chunks_match_loop_reference(monkeypatch, chunk, w, Q):
-    # small merge chunks: shells span many merges, single blocks outgrow a
-    # chunk, and an exact tie in a later merge must not replace the earlier
-    # row; at n = 4 the tied rows' first nonzero components sit at index 0, 1
-    # and 2
+    # small merge chunks, down to blocks of one shell that alone outgrows
+    # the chunk: exact ties within a shell keep its first row; at n = 4 the
+    # tied rows' first nonzero components sit at index 0, 1 and 2
     monkeypatch.setattr(fa, "_CHUNK", chunk)
     w = np.array(w)
     table = _DivisorTable(w)
@@ -435,7 +440,7 @@ def test_n3_ties_across_tails_and_halves_keep_the_first_row(monkeypatch, chunk):
     # on 12 shells of (1, 1/2, 3/8) to Q = 24 the smallest divisor is reached
     # exactly by rows of several tails k3 and of both pieces, k2 < 0 and
     # k2 > 0 (on two shells the tied minimum is not zero): of those rows the
-    # table keeps the first in enumeration order, merge chunks of any size
+    # table keeps the first in half_lattice order, merge chunks of any size
     w, Q = np.array([1.0, 0.5, 0.375]), 24
     K = np.array(half_lattice(3, Q))
     div, shells = neumaier_abs_dot(K, w), np.abs(K).sum(axis=1)
@@ -457,7 +462,7 @@ def test_n3_ties_across_tails_and_halves_keep_the_first_row(monkeypatch, chunk):
 def test_stacked_table_floors_match_a_table_per_column(monkeypatch, chunk, n, q_max):
     # tie-rich columns (resonant, or with equal components: exact divisor
     # ties within a shell, and a zero floor on many shells) next to generic
-    # ones; with chunks of 7 divisors every merge holds a single row
+    # ones; with chunks of 7 divisors every merge holds a single shell
     monkeypatch.setattr(fa, "_CHUNK", chunk)
     rng = np.random.default_rng(n)
     columns = ([w for w in _GROWTH_VECTORS if len(w) == n]
@@ -514,9 +519,9 @@ def _candidate_bound(n: int, Q: int) -> int:
 
 
 def _evaluated_rows(monkeypatch, w, steps) -> list[tuple[int, ...]]:
-    """The rows the candidate blocks yield while a table of w grows through
+    """The rows the shell blocks yield while a table of w grows through
     `steps`, in yield order."""
-    blocks, rows = fa._shell_candidate_blocks, []
+    blocks, rows = fa._shell_blocks, []
 
     def recording_blocks(w, lo, hi):
         for block in blocks(w, lo, hi):
@@ -524,7 +529,7 @@ def _evaluated_rows(monkeypatch, w, steps) -> list[tuple[int, ...]]:
             yield block
 
     with monkeypatch.context() as patch:
-        patch.setattr(fa, "_shell_candidate_blocks", recording_blocks)
+        patch.setattr(fa, "_shell_blocks", recording_blocks)
         table = _DivisorTable(np.array(w))
         for q in steps:
             table.ensure(q)
@@ -550,6 +555,39 @@ def test_table_growth_enumerates_each_vector_once(monkeypatch, w, steps):
 
 
 _CUBIC = (1.0, 0.7548776662466927, 0.5698402909980532)
+
+
+@pytest.mark.parametrize("chunk", [7, 65536])
+@pytest.mark.parametrize("w, steps", [
+    ((1.0, 0.6180339887498949), (5, 17, 18, 400)), ((1.0, -1 + 1e-12), (1000, 1200)),
+    (_CUBIC, (3, 40, 41, 60)), ((1.0, 1.0, 1.0), (2, 30)), ((1.0, 0.3, -0.55, 0.71), (5, 12)),
+    (tuple(zip(_CUBIC, (1.0, 1.0, 1.0))), (3, 20))])
+def test_each_shell_lands_in_exactly_one_block(monkeypatch, chunk, w, steps):
+    # candidate rows with the rows (0, 0, t), whole shells (a slope of 0, or
+    # of 1e-12 past Q ~ 1100) and a stack: the shells of a growth's blocks,
+    # in yield order, run over lo + 1..hi once each, and every row of a
+    # block's group of a shell lies on that shell
+    blocks, growths = fa._shell_blocks, []
+
+    def recording_blocks(w, lo, hi):
+        shells = []
+        growths.append((lo, hi, shells))
+        for block in blocks(w, lo, hi):
+            sizes = np.diff(np.r_[block.starts, len(block.div)])
+            assert block.starts[0] == 0 and (sizes > 0).all()
+            assert np.abs(block.rows).sum(axis=0).tolist() == \
+                np.repeat(block.shells, sizes).tolist()
+            shells.extend(block.shells.tolist())
+            yield block
+
+    monkeypatch.setattr(fa, "_CHUNK", chunk)
+    monkeypatch.setattr(fa, "_shell_blocks", recording_blocks)
+    table = _DivisorTable(np.array(w))
+    for q in steps:
+        table.ensure(q)
+    assert [(lo, hi) for lo, hi, _ in growths] == list(zip((0,) + steps[:-1], steps))
+    for lo, hi, shells in growths:
+        assert shells == list(range(lo + 1, hi + 1))
 
 
 @pytest.mark.parametrize("w, steps", [
@@ -648,12 +686,13 @@ _N2_DEPTH = 3000
 
 def _shell_minima(W: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
     """Per shell and column of W (n, S): the smallest compensated divisor over
-    the whole shell and its first row in enumeration order."""
+    the whole shell, from the oracle's rows and sum, and its first row in
+    half_lattice order."""
     n, S = W.shape
     shell_min, shell_arg = np.empty((Q, S)), np.empty((Q, S, n), dtype=np.int64)
     for s in range(1, Q + 1):
-        K = np.concatenate(list(fa._halfspace_blocks(n, s - 1, s)), axis=0)
-        div = np.abs(fa.compensated_dot(K, W))
+        K = half_shell(n, s)
+        div = neumaier_abs_dot(K, W)
         arg = np.argmin(div, axis=0)
         shell_min[s - 1], shell_arg[s - 1] = div[arg, np.arange(S)], K[arg]
     return shell_min, shell_arg
@@ -680,7 +719,7 @@ def test_n2_table_matches_whole_shell_minima(n2_reference, steps):
 def test_n2_route_falls_back_when_a_slope_is_too_small():
     # (1, -1 + 1e-12) has slope 1e-12: candidates up to Q ~ 1100, every row after
     def rows(w, Q):
-        return sum(len(b.div) for b in fa._shell_candidate_blocks(np.array(w), 0, Q))
+        return sum(len(b.div) for b in fa._shell_blocks(np.array(w), 0, Q))
 
     assert rows((1.0, -1 + 1e-12), 1000) <= 8 * 1000
     for w in ((1.0, 1.0), (1.0, -1.0), (1.0, -1 + 1e-12)):
@@ -754,7 +793,7 @@ def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch
     table.ensure(40)
     state = _table_state(table)
     rows = sum(8 * (2 * s - 1) + 1 for s in range(41, 81))
-    assert sum(len(b.div) for b in fa._shell_candidate_blocks(table.w, 40, 80)) <= rows
+    assert sum(len(b.div) for b in fa._shell_blocks(table.w, 40, 80)) <= rows
     monkeypatch.setattr(fa, "ROW_BUDGET", rows - 1)
     with pytest.raises(ConstructionFailed, match="row budget"):
         table.ensure(80)
