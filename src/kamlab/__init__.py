@@ -10,7 +10,6 @@ from .errors import (
     ConstructionFailed,
     KolmogorovDegenerate,
     StateMismatch,
-    DomainExceeded,
     NonConvergentStep,
     MuTooLarge,
     TailNotConverged,
@@ -74,7 +73,7 @@ from .measure_scan import (
 __all__ = [
     "__version__",
     "KamlabError", "ResonanceDetected", "BelowThreshold", "ConstructionFailed",
-    "KolmogorovDegenerate", "StateMismatch", "DomainExceeded", "NonConvergentStep",
+    "KolmogorovDegenerate", "StateMismatch", "NonConvergentStep",
     "MuTooLarge", "TailNotConverged", "NonConvergence", "SmallDivisorBreakdown",
     "OutsideImage", "GateFailed", "InsufficientSpan",
     "FrequencyVector", "DivisorRecord", "ArithmeticProfile", "DiophReport",

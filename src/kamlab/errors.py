@@ -38,10 +38,6 @@ class StateMismatch(KamlabError):
     """A rescaling was applied to a Hamiltonian in the wrong scaling state."""
 
 
-class DomainExceeded(KamlabError):
-    """Evaluation or flow left the declared action domain."""
-
-
 class NonConvergentStep(KamlabError):
     """Implicit integrator step failed to reach fixed-point tolerance."""
 

@@ -850,8 +850,9 @@ def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,
     exact rational tag (required beyond the enumeration cap); "auto" picks
     "cf" when the tag exists and the request is out of enumeration range.
     """
-    if gamma <= 0 or tau <= 0 or q_max < 1:
-        raise ConstructionFailed("diophantine_check needs gamma, tau > 0, q_max >= 1")
+    if not (0 < gamma < math.inf and 0 < tau < math.inf) or q_max < 1:
+        raise ConstructionFailed("diophantine_check needs finite gamma, tau > 0, "
+                                 "q_max >= 1")
     use_cf = False
     if method == "cf":
         use_cf = True

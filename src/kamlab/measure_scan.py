@@ -52,6 +52,10 @@ __all__ = [
     "gevrey_forecast",
 ]
 
+# most samples of one slice: 16 times the density 1024 a scan plans for, since
+# ball_samples makes every sample before any is certified and solved
+SAMPLE_BUDGET = 2 ** 14
+
 
 def _radical_inverse(base: int, index: np.ndarray) -> np.ndarray:
     """Van der Corput radical inverse of each index in `base`: the digits
@@ -201,6 +205,9 @@ class ScanPlan:
                     or value < 1):
                 raise ValueError(f"field {name!r} must be a positive integer, "
                                  f"got {value!r}")
+        if self.density > SAMPLE_BUDGET:
+            raise ValueError(f"field 'density' must be at most {SAMPLE_BUDGET}, "
+                             f"got {self.density!r}")
         for name in ("tau", "tol", "c", "mu_gate", "sqrt_mu_gate", "gamma_coeff",
                      "margin_coeff", "gamma_floor"):
             value = getattr(self, name)

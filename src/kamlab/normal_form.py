@@ -252,16 +252,7 @@ def one_step_normal_form(spec: HamiltonianSpec, freq: FrequencyVector,
 def verify_homological(chihat: FourierTaylorSeries, target: FourierTaylorSeries,
                        omega: np.ndarray) -> float:
     """Residual norm of {omega . I, chihat} + target (should be ~1e-16)."""
-    n = chihat.n
-    zero = tuple([0] * n)
-    lin = {}
-    for j in range(n):
-        m = [0] * n
-        m[j] = 1
-        lin[(zero, tuple(m))] = float(omega[j])
-    lin_series = FourierTaylorSeries(n, lin)
-    resid = lin_series.poisson(chihat) + target
-    return resid.coefficient_norm()
+    return (FourierTaylorSeries.linear(omega).poisson(chihat) + target).coefficient_norm()
 
 
 def verify_estimates(result: NormalFormResult, seed: int = 0) -> dict:

@@ -429,6 +429,8 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     one _Outcome per sample, in order."""
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     S, n = I_start.shape
     outcomes = [_Outcome() for _ in range(S)]
     if not S:

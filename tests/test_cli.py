@@ -297,14 +297,15 @@ def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, e
 
 
 # plan fields of the wrong type or range; unrefused, each ended in a
-# traceback (max_iter 0 or less in an IndexError after the Newton sweeps)
+# traceback (max_iter 0 or less in an IndexError after the Newton sweeps),
+# or, a density beyond SAMPLE_BUDGET, ran for as long as its samples took
 _BAD_PLAN_FIELDS = [("density", 1.5), ("density", True), ("max_iter", 0), ("max_iter", -3),
                     ("max_iter", 2.5), ("grid", "x"), ("tau", "x"), ("tol", "x"),
                     ("tol", 0.0), ("c", math.inf), ("mu_gate", "x"), ("sqrt_mu_gate", -1.0),
                     ("gamma_coeff", math.nan), ("margin_coeff", "x"),
                     ("gamma_floor", -1.0), ("gevrey_alpha", "x"), ("gevrey_c_bar", 0.0),
                     ("record_timings", 1), ("epsilons", [1e-3, math.inf]),
-                    ("epsilons", ["x"]), ("epsilons", [[1e-3]])]
+                    ("epsilons", ["x"]), ("epsilons", [[1e-3]]), ("density", 2 ** 14 + 1)]
 
 
 @pytest.mark.parametrize("field, value", _BAD_PLAN_FIELDS,
@@ -328,7 +329,8 @@ def test_malformed_plan_field_writes_error_record(files, monkeypatch, field, val
 
 
 @pytest.mark.parametrize("option, value", [(option, value) for option in ("--gamma", "--tau")
-                                           for value in ("-1", "0", "nan")])
+                                           for value in ("-1", "0", "nan")]
+                         + [("--tol", value) for value in ("-1", "0", "nan", "inf")])
 def test_torus_refuses_gamma_or_tau_not_finite_and_positive(files, option, value):
     out = files / "torus"
     res = invoke("torus", "--spec", files / "spec.json", "--i0", "0.3,-0.2",

@@ -389,6 +389,14 @@ def test_bad_constructions_rejected():
             FrequencyVector([bad, 1.0])
 
 
+@pytest.mark.parametrize("gamma, tau", [(math.nan, 1.5), (math.inf, 1.5), (0.1, math.nan),
+                                        (0.1, math.inf), (0.0, 1.5), (0.1, -1.0)])
+def test_diophantine_check_refuses_gamma_or_tau_not_finite_and_positive(gamma, tau):
+    # a nan gamma used to give ok=False and margin nan, a nan tau margin -inf
+    with pytest.raises(ConstructionFailed, match="diophantine_check needs"):
+        diophantine_check(make_test_frequency("golden"), gamma, tau, 10)
+
+
 # -- divisor table growth -----------------------------------------------------------
 
 # (1, 0.5) and (1, 0.25, 0.5) are resonant: exact divisor ties on every shell

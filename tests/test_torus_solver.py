@@ -236,6 +236,11 @@ def test_newton_needs_one_sweep_at_least():
     for max_iter in (0, -3):
         with pytest.raises(ValueError, match="max_iter"):
             ts.solve_torus(h3, I_T, grid=16, max_iter=max_iter)
+    # tol inf used to stop after one sweep at the unsolved start, and tol 0,
+    # -1 or nan to run every sweep and report NonConvergence
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            ts.solve_torus(h3, I_T, grid=16, tol=tol)
 
 
 def test_divisor_floor_violation_mid_solve():
