@@ -20,6 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ._dop853 import dop853
 from .errors import KolmogorovDegenerate, NonConvergentStep, StateMismatch
 
 
@@ -670,15 +671,16 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
     """Integrate theta' = dH/dI, I' = -dH/dtheta for the series H.
 
     "midpoint" is the implicit midpoint rule, symplectic, with a fixed-point
-    solve per step; "dop853" delegates to scipy and serves as the accuracy
-    oracle.  Angles are not wrapped, so rotation numbers can be read off the
-    final state.
+    solve per step; "dop853" is the adaptive Dormand-Prince 8(5, 3) method
+    (rtol 1e-12, atol 1e-13), step for step scipy's, and serves as the
+    accuracy oracle.  Angles are not wrapped, so rotation numbers can be read
+    off the final state.
 
     The N points of theta and I, each (N, n), are integrated as one system:
     the recorded thetas and actions have shape (T, N, n) and energies (T, N),
     and end at the final state.  The midpoint fixed point is solved per
     point, each with its own warm start and stopping rule, on the rows still
-    iterating; dop853 makes one scipy solve of the whole stack.
+    iterating; dop853 makes one adaptive solve of the whole stack.
     """
     n_steps = flow_steps(t_final, step)
     comp = hamiltonian.compile()
@@ -726,24 +728,25 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
             if record_every and (s % record_every == 0 or s == n_steps):
                 rec.append((s * step, theta, I))
     elif method == "dop853":
-        from scipy.integrate import solve_ivp
-
         def rhs(_t, z):
             gI, gTh = field(*z.reshape(2, n_pts, n))
             return np.concatenate([gI.ravel(), gTh.ravel()])
 
         t_eval = None
         if record_every:
+            # every record_every-th step, ending exactly at t_final
             t_eval = np.arange(0, n_steps + 1, record_every) * step
-            if t_eval[-1] != t_final:
+            if n_steps % record_every:
                 t_eval = np.append(t_eval, t_final)
-        sol = solve_ivp(rhs, (0.0, t_final), np.concatenate([theta.ravel(), I.ravel()]),
-                        method="DOP853", rtol=1e-12, atol=1e-13, t_eval=t_eval)
-        if not sol.success:
-            raise NonConvergentStep(f"dop853 failed: {sol.message}")
+            else:
+                t_eval[-1] = t_final
+        ts, ys, success, message = dop853(
+            rhs, t_final, np.concatenate([theta.ravel(), I.ravel()]), t_eval)
+        if not success:
+            raise NonConvergentStep(f"dop853 failed: {message}")
         # every accepted step, or every time of t_eval; both end at t_final
         rec += [(float(t), *z.reshape(2, n_pts, n))
-                for t, z in zip(sol.t[1:], sol.y.T[1:])]
+                for t, z in zip(ts[1:], ys.T[1:])]
         theta, I = rec[-1][1:]
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -13,6 +13,7 @@ from oracles import series_jet
 
 import kamlab
 from kamlab import fourier_taylor
+from kamlab._dop853 import dop853
 from kamlab.errors import KolmogorovDegenerate, NonConvergentStep, StateMismatch
 from kamlab.fourier_taylor import (
     CompiledSeries,
@@ -510,6 +511,105 @@ def test_flow_shapes_single_and_stacked(method, record_every):
     assert stack.times.shape == (T,) and stack.energies.shape == (T, P)
 
 
+@pytest.mark.parametrize("t_final, step, records", [(0.3, 0.1, 4), (0.7, 0.1, 8),
+                                                    (0.9, 0.3, 4)])
+def test_recorded_dop853_flow_ends_at_t_final(t_final, step, records):
+    # the last grid time n_steps * step rounds above t_final at 0.3 and 0.7
+    # (refused as outside the span) and below it at 0.9 (a second, nearly
+    # equal final time)
+    res = integrate_flow(sample_spec().combined_series(), ONE_TH, ONE_I, t_final, step,
+                         method="dop853", record_every=1)
+    assert res.times[-1] == t_final
+    assert len(res.times) == records and np.all(np.diff(res.times) > 0)
+
+
+# -- dop853 against scipy ------------------------------------------------------------
+
+def gate_family(eps):
+    """The acceptance gates' Hamiltonian family at eps."""
+    return HamiltonianSpec(omega=OMEGA, quad=quadratic_from_matrices(N, A0, [((1, 0), B1, None)]),
+                           rest=FourierTaylorSeries.monomial(N, (3, 0), 0.05), epsilon=eps)
+
+
+def stacked_field(series, n_pts, calls=None):
+    """The stacked canonical field of the series as integrate_flow hands it to
+    dop853; each call's time is appended to calls when given."""
+    comp = series.compile()
+
+    def rhs(t, z):
+        if calls is not None:
+            calls.append(t)
+        grad_I, grad_theta = comp.batch_field(*z.reshape(2, n_pts, N))
+        return np.concatenate([grad_I.ravel(), -grad_theta.ravel()])
+    return rhs
+
+
+def assert_solves_as_scipy(rhs, t_final, y0, t_eval=None):
+    """dop853 returns solve_ivp's (t, y, success, message), bit for bit."""
+    from scipy.integrate import solve_ivp   # the independent reference
+    with np.errstate(all="ignore"):
+        ref = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-12,
+                        atol=1e-13, t_eval=t_eval)
+        t, y, success, message = dop853(rhs, t_final, y0, t_eval)
+    assert (success, message) == (ref.success, ref.message)
+    assert t.shape == np.shape(ref.t) and t.tobytes() == np.asarray(ref.t).tobytes()
+    assert y.shape == ref.y.shape and y.tobytes() == ref.y.tobytes()
+    return t, y, success, message
+
+
+def stack_start(n_pts):
+    """n_pts staggered angles on the actions (0.3, -0.2), as (2 * n_pts * N,)."""
+    theta = np.repeat((np.arange(n_pts) + 0.5)[:, None] / n_pts, N, axis=1)
+    return np.concatenate([theta.ravel(), np.tile([0.3, -0.2], n_pts)])
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("n_pts", [1, 3, 8])
+@pytest.mark.parametrize("t_eval", [None, "grid", "interior"])
+def test_dop853_equals_scipy_on_gate_family_stacks(eps, n_pts, t_eval):
+    t_final = 12.0
+    t_eval = {None: None,
+              "grid": np.linspace(0.0, t_final, 7),           # last point t_final
+              "interior": np.array([0.0, 0.05, 1.0, 1.0 + 1e-9, 7.3])}[t_eval]
+    t, _, success, _ = assert_solves_as_scipy(
+        stacked_field(gate_family(eps).combined_series(), n_pts), t_final,
+        stack_start(n_pts), t_eval)
+    assert success and (t_eval is not None or len(t) > 10)
+
+
+def test_dop853_equals_scipy_through_rejected_steps():
+    ham = (FourierTaylorSeries.cosine(N, (7, 3), (1, 0), 40.0)
+           + FourierTaylorSeries.monomial(N, (2, 0), 0.5))
+    calls = []
+    t, _, success, _ = assert_solves_as_scipy(stacked_field(ham, 1, calls), 0.02,
+                                              stack_start(1))
+    # two calls pick the first step, 12 more per step tried
+    tried = (len(calls) - 2) // 12
+    assert success and tried > len(t) - 1
+    assert_solves_as_scipy(stacked_field(ham, 1), 0.02, stack_start(1),
+                           np.linspace(0.0, 0.02, 11))
+
+
+def test_dop853_equals_scipy_on_the_zero_field():
+    # every error norm is 0: each step grows by the largest factor
+    t, y, success, _ = assert_solves_as_scipy(
+        stacked_field(FourierTaylorSeries.zero(N), 2), 10.0, stack_start(2))
+    assert success and np.all(y == stack_start(2)[:, None])
+    assert np.allclose(np.diff(t)[1:-1] / np.diff(t)[:-2], 10.0)
+
+
+def test_dop853_equals_scipy_up_to_a_blow_up():
+    # I1' = 10 pi sin(2 pi theta1) I1^3 leaves every bound in finite time
+    rhs = stacked_field(FourierTaylorSeries.cosine(N, (1, 0), (3, 0), 5.0), 1)
+    y0 = np.array([0.23, 0.71, 0.9, 0.1])
+    _, _, success, message = assert_solves_as_scipy(rhs, 10.0, y0)
+    assert not success and message.startswith("Required step size is less")
+    with pytest.raises(NonConvergentStep, match=f"dop853 failed: {message}"):
+        with np.errstate(all="ignore"):
+            integrate_flow(FourierTaylorSeries.cosine(N, (1, 0), (3, 0), 5.0),
+                           y0[None, :2], y0[None, 2:], 10.0, 0.01, method="dop853")
+
+
 def test_one_stalled_point_stops_the_stack(monkeypatch):
     # H = I1^2 cos(2 pi th1): the point at I = 0 is at rest and settles in
     # one iteration, the moving one needs more than the single one allowed
@@ -536,7 +636,8 @@ def test_independent_flows_stay_off_the_integrator():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert not names & {"integrate_flow", "canonical_field", "batch_field"}
+        assert not names & {"integrate_flow", "canonical_field", "batch_field",
+                            "dop853", "_dop853", "kamlab._dop853"}
     # the series jet checks the compiled evaluator, so the oracles import
     # nothing from the package
     assert "kamlab" not in (here / "oracles.py").read_text()

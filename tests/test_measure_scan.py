@@ -1,5 +1,6 @@
 """Measure scan: sampling determinism, selection accounting, scaling fits."""
 
+import json
 import math
 import os
 import subprocess
@@ -82,15 +83,39 @@ def test_ball_samples_equal_scipy_halton(n, count):
     assert got.tobytes() == want.tobytes()
 
 
-def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    code = ("import sys, kamlab, kamlab.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+def test_import_leaves_scipy_stats_and_integrate_unloaded(tmp_path):
+    # kamlab uses no scipy module: importing it loads none, and with scipy
+    # unimportable the torus command, its DOP853 verification included, and
+    # a recorded dop853 flow still run
+    spec = HamiltonianSpec(omega=fa.make_test_frequency("golden").components,
+                           quad=quadratic_from_matrices(2, A0, [((1, 0), B, None)]),
+                           rest=FourierTaylorSeries.monomial(2, (3, 0), 0.05),
+                           epsilon=1e-3, state="physical")
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_record()))
+    imported = ("import sys, kamlab, kamlab.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    blocked = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from click.testing import CliRunner\n"
+        "from kamlab import FourierTaylorSeries, cli, integrate_flow\n"
+        "res = CliRunner().invoke(cli.main, ['torus', '--spec', 'spec.json', '--i0', "
+        "'0.3,-0.2', '--grid', '16', '--t-final', '10', '--out', 'torus'])\n"
+        "assert res.exit_code == 0, res.output\n"
+        "flow = integrate_flow(FourierTaylorSeries.monomial(2, (2, 0), 0.5), "
+        "np.zeros((2, 2)), np.ones((2, 2)), 1.0, 0.1, method='dop853', record_every=5)\n"
+        "assert flow.times.tolist() == [0.0, 0.5, 1.0]\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = str(Path(ms.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for code, loaded in ((imported, "[]"), (blocked, "['scipy']")):
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             timeout=120, capture_output=True, text=True,
+                             cwd=tmp_path).stdout
+        assert out.strip() == loaded
+    assert sorted(p.name for p in (tmp_path / "torus").iterdir()) == [
+        "torus.json", "torus_surface.csv", "verification.json"]
 
 
 def _capture(monkeypatch, name):
