@@ -7,7 +7,8 @@ t_eval=t_eval)` returns in (t, y, success, message), bit for bit: it makes the
 same numpy calls in the same order as scipy 1.17.1
 (`scipy/integrate/_ivp/ivp.py`, `rk.py`, `common.py` and `base.py`).  Only
 what kamlab needs is kept: forward time from 0, a real state, those two
-tolerances, no maximal step, no events and no vectorized field.
+tolerances, output only at the times of t_eval, no maximal step, no events
+and no vectorized field.
 
 The method, its step-size control and its dense output are those of E.
 Hairer, S. P. Norsett and G. Wanner, "Solving Ordinary Differential
@@ -342,14 +343,14 @@ def _dense(fun, K_ext, t_old, h, y_old, y, f, t):
     return out.T
 
 
-def dop853(fun, t_final, y0, t_eval=None):
+def dop853(fun, t_final, y0, t_eval):
     """Integrate y' = fun(t, y) from y(0) = y0 (float64, (n,)) to t_final > 0.
 
-    Returns (t, y, success, message) as solve_ivp does: without t_eval, t
-    holds 0 and every accepted step's end, with t_eval (increasing, within
-    [0, t_final]) its times, each interpolated on the step that covers it;
-    y is (n, len(t)).  A step size below ten spacings of the floats at t ends
-    the solve with success False.
+    Returns (t, y, success, message) as solve_ivp does: t holds the times of
+    the array t_eval (increasing, within [0, t_final]) that the solve reached,
+    y (n, len(t)) the states there, each interpolated on the step that covers
+    its time.  A step size below ten spacings of the floats at t ends the
+    solve with success False.
     """
     t_final = float(t_final)
     t, y = 0.0, y0
@@ -357,14 +358,12 @@ def dop853(fun, t_final, y0, t_eval=None):
     h_abs = _initial_step(fun, y, f, t_final)
     K_ext = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_ext[:N_STAGES + 1]
-    ts, ys = ([t], [y]) if t_eval is None else ([], [])
+    # the states at the times of t_eval, filled up to t_eval_i
+    ys = np.empty((y.size, len(t_eval)))
     t_eval_i = 0
 
     def result(success, message):
-        if t_eval is None:
-            return np.array(ts), np.vstack(ys).T, success, message
-        return (np.hstack(ts or [np.empty(0)]),
-                np.hstack(ys or [np.empty((y.size, 0))]), success, message)
+        return t_eval[:t_eval_i].copy(), ys[:, :t_eval_i], success, message
 
     while True:
         # one accepted step: shrink the step until the error passes
@@ -397,15 +396,11 @@ def dop853(fun, t_final, y0, t_eval=None):
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
 
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-        else:
-            # the times of t_eval up to and including t
-            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
-            if t_eval_i_new > t_eval_i:
-                ts.append(t_eval[t_eval_i:t_eval_i_new])
-                ys.append(_dense(fun, K_ext, t_old, h, y_old, y, f, ts[-1]))
-                t_eval_i = t_eval_i_new
+        # the times of t_eval up to and including t
+        t_eval_i_new = np.searchsorted(t_eval, t, side="right")
+        if t_eval_i_new > t_eval_i:
+            ys[:, t_eval_i:t_eval_i_new] = _dense(fun, K_ext, t_old, h, y_old, y, f,
+                                                  t_eval[t_eval_i:t_eval_i_new])
+            t_eval_i = t_eval_i_new
         if t >= t_final:
             return result(True, REACHED_END)

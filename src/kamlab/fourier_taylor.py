@@ -128,9 +128,6 @@ class FourierTaylorSeries:
     def min_action_degree(self) -> int:
         return min((sum(m) for _, m in self._terms), default=0)
 
-    def leading_size(self) -> float:
-        return max((abs(c) for c in self._terms.values()), default=0.0)
-
     def coefficient_norm(self, radius: float = 1.0) -> float:
         """Majorant sum |c| * radius^|m|; an upper bound for |series| on
         real angles and |I|_inf <= radius."""
@@ -418,8 +415,9 @@ class HamiltonianSpec:
                             rest carries eps^(deg-1).
     state "time_scaled":    after H -> H/eps, t -> eps t: prefactor 1/eps.
 
-    `extra` is the slot for a remainder produced by a normal-form step
-    (stored with its own explicit prefactor so bookkeeping stays exact).
+    `extra` is the slot for a remainder produced by a normal-form step,
+    stored with its own explicit prefactor so bookkeeping stays exact; only
+    the time-scaled state holds one, as the rescalings do not carry it.
 
     Immutable by convention: no field is reassigned after construction
     (dataclasses.replace makes a variant), since perturbation() is cached.
@@ -452,6 +450,9 @@ class HamiltonianSpec:
         if self.state not in (PHYSICAL, ACTION_SCALED, TIME_SCALED):
             raise ValueError(f"field 'state' must be one of {PHYSICAL!r}, "
                              f"{ACTION_SCALED!r}, {TIME_SCALED!r}, got {self.state!r}")
+        if self.extra is not None and self.state != TIME_SCALED:
+            raise ValueError(f"field 'extra' needs state {TIME_SCALED!r}, "
+                             f"got state {self.state!r}")
         self._perturbation: dict = {}
 
     @property
@@ -651,7 +652,7 @@ FIXED_POINT_MAX_ITER = 100
 def flow_steps(t_final: float, step: float) -> int:
     """Number of steps of size `step` in `t_final`.  Raises ValueError unless
     both are positive, their ratio is finite and at most FLOW_STEP_BUDGET, and
-    t_final is a whole number of steps."""
+    t_final is a whole number of steps, one at least."""
     steps = t_final / step if 0 < step < math.inf else math.nan
     if not (t_final > 0 and math.isfinite(steps)):
         raise ValueError(f"t_final and step must be positive with a finite ratio, "
@@ -660,8 +661,9 @@ def flow_steps(t_final: float, step: float) -> int:
     if n_steps > FLOW_STEP_BUDGET:
         raise ValueError(f"t_final={t_final!r} at step={step!r} takes {steps:.6g} steps, "
                          f"beyond the budget of {FLOW_STEP_BUDGET}")
-    if abs(n_steps * step - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be an integer number of steps")
+    if n_steps < 1 or abs(n_steps * step - t_final) > 1e-9 * max(1.0, abs(t_final)):
+        raise ValueError(f"t_final must be a whole number of steps, one at least, "
+                         f"got t_final={t_final!r}, step={step!r}")
     return n_steps
 
 
@@ -674,7 +676,9 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
     solve per step; "dop853" is the adaptive Dormand-Prince 8(5, 3) method
     (rtol 1e-12, atol 1e-13), step for step scipy's, and serves as the
     accuracy oracle.  Angles are not wrapped, so rotation numbers can be read
-    off the final state.
+    off the final state.  Both methods record step 0, every record_every-th
+    step and the last (only the first and the last at record_every 0), at
+    times s * step but exactly t_final at the end; dop853 interpolates there.
 
     The N points of theta and I, each (N, n), are integrated as one system:
     the recorded thetas and actions have shape (T, N, n) and energies (T, N),
@@ -683,12 +687,17 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
     iterating; dop853 makes one adaptive solve of the whole stack.
     """
     n_steps = flow_steps(t_final, step)
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 0):
+        raise ValueError(f"record_every must be a whole number >= 0, got {record_every!r}")
     comp = hamiltonian.compile()
     theta, I = (np.asarray(side, dtype=np.float64) for side in (theta, I))
     n_pts, n = theta.shape
+    steps = np.append(np.arange(0, n_steps, record_every or n_steps), n_steps)
+    times = steps * step
+    times[-1] = t_final
 
-    # (t, theta, I) per recorded time; states are replaced, never updated
-    rec = [(0.0, theta, I)]
+    # (theta, I) per recorded time; states are replaced, never updated
+    rec = [(theta, I)]
 
     def field(th, act):
         grad_I, grad_theta = comp.batch_field(th, act)
@@ -700,6 +709,7 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
         # guess is an explicit half step, later ones each point's previous
         # increment (an O(h^2) warm start)
         half = 0.5 * step
+        recorded = set(steps.tolist())
         gI, gTh = field(theta, I)
         d_th, d_I = half * gI, half * gTh
         for s in range(1, n_steps + 1):
@@ -725,35 +735,23 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
                     f"for {np.count_nonzero(going)} of {n_pts} points")
             theta = theta + 2.0 * d_th
             I = I + 2.0 * d_I
-            if record_every and (s % record_every == 0 or s == n_steps):
-                rec.append((s * step, theta, I))
+            if s in recorded:
+                rec.append((theta, I))
     elif method == "dop853":
         def rhs(_t, z):
             gI, gTh = field(*z.reshape(2, n_pts, n))
             return np.concatenate([gI.ravel(), gTh.ravel()])
 
-        t_eval = None
-        if record_every:
-            # every record_every-th step, ending exactly at t_final
-            t_eval = np.arange(0, n_steps + 1, record_every) * step
-            if n_steps % record_every:
-                t_eval = np.append(t_eval, t_final)
-            else:
-                t_eval[-1] = t_final
-        ts, ys, success, message = dop853(
-            rhs, t_final, np.concatenate([theta.ravel(), I.ravel()]), t_eval)
+        _, ys, success, message = dop853(
+            rhs, t_final, np.concatenate([theta.ravel(), I.ravel()]), times)
         if not success:
             raise NonConvergentStep(f"dop853 failed: {message}")
-        # every accepted step, or every time of t_eval; both end at t_final
-        rec += [(float(t), *z.reshape(2, n_pts, n))
-                for t, z in zip(ts[1:], ys.T[1:])]
-        theta, I = rec[-1][1:]
+        # the state at time 0 is the start itself, not its interpolant
+        rec += [z.reshape(2, n_pts, n) for z in ys.T[1:]]
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    if not record_every and rec[-1][0] != t_final:
-        rec.append((t_final, theta, I))
-    times, thetas, actions = (np.array(side) for side in zip(*rec))
+    thetas, actions = (np.array(side) for side in zip(*rec))
     energies = comp.batch_value(thetas.reshape(-1, n),
                                 actions.reshape(-1, n)).reshape(len(times), n_pts)
     return FlowResult(times=times, thetas=thetas, actions=actions, energies=energies)

@@ -19,8 +19,9 @@ same selection-rejected bucket of the counting identity
 
 fit_scaling recovers the exponent of complement_fraction against mu and
 brackets the normalized ratio complement/sqrt(mu) from above and below.
-A Gevrey-mode sweep carries nu alongside mu and normalizes by sqrt(nu)
-instead; gevrey_forecast produces the arithmetic-only prediction table.
+A Gevrey-mode sweep carries nu alongside mu; fit_scaling(normalize="nu"),
+not the scan command, normalizes by sqrt(nu).  gevrey_forecast produces
+the arithmetic-only prediction table.
 """
 
 from __future__ import annotations

@@ -623,7 +623,7 @@ def invariance_defect(spec: HamiltonianSpec, emb: TorusEmbedding,
 
 def verify_by_integration(spec: HamiltonianSpec, emb: TorusEmbedding,
                           t_final: float = 1e3, step: float = 1e-2,
-                          n_points: int = 8, method: str = "midpoint") -> dict:
+                          n_points: int = 8, method: str = "dop853") -> dict:
     """Track trajectories started on the torus in the slow frame.
 
     The fast frame has frequencies of size 1/eps, so the flow is integrated

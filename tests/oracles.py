@@ -8,7 +8,8 @@ half-lattice shell tables is a two-route check.  The compensated dot product
 is re-implemented inline, op for op, which makes the minima bit-identical
 (|(-k) . w| equals |k . w| exactly in IEEE arithmetic).  The series jet
 sums Fourier-Taylor terms one at a time in Python complex arithmetic, away
-from the package's compiled evaluator.
+from the package's compiled evaluator; the series field does the same over
+a stack of points with numpy.
 """
 
 from __future__ import annotations
@@ -171,3 +172,20 @@ def series_jet(terms: dict, theta, I):
                 hess[j][l] += w * d_monomial(m, unit(j, l))
     return (value.real, np.array(d_th).real, np.array(d_I).real,
             np.array(hess).real)
+
+
+def series_field(terms: dict, theta, I):
+    """dH/dI and dH/dtheta of H = sum c exp(2 pi i k.theta) I^m at the points
+    theta, I (N, n), each (N, n): vectorized over the points, summed term by
+    term, d/dI_j I^m = m_j I^(m - e_j)."""
+    d_I = np.zeros(np.shape(I))
+    d_th = np.zeros(np.shape(theta))
+    for (k, m), c in terms.items():
+        k, m = np.array(k), np.array(m)
+        w = c * np.exp(2j * np.pi * (theta @ k))
+        d_th += (2j * np.pi * k * (w * np.prod(I ** m, axis=1))[:, None]).real
+        for j in np.flatnonzero(m):
+            m_j = m.copy()
+            m_j[j] -= 1
+            d_I[:, j] += (m[j] * w * np.prod(I ** m_j, axis=1)).real
+    return d_I, d_th

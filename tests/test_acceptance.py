@@ -29,7 +29,7 @@ from kamlab.fourier_taylor import (
 )
 from kamlab.normal_form import one_step_normal_form, prepare_time_scaled
 from kamlab.torus_solver import certify_target, solve_torus, verify_by_integration
-from oracles import neumaier_abs_dot
+from oracles import neumaier_abs_dot, series_field
 
 
 @pytest.fixture
@@ -55,24 +55,27 @@ def _family(eps: float) -> HamiltonianSpec:
                            quad=quad, rest=rest, epsilon=eps, state="physical")
 
 
-def _batch_flow(comp, theta, act, t=1.0, steps=16):
-    """Classical RK4 time-t flow of a compiled generating Hamiltonian.
+def _batch_flow(terms, theta, act, t=1.0, steps=16):
+    """Classical RK4 time-t flow of a generating Hamiltonian, given by its
+    term dict.
 
-    A deliberately separate route from the package's own integrators and
-    from the Lie-series algebra: plain vectorized RK4 over all points at
-    once.  The generators flowed here are O(eps * Psi) small, so sixteen
-    fourth-order steps leave truncation far below the 1e-9 gates.
+    A deliberately separate route from the package's own integrators, its
+    evaluator and the Lie-series algebra: plain vectorized RK4 over all
+    points at once, on the term-by-term field of tests/oracles.py.  The
+    generators flowed here are O(eps * Psi) small, so sixteen fourth-order
+    steps leave truncation far below the 1e-9 gates.
     """
+    def field(th, ac):
+        d_I, d_th = series_field(terms, th, ac)
+        return d_I, -d_th
+
     h = t / steps
     th, ac = theta.copy(), act.copy()
     for _ in range(steps):
-        k1t, k1a = comp.batch_grad_I(th, ac), -comp.batch_grad_theta(th, ac)
-        k2t = comp.batch_grad_I(th + 0.5 * h * k1t, ac + 0.5 * h * k1a)
-        k2a = -comp.batch_grad_theta(th + 0.5 * h * k1t, ac + 0.5 * h * k1a)
-        k3t = comp.batch_grad_I(th + 0.5 * h * k2t, ac + 0.5 * h * k2a)
-        k3a = -comp.batch_grad_theta(th + 0.5 * h * k2t, ac + 0.5 * h * k2a)
-        k4t = comp.batch_grad_I(th + h * k3t, ac + h * k3a)
-        k4a = -comp.batch_grad_theta(th + h * k3t, ac + h * k3a)
+        k1t, k1a = field(th, ac)
+        k2t, k2a = field(th + 0.5 * h * k1t, ac + 0.5 * h * k1a)
+        k3t, k3a = field(th + 0.5 * h * k2t, ac + 0.5 * h * k2a)
+        k4t, k4a = field(th + h * k3t, ac + h * k3a)
         th = th + (h / 6) * (k1t + 2 * k2t + 2 * k3t + k4t)
         ac = ac + (h / 6) * (k1a + 2 * k2a + 2 * k3a + k4a)
     return th, ac
@@ -176,7 +179,7 @@ def test_gate_3_transform_distance_and_remainder_track_mu(verdict):
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
         t0 = time.perf_counter()
         nf = one_step_normal_form(prepare_time_scaled(_family(eps)), golden)
-        th1, ac1 = _batch_flow(nf.flow_generator().compile(), TH, AC)
+        th1, ac1 = _batch_flow(nf.flow_generator().terms(), TH, AC)
         disp = max(float(np.max(np.abs(th1 - TH))),
                    float(np.max(np.abs(ac1 - AC))))
         disp_ratio.append(disp / nf.mu)
@@ -213,7 +216,7 @@ def test_gate_4_composition_identity_on_grid(verdict):
     a, b = np.meshgrid(g, g, indexing="ij")
     TH = np.stack([a.ravel(), b.ravel()], axis=1)
     AC = np.tile(np.array([0.12, -0.07]), (TH.shape[0], 1))
-    thf, acf = _batch_flow(nf.flow_generator().compile(), TH, AC)
+    thf, acf = _batch_flow(nf.flow_generator().terms(), TH, AC)
     # both sides live in the fast frame; eps converts to physical energy units
     sup = eps * float(np.max(np.abs(h_in.batch_value(thf, acf)
                                     - h_out.batch_value(TH, AC))))

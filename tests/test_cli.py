@@ -525,6 +525,21 @@ def test_nf_artifacts(files):
     assert est["record"] == "nf_estimates"
 
 
+def test_nf_refuses_a_physical_spec_with_extra(files):
+    # the rescalings to the time-scaled state would drop it
+    rec = family_base().to_record()
+    rec["extra"] = FourierTaylorSeries.cosine(2, (1, 1), (2, 0), 0.3).to_record()
+    rec["extra_prefactor"] = 0.5
+    (files / "extra.json").write_text(json.dumps(rec))
+    out = files / "extra"
+    res = invoke("nf", "--spec", files / "extra.json", "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "ValueError"
+    assert "'extra' needs state 'time_scaled', got state 'physical'" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 def _bodies(out) -> dict:
     """Each artifact in out less its stamp: a JSON record without _meta, or a
     CSV table without its header line."""
@@ -664,6 +679,18 @@ def test_probe_trajectories(files):
         assert tr["max_action_deviation"] < 1e-5
         # rotation of the nearly integrable flow stays near the frequency map
         assert abs(tr["rotation_estimate"][0] - 1.0) < 5e-3
+
+
+def test_probe_refuses_a_horizon_of_no_step(files):
+    # 1e-10 / 1 rounds to 0 steps, within the whole-number test's slack
+    out = files / "probe"
+    res = invoke("probe", "--spec", files / "spec.json", "--t", 1e-10, "--h", 1,
+                 "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "ValueError"
+    assert "one at least" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_version_flag():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import series_jet
+from oracles import series_field, series_jet
 
 import kamlab
 from kamlab import fourier_taylor
@@ -35,6 +35,11 @@ def value(series, theta, I) -> float:
     return float(series.compile().batch_value(theta[None], I[None])[0])
 
 
+def max_coefficient(series) -> float:
+    """The largest |c| of the series' terms, 0 for the zero series."""
+    return max((abs(c) for c in series.terms().values()), default=0.0)
+
+
 def sample_series():
     return (FourierTaylorSeries.cosine(N, (1, -2), m=(2, 1), amplitude=0.7)
             + FourierTaylorSeries.sine(N, (0, 1), m=(0, 3), amplitude=-0.3)
@@ -57,9 +62,9 @@ def test_bracket_antisymmetry_and_jacobi():
     f = sample_series()
     g = FourierTaylorSeries.cosine(N, (0, 1), m=(1, 0), amplitude=0.4)
     h = FourierTaylorSeries.monomial(N, (0, 2), 0.5)
-    assert (f.poisson(g) + g.poisson(f)).leading_size() < 1e-15
+    assert max_coefficient(f.poisson(g) + g.poisson(f)) < 1e-15
     jac = f.poisson(g.poisson(h)) + g.poisson(h.poisson(f)) + h.poisson(f.poisson(g))
-    assert jac.leading_size() < 1e-13
+    assert max_coefficient(jac) < 1e-13
 
 
 def test_bracket_leibniz():
@@ -67,7 +72,7 @@ def test_bracket_leibniz():
     h = FourierTaylorSeries.monomial(N, (1, 1), -0.6)
     lhs = f.poisson(g.product(h))
     rhs = f.poisson(g).product(h) + g.product(f.poisson(h))
-    assert (lhs - rhs).leading_size() < 1e-13
+    assert max_coefficient(lhs - rhs) < 1e-13
 
 
 def test_gradients_match_finite_differences():
@@ -127,7 +132,8 @@ def _random_series(rng, n, constant_axis=None):
 def test_evaluators_match_term_by_term_oracle(case):
     # the nine evaluators against the term-by-term oracle, for random series
     # with n = 2, 3 and 1, the zero series, and one constant in I_2; each
-    # single point is also the batch of one, bit for bit
+    # single point is also the batch of one, bit for bit.  The oracles' own
+    # stacked field, which the acceptance RK4 flows, is held to the same jet
     n = {"zero": 2, "constant-in-I2": 2, "n1": 1}.get(case, case)
     rng = np.random.default_rng(n)
     series = {"zero": lambda: FourierTaylorSeries.zero(n),
@@ -148,6 +154,8 @@ def test_evaluators_match_term_by_term_oracle(case):
         "batch_grad_I": (c.batch_grad_I(TH_b, II_b), g_I),
         "batch_hess_II": (c.batch_hess_II(TH_b, II_b), hess),
         "canonical_field": (np.array(field), np.concatenate([g_I, -g_th], axis=1)),
+        "oracle series_field": (np.concatenate(series_field(series.terms(), TH_b, II_b),
+                                               axis=1), np.concatenate([g_I, g_th], axis=1)),
     }
     for name, expected in zip(("value", "grad_theta", "grad_I", "hess_II"), want):
         point = getattr(c, name)
@@ -202,7 +210,7 @@ def test_evaluate_is_real_for_real_series():
 
 def test_average_and_oscillating_partition():
     f = sample_series()
-    assert (f.average() + f.oscillating() - f).leading_size() == 0.0
+    assert (f.average() + f.oscillating()).terms() == f.terms()
     assert f.average().max_harmonic() == 0
 
 
@@ -237,7 +245,7 @@ def test_algebra_results_store_coefficients_as_the_constructor_does():
 
 def test_harmonic_truncation_partition():
     f = sample_series()
-    assert (f.truncate_harmonics(2) + f.high_harmonics(2) - f).leading_size() == 0.0
+    assert (f.truncate_harmonics(2) + f.high_harmonics(2)).terms() == f.terms()
     assert f.truncate_harmonics(2).max_harmonic() <= 2
     high = f.high_harmonics(2)
     assert all(sum(abs(v) for v in k) > 2 for k, _ in high.terms())
@@ -264,7 +272,7 @@ def test_series_record_round_trip():
     f = sample_series()
     rec = json.loads(json.dumps(f.to_record()))
     g = FourierTaylorSeries.from_record(rec)
-    assert (f - g).leading_size() == 0.0
+    assert g.terms() == f.terms()
 
 
 def test_prune_drops_small_terms():
@@ -374,6 +382,20 @@ def test_scaling_state_guards():
         bad.rescale_actions()
 
 
+@pytest.mark.parametrize("state", ["physical", "action_scaled"])
+def test_extra_is_refused_outside_the_time_scaled_state(state):
+    # the rescalings would drop it
+    extra = FourierTaylorSeries.cosine(N, (1, 1), (2, 0), 0.3)
+    with pytest.raises(ValueError, match=f"'extra' needs state 'time_scaled', got state '{state}'"):
+        HamiltonianSpec(omega=OMEGA, quad=quadratic_from_matrices(N, A0),
+                        rest=FourierTaylorSeries.zero(N), epsilon=0.1, state=state,
+                        extra=extra, extra_prefactor=0.5)
+    spec = HamiltonianSpec(omega=OMEGA, quad=quadratic_from_matrices(N, A0),
+                           rest=FourierTaylorSeries.zero(N), epsilon=0.1,
+                           state="time_scaled", extra=extra, extra_prefactor=0.5)
+    assert len(spec.perturbation()) == len(spec.perturbation(include_extra=False)) + 2
+
+
 def test_spec_record_round_trip():
     spec = sample_spec().rescale_actions().rescale_time()
     rec = json.loads(json.dumps(spec.to_record()))
@@ -420,7 +442,7 @@ def test_midpoint_energy_drift_bounded():
 @pytest.mark.parametrize("t_final, step", [(0.0, 0.01), (-1.0, 0.01), (math.inf, 0.01),
                                            (1.0, 0.0), (1.0, -0.01), (1.0, math.nan),
                                            (1.0, math.inf), (1e300, 1e-300), (1.0, 0.3),
-                                           (1e3, 1e-4)])
+                                           (1e3, 1e-4), (1e-10, 1.0)])
 def test_flow_refuses_a_horizon_that_is_no_positive_step_count(method, t_final, step):
     with pytest.raises(ValueError, match="t_final"):
         integrate_flow(sample_spec().combined_series(), ONE_TH, ONE_I,
@@ -497,9 +519,8 @@ def test_flow_shapes_single_and_stacked(method, record_every):
     ham = sample_spec().combined_series()
     one = integrate_flow(ham, ONE_TH, ONE_I, 1.0, 0.1, method=method,
                          record_every=record_every)
-    # unrecorded dop853 keeps every accepted step
     T = len(one.times)
-    assert T == 3 if record_every else (T == 2 or method == "dop853")
+    assert T == (3 if record_every else 2)
     assert one.thetas[-1].shape == one.actions[-1].shape == (1, N)
     assert one.thetas.shape == one.actions.shape == (T, 1, N)
     assert one.times.shape == (T,) and one.energies.shape == (T, 1)
@@ -515,12 +536,38 @@ def test_flow_shapes_single_and_stacked(method, record_every):
                                                     (0.9, 0.3, 4)])
 def test_recorded_dop853_flow_ends_at_t_final(t_final, step, records):
     # the last grid time n_steps * step rounds above t_final at 0.3 and 0.7
-    # (refused as outside the span) and below it at 0.9 (a second, nearly
-    # equal final time)
-    res = integrate_flow(sample_spec().combined_series(), ONE_TH, ONE_I, t_final, step,
-                         method="dop853", record_every=1)
-    assert res.times[-1] == t_final
-    assert len(res.times) == records and np.all(np.diff(res.times) > 0)
+    # (refused by dop853 as outside the span) and below it at 0.9 (a second,
+    # nearly equal final time); midpoint shares the grid
+    for method in ("midpoint", "dop853"):
+        res = integrate_flow(sample_spec().combined_series(), ONE_TH, ONE_I, t_final,
+                             step, method=method, record_every=1)
+        assert res.times[-1] == t_final
+        assert len(res.times) == records and np.all(np.diff(res.times) > 0)
+
+
+@pytest.mark.parametrize("t_final, step, record_every, records",
+                         [(0.3, 0.1, 1, 4), (0.7, 0.1, 3, 4), (0.9, 0.3, 2, 3),
+                          (1.0, 0.1, 0, 2), (2.0, 0.02, 25, 5), (0.02, 0.02, 7, 2)])
+def test_both_methods_record_the_same_times(t_final, step, record_every, records):
+    ham = sample_spec().combined_series()
+    mid, dop = (integrate_flow(ham, ONE_TH, ONE_I, t_final, step, method=method,
+                               record_every=record_every)
+                for method in ("midpoint", "dop853"))
+    assert mid.times.tobytes() == dop.times.tobytes()
+    assert len(mid.times) == records and mid.times[-1] == t_final
+    # every time but the last is s * step, at every record_every-th step
+    n_steps = round(t_final / step)
+    assert mid.times[:-1].tolist() == [s * step for s in range(0, n_steps,
+                                                               record_every or n_steps)]
+    assert mid.thetas.shape == dop.thetas.shape == (records, 1, N)
+
+
+@pytest.mark.parametrize("method", ["midpoint", "dop853"])
+@pytest.mark.parametrize("record_every", [-1, 2.5])
+def test_flow_refuses_a_record_every_that_is_no_step_count(method, record_every):
+    with pytest.raises(ValueError, match="record_every"):
+        integrate_flow(sample_spec().combined_series(), ONE_TH, ONE_I, 1.0, 0.1,
+                       method=method, record_every=record_every)
 
 
 # -- dop853 against scipy ------------------------------------------------------------
@@ -531,26 +578,37 @@ def gate_family(eps):
                            rest=FourierTaylorSeries.monomial(N, (3, 0), 0.05), epsilon=eps)
 
 
-def stacked_field(series, n_pts, calls=None):
+def stacked_field(series, n_pts):
     """The stacked canonical field of the series as integrate_flow hands it to
-    dop853; each call's time is appended to calls when given."""
+    dop853."""
     comp = series.compile()
 
-    def rhs(t, z):
-        if calls is not None:
-            calls.append(t)
+    def rhs(_t, z):
         grad_I, grad_theta = comp.batch_field(*z.reshape(2, n_pts, N))
         return np.concatenate([grad_I.ravel(), -grad_theta.ravel()])
     return rhs
 
 
-def assert_solves_as_scipy(rhs, t_final, y0, t_eval=None):
-    """dop853 returns solve_ivp's (t, y, success, message), bit for bit."""
+def scipy_steps(rhs, t_final, y0):
+    """solve_ivp's DOP853 solve without t_eval: t holds 0 and the end of every
+    accepted step, nfev counts the field's calls."""
     from scipy.integrate import solve_ivp   # the independent reference
     with np.errstate(all="ignore"):
-        ref = solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-12,
-                        atol=1e-13, t_eval=t_eval)
-        t, y, success, message = dop853(rhs, t_final, y0, t_eval)
+        return solve_ivp(rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-12,
+                         atol=1e-13)
+
+
+def assert_solves_as_scipy(rhs, t_final, y0, t_eval):
+    """dop853 returns solve_ivp's (t, y, success, message), bit for bit, and
+    calls the field at the same times."""
+    from scipy.integrate import solve_ivp   # the independent reference
+    ref_calls, calls = [], []
+    with np.errstate(all="ignore"):
+        ref = solve_ivp(lambda t, z: ref_calls.append(t) or rhs(t, z), (0.0, t_final),
+                        y0, method="DOP853", rtol=1e-12, atol=1e-13, t_eval=t_eval)
+        t, y, success, message = dop853(lambda t, z: calls.append(t) or rhs(t, z),
+                                        t_final, y0, t_eval)
+    assert calls == ref_calls
     assert (success, message) == (ref.success, ref.message)
     assert t.shape == np.shape(ref.t) and t.tobytes() == np.asarray(ref.t).tobytes()
     assert y.shape == ref.y.shape and y.tobytes() == ref.y.tobytes()
@@ -565,36 +623,36 @@ def stack_start(n_pts):
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 @pytest.mark.parametrize("n_pts", [1, 3, 8])
-@pytest.mark.parametrize("t_eval", [None, "grid", "interior"])
+@pytest.mark.parametrize("t_eval", ["grid", "interior"])
 def test_dop853_equals_scipy_on_gate_family_stacks(eps, n_pts, t_eval):
     t_final = 12.0
-    t_eval = {None: None,
-              "grid": np.linspace(0.0, t_final, 7),           # last point t_final
+    t_eval = {"grid": np.linspace(0.0, t_final, 7),           # last point t_final
               "interior": np.array([0.0, 0.05, 1.0, 1.0 + 1e-9, 7.3])}[t_eval]
-    t, _, success, _ = assert_solves_as_scipy(
+    _, _, success, _ = assert_solves_as_scipy(
         stacked_field(gate_family(eps).combined_series(), n_pts), t_final,
         stack_start(n_pts), t_eval)
-    assert success and (t_eval is not None or len(t) > 10)
+    assert success
 
 
 def test_dop853_equals_scipy_through_rejected_steps():
     ham = (FourierTaylorSeries.cosine(N, (7, 3), (1, 0), 40.0)
            + FourierTaylorSeries.monomial(N, (2, 0), 0.5))
-    calls = []
-    t, _, success, _ = assert_solves_as_scipy(stacked_field(ham, 1, calls), 0.02,
-                                              stack_start(1))
-    # two calls pick the first step, 12 more per step tried
-    tried = (len(calls) - 2) // 12
-    assert success and tried > len(t) - 1
-    assert_solves_as_scipy(stacked_field(ham, 1), 0.02, stack_start(1),
-                           np.linspace(0.0, 0.02, 11))
+    rhs = stacked_field(ham, 1)
+    _, _, success, _ = assert_solves_as_scipy(rhs, 0.02, stack_start(1),
+                                              np.linspace(0.0, 0.02, 11))
+    # dop853 makes scipy's calls, and there two calls pick the first step and
+    # 12 more go to each step tried
+    steps = scipy_steps(rhs, 0.02, stack_start(1))
+    assert success and (steps.nfev - 2) // 12 > len(steps.t) - 1
 
 
 def test_dop853_equals_scipy_on_the_zero_field():
     # every error norm is 0: each step grows by the largest factor
-    t, y, success, _ = assert_solves_as_scipy(
-        stacked_field(FourierTaylorSeries.zero(N), 2), 10.0, stack_start(2))
+    rhs = stacked_field(FourierTaylorSeries.zero(N), 2)
+    _, y, success, _ = assert_solves_as_scipy(rhs, 10.0, stack_start(2),
+                                              np.linspace(0.0, 10.0, 6))
     assert success and np.all(y == stack_start(2)[:, None])
+    t = scipy_steps(rhs, 10.0, stack_start(2)).t
     assert np.allclose(np.diff(t)[1:-1] / np.diff(t)[:-2], 10.0)
 
 
@@ -602,7 +660,8 @@ def test_dop853_equals_scipy_up_to_a_blow_up():
     # I1' = 10 pi sin(2 pi theta1) I1^3 leaves every bound in finite time
     rhs = stacked_field(FourierTaylorSeries.cosine(N, (1, 0), (3, 0), 5.0), 1)
     y0 = np.array([0.23, 0.71, 0.9, 0.1])
-    _, _, success, message = assert_solves_as_scipy(rhs, 10.0, y0)
+    _, _, success, message = assert_solves_as_scipy(rhs, 10.0, y0,
+                                                    np.linspace(0.0, 10.0, 11))
     assert not success and message.startswith("Required step size is less")
     with pytest.raises(NonConvergentStep, match=f"dop853 failed: {message}"):
         with np.errstate(all="ignore"):
@@ -637,6 +696,7 @@ def test_independent_flows_stay_off_the_integrator():
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert not names & {"integrate_flow", "canonical_field", "batch_field",
+                            "batch_grad_I", "batch_grad_theta",
                             "dop853", "_dop853", "kamlab._dop853"}
     # the series jet checks the compiled evaluator, so the oracles import
     # nothing from the package

@@ -182,12 +182,14 @@ def test_embed_single_equals_batch(solved):
 
 def test_verification_midpoint_and_dop853(solved):
     h3, emb = solved
-    rep = ts.verify_by_integration(h3, emb, t_final=20.0, step=1e-2, n_points=1)
+    rep = ts.verify_by_integration(h3, emb, t_final=20.0, step=1e-2, n_points=1,
+                                   method="midpoint")
     assert rep["max_theta_error"] < 1e-8
     assert rep["max_action_error"] < 1e-9
     assert rep["energy_drift"] < 1e-8
-    rep2 = ts.verify_by_integration(h3, emb, t_final=20.0, step=0.05,
-                                    n_points=1, method="dop853")
+    # dop853 is the default
+    rep2 = ts.verify_by_integration(h3, emb, t_final=20.0, step=0.05, n_points=1)
+    assert rep2["method"] == "dop853"
     assert rep2["max_theta_error"] < 1e-10
     assert rep2["max_action_error"] < 1e-10
 
@@ -362,7 +364,7 @@ def test_normal_form_output_flattens_torus(solved):
     assert emb_out.diagnostics["sup_u"] < emb_in.diagnostics["sup_u"] / 50.0
     assert np.max(np.abs(emb_out.I0 - I_T)) < 1e-7
     rep = ts.verify_by_integration(res.spec_out, emb_out, t_final=20.0,
-                                   step=1e-2, n_points=1)
+                                   step=1e-2, n_points=1, method="midpoint")
     assert rep["max_theta_error"] < 1e-9
 
 
