@@ -13,6 +13,7 @@ F' = {F, chi} along the flow of chi.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -470,9 +471,16 @@ class HamiltonianSpec:
             raise StateMismatch("rest part must be O(I^3) in the physical state")
         eps = self.epsilon
         quad = self.quad.scale(eps)
-        rest = FourierTaylorSeries(
-            self.n,
-            {key: c * eps ** (sum(key[1]) - 1) for key, c in self.rest.terms().items()})
+        try:
+            rest = FourierTaylorSeries(
+                self.n,
+                {key: c * eps ** (sum(key[1]) - 1) for key, c in self.rest.terms().items()})
+            finite = all(cmath.isfinite(c) for s in (quad, rest) for c in s.terms().values())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"epsilon {eps!r} is too large: rescaling the actions by it "
+                             f"overflows a coefficient")
         return HamiltonianSpec(
             omega=self.omega, quad=quad, rest=rest, epsilon=eps,
             state=ACTION_SCALED, omega_prefactor=self.omega_prefactor,

@@ -7,6 +7,9 @@ then a Newton solve on the normal-form output.  Each step runs on the
 stack of samples left by the one before, in blocks of at most
 GRID_POINT_BUDGET // grid^n samples (one block per slice up to density 1024
 at grid 16); per sample it gives what a one-sample run gives, bit for bit.
+A block's Newton sweep holds about 8 arrays of n grid^n complex values per
+torus (61 KB at grid 16 and n = 2, measured), so a full block peaks near
+61 MB.
 Everything the pipeline cannot construct counts toward the complement, so
 the reported fraction is a conservative sampled stand-in for the measure of
 the bad set.

@@ -47,8 +47,10 @@ PULLBACK_MARGIN = 0.9
 
 # most collocation points grid^n of one torus: 16 times the largest grid in
 # use (grid 128 at n = 2, and the doubled grid of invariance_defect on a
-# grid-64 torus); a Newton sweep holds a few dozen arrays of n grid^n complex
-# values per torus
+# grid-64 torus).  A Newton sweep peaks at 3.8 to 3.9 times the bytes of its
+# u_hat and v_hat, about 8 arrays of n grid^n complex values per torus
+# (tracemalloc, n = 2, stacks of 16 to 1024 tori at grid 16 and 32): 61 KB
+# per grid-16 torus, 61 MB for a stack that fills this budget
 GRID_POINT_BUDGET = 2 ** 18
 
 # a torus record keeps the Fourier coefficients above this modulus
@@ -97,18 +99,31 @@ def _grid_phis(grid: int, n: int) -> np.ndarray:
 
 def _hat(values: np.ndarray, n: int) -> np.ndarray:
     """Fourier coefficients c_k with values = sum c_k exp(2 pi i k.phi), taken
-    over the trailing n axes of a stack of grid functions."""
-    return np.fft.fftn(values, axes=tuple(range(-n, 0))) / np.prod(values.shape[-n:])
+    over the trailing n axes of a stack of grid functions.  The transform and
+    the division run in place in one complex copy, so `values` is left as it
+    is."""
+    c = np.array(values, dtype=complex, order="C")
+    np.fft.fftn(c, axes=tuple(range(-n, 0)), out=c)
+    c /= np.prod(values.shape[-n:])
+    return c
 
 
-def _grid_values(hat: np.ndarray, grid: int, stack: int = 0) -> np.ndarray:
+def _grid_values(hat: np.ndarray, grid: int, stack: int = 0,
+                 symbol: Optional[np.ndarray] = None) -> np.ndarray:
     """Values of a coefficient stack lead + (own,)*n, n = hat.shape[stack], on
     a grid at least as fine as its own, by inverse FFT of the zero-padded
-    coefficients.  Shape lead[:stack] + (grid^n,) + lead[stack:], so the first
-    `stack` axes (samples) stay in front of the points; C-contiguous: einsum
-    and BLAS sum three or more terms in an order set by the memory layout."""
+    coefficients; with a `symbol`, of the product hat * symbol (broadcast).
+    Shape lead[:stack] + (grid^n,) + lead[stack:], so the first `stack` axes
+    (samples) stay in front of the points; C-contiguous: einsum and BLAS sum
+    three or more terms in an order set by the memory layout.  The inverse
+    FFT and its scaling run in place in the one complex array the call owns
+    (the product, the padded stack or a fresh output), so `hat` is left as
+    it is."""
+    if symbol is not None:
+        hat = hat * symbol
     n = hat.shape[stack]
     lead, own = hat.shape[:-n], hat.shape[-1]
+    owned = symbol is not None
     if grid != own:
         if grid < own:
             raise ValueError("padding target must not be coarser")
@@ -116,10 +131,12 @@ def _grid_values(hat: np.ndarray, grid: int, stack: int = 0) -> np.ndarray:
         idx = np.where(freqs >= 0, freqs, grid + freqs)
         padded = np.zeros(lead + (grid,) * n, dtype=complex)
         padded[(Ellipsis,) + np.ix_(*([idx] * n))] = hat
-        hat = padded
-    values = (np.fft.ifftn(hat, axes=tuple(range(-n, 0))) * grid ** n).real
+        hat, owned = padded, True
+    values = np.fft.ifftn(hat, axes=tuple(range(-n, 0)),
+                          out=hat if owned else np.empty_like(hat, dtype=complex))
+    values *= grid ** n
     front = math.prod(lead[:stack])
-    values = values.reshape(front, -1, grid ** n).transpose(0, 2, 1)
+    values = values.real.reshape(front, -1, grid ** n).transpose(0, 2, 1)
     return np.ascontiguousarray(values).reshape(lead[:stack] + (grid ** n,) + lead[stack:])
 
 
@@ -156,12 +173,14 @@ def _defect(comp, u_hat: np.ndarray, v_hat: np.ndarray, I0: np.ndarray,
     Omega - dH_lin/dI, so the base frequency cancels analytically."""
     n = I0.shape[1]
     L_Omega = L_Omega[:, None]
-    theta = _grid_phis(grid, n) + _grid_values(u_hat, grid, 1)
-    acts = I0[:, None, :] + _grid_values(v_hat, grid, 1)
+    theta = _grid_values(u_hat, grid, 1)
+    theta += _grid_phis(grid, n)
+    acts = _grid_values(v_hat, grid, 1)
+    acts += I0[:, None, :]
     E_ang, E_act = _evaluate_blocks(comp.batch_field, theta, acts)
     E_ang -= drift[:, None, :]
-    E_ang -= _grid_values(u_hat * L_Omega, grid, 1)
-    E_act += _grid_values(v_hat * L_Omega, grid, 1)
+    E_ang -= _grid_values(u_hat, grid, 1, L_Omega)
+    E_act += _grid_values(v_hat, grid, 1, L_Omega)
     return theta, acts, E_ang, E_act
 
 
@@ -437,27 +456,13 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
         return outcomes
     shape = (grid,) * n
     K = _wavevectors(grid, n)
-    kdot = compensated_dot(K, np.stack([t.Omega for t in targets], axis=1)).T.reshape(
-        (S,) + shape)
-    L_Omega = 2j * math.pi * kdot
     knorm = np.abs(K).sum(axis=1).reshape(shape)
     nyquist = np.any(K == -(grid // 2), axis=1).reshape(shape)
     live = (knorm > 0) & ~nyquist
-
-    # certified floor, halved, transported to the fast frame
-    with np.errstate(divide="ignore"):
-        decay = {tau: knorm.astype(float) ** (-tau) for tau in {t.tau for t in targets}}
-    floor = np.stack([0.5 * t.gamma * decay[t.tau] for t in targets]) / spec.epsilon
-    bad = (live & (np.abs(kdot) < floor)).reshape(S, -1)
-    for s in np.flatnonzero(bad.any(axis=1)):
-        kb = K[np.argmax(bad[s])]
-        outcomes[s].error = SmallDivisorBreakdown(
-            f"divisor at k={tuple(int(v) for v in kb)} below half the "
-            f"certified floor")
+    dead = ~live
 
     # the samples still iterating and their state, one row each
-    ids = np.flatnonzero(~bad.any(axis=1))
-    L_Omega = L_Omega[ids]
+    ids, L_Omega = _floored_symbols(spec, targets, K, knorm, live, outcomes)
     state = {"ids": ids, "L_Omega": L_Omega,
              "denom": np.where(live, L_Omega, 1.0)[:, None],
              "drift": np.stack([t.shift for t in targets])[ids],
@@ -466,6 +471,7 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
              "I0": I_start[ids].copy(),
              "best": np.full(ids.size, math.inf),
              "stall": np.zeros(ids.size, dtype=int)}
+    del L_Omega        # only the state's copy, cut as samples drop out, stays
 
     def drop(fail: np.ndarray, error, *sweep) -> list:
         """Give each sample flagged in `fail` the exception error(i) (none
@@ -483,12 +489,19 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     def cohomological(rhs: np.ndarray) -> np.ndarray:
         """Coefficients of the zero-mean w with L_Omega w = rhs, (S, grid^n, n)."""
         c = _hat(np.swapaxes(rhs, 1, 2).reshape((rhs.shape[0], n) + shape), n)
-        return np.where(live, c / state["denom"], 0.0)
+        c /= state["denom"]
+        c[..., dead] = 0.0
+        return c
 
     comp = spec.perturbation(include_extra=True).compile()
-    for iteration in range(max_iter):
-        if not state["ids"].size:
-            break
+
+    def checked(iteration: int) -> Optional[tuple]:
+        """Defects of the samples still iterating, each appended to its
+        history; a converged sample keeps its solution, and a stalled one or
+        one with a degenerate twist drops out with its exception.  Returns
+        E_ang, E_act, the twist T = d2H/dI2 (K) (S, pts, n, n) and its grid
+        mean for the samples left, or None when none is; the grid points of
+        K die here, once T is built."""
         theta, acts, E_ang, E_act = _defect(comp, state["u_hat"], state["v_hat"],
                                             state["I0"], state["L_Omega"],
                                             state["drift"], grid)
@@ -514,44 +527,80 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
                 f"(history {['%.1e' % h for h in outcomes[state['ids'][i]].history]})"),
             theta, acts, E_ang, E_act)
         if not state["ids"].size:
-            break
-
+            return None
         T, = _evaluate_blocks(lambda th, a: (comp.batch_hess_II(th, a),),
                               theta, acts)                     # (S, pts, n, n)
         T_mean = T.mean(axis=1)
         cond = np.linalg.cond(T_mean)
-        T, T_mean, E_ang, E_act = drop(
+        twisted = drop(
             ~np.isfinite(cond) | (cond > COND_MAX),
             lambda i: KolmogorovDegenerate(
                 f"averaged twist matrix has condition {cond[i]:.3e} "
                 f"(limit {COND_MAX:g}); counterterm is unreliable"),
-            T, T_mean, E_ang, E_act)
-        if not state["ids"].size:
-            break
+            E_ang, E_act, T, T_mean)
+        return twisted if state["ids"].size else None
 
+    def correct(twisted: Optional[tuple]) -> None:
+        """Move u_hat, v_hat and I0 of the samples left by one quasi-Newton
+        correction, in place; E_ang and E_act become its right-hand sides.
+        Every temporary of the sweep dies when this returns, before the next
+        defect."""
+        if twisted is None:
+            return
+        E_ang, E_act, T, T_mean = twisted
         # action correction: L_Omega dv = -(E_act - <E_act>)
-        dv_hat = cohomological(-(E_act - E_act.mean(axis=1, keepdims=True)))
-        dv_vals = _grid_values(dv_hat, grid, 1)
+        E_act -= E_act.mean(axis=1, keepdims=True)
+        dv_hat = cohomological(np.negative(E_act, out=E_act))
 
         # counterterm from Kolmogorov non-degeneracy
-        Tdv = np.einsum("spij,spj->spi", T, dv_vals)
+        Tdv = np.einsum("spij,spj->spi", T, _grid_values(dv_hat, grid, 1))
         rhs_mean = E_ang.mean(axis=1) + Tdv.mean(axis=1)
         # every <T> left has cond <= COND_MAX, far below the ~1e13 at which
         # LU could meet an exactly zero pivot
         dI0 = -np.linalg.solve(T_mean, rhs_mean[..., None])[..., 0]
 
         # angle correction: L_Omega du = E_ang + T (dv + dI0), mean removed
-        ang_rhs = E_ang + Tdv + np.einsum("spij,sj->spi", T, dI0)
-        du_hat = cohomological(ang_rhs - ang_rhs.mean(axis=1, keepdims=True))
+        ang_rhs = E_ang
+        ang_rhs += Tdv
+        ang_rhs += np.einsum("spij,sj->spi", T, dI0)
+        ang_rhs -= ang_rhs.mean(axis=1, keepdims=True)
 
-        state["u_hat"] = state["u_hat"] + du_hat
-        state["v_hat"] = state["v_hat"] + dv_hat
-        state["I0"] = state["I0"] + dI0
+        state["u_hat"] += cohomological(ang_rhs)
+        state["v_hat"] += dv_hat
+        state["I0"] += dI0
+
+    for iteration in range(max_iter):
+        if not state["ids"].size:
+            break
+        correct(checked(iteration))
     for s in state["ids"]:
         outcomes[s].error = NonConvergence(
             f"defect {outcomes[s].history[-1]:.3e} above tol {tol:g} "
             f"after {max_iter} sweeps")
     return outcomes
+
+
+def _floored_symbols(spec: HamiltonianSpec, targets: list, K: np.ndarray,
+                     knorm: np.ndarray, live: np.ndarray, outcomes: list) -> tuple:
+    """The divisor check of a Newton stack: the indices of the targets whose
+    divisors k.Omega at every live mode keep half the certified floor
+    (transported to the fast frame), and their symbols L_Omega = 2 pi i
+    k.Omega, (S',) + grid shape.  Every other target's outcome gets the
+    SmallDivisorBreakdown solve_torus raises for it."""
+    S, shape = len(targets), knorm.shape
+    kdot = compensated_dot(K, np.stack([t.Omega for t in targets], axis=1)).T.reshape(
+        (S,) + shape)
+    with np.errstate(divide="ignore"):
+        decay = {tau: knorm.astype(float) ** (-tau) for tau in {t.tau for t in targets}}
+    floor = np.stack([0.5 * t.gamma * decay[t.tau] for t in targets]) / spec.epsilon
+    bad = (live & (np.abs(kdot) < floor)).reshape(S, -1)
+    for s in np.flatnonzero(bad.any(axis=1)):
+        kb = K[np.argmax(bad[s])]
+        outcomes[s].error = SmallDivisorBreakdown(
+            f"divisor at k={tuple(int(v) for v in kb)} below half the "
+            f"certified floor")
+    ids = np.flatnonzero(~bad.any(axis=1))
+    return ids, 2j * math.pi * kdot[ids]
 
 
 def _post_diagnostics(spec: HamiltonianSpec, emb: TorusEmbedding,
@@ -583,8 +632,8 @@ def lagrangian_defect(emb: TorusEmbedding) -> float:
     n, grid = emb.n, emb.grid
     # dK[l] is the symbol 2 pi i k_l of d/dphi_l; D[:, j, l] = d_l of component j
     dK = (2j * math.pi * _wavevectors(grid, n)).T.reshape((n,) + (grid,) * n)
-    Du = _grid_values(emb.u_hat[:, None] * dK, grid)
-    Dv = _grid_values(emb.v_hat[:, None] * dK, grid)
+    Du = _grid_values(emb.u_hat[:, None], grid, symbol=dK)
+    Dv = _grid_values(emb.v_hat[:, None], grid, symbol=dK)
     A = Du + np.eye(n)[None, :, :]
     M = np.einsum("pji,pjl->pil", A, Dv)
     asym = M - np.transpose(M, (0, 2, 1))

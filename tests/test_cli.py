@@ -540,6 +540,24 @@ def test_nf_refuses_a_physical_spec_with_extra(files):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+@pytest.mark.parametrize("cmd, eps", [("nf", 1e200), ("torus", 1e300)])
+def test_an_epsilon_that_overflows_the_rescaling_is_refused(files, cmd, eps):
+    # I -> eps I scales the degree-3 term by eps^2, past the largest float
+    # from about eps = 1.3e154; nf takes it by --eps, torus from the record
+    rec = family_base().to_record()
+    if cmd == "torus":
+        rec["epsilon"] = eps
+    (files / "huge.json").write_text(json.dumps(rec))
+    out = files / "huge"
+    args = ["--eps", eps] if cmd == "nf" else ["--i0", "0.3,-0.2"]
+    res = invoke(cmd, "--spec", files / "huge.json", *args, "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == "ValueError"
+    assert f"epsilon {eps!r} is too large" in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 def _bodies(out) -> dict:
     """Each artifact in out less its stamp: a JSON record without _meta, or a
     CSV table without its header line."""

@@ -5,6 +5,7 @@ import ast
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,17 @@ def test_scaling_state_guards():
                           epsilon=0.1)
     with pytest.raises(StateMismatch):
         bad.rescale_actions()
+
+
+@pytest.mark.parametrize("coeff, eps", [(0.05, 1e200), (10.0, 1e154), (1.0, 1e308)])
+def test_rescale_actions_refuses_an_epsilon_it_overflows(coeff, eps):
+    # eps^2 itself overflows, c * eps^2 does with eps^2 finite, and the
+    # degree-4 term's eps^3 overflows though its degree-3 eps^2 would not
+    degree = (4, 0) if eps == 1e308 else (3, 0)
+    spec = HamiltonianSpec(omega=OMEGA, quad=quadratic_from_matrices(N, A0),
+                           rest=FourierTaylorSeries.monomial(N, degree, coeff), epsilon=eps)
+    with pytest.raises(ValueError, match=re.escape(f"epsilon {eps!r} is too large")):
+        spec.rescale_actions()
 
 
 @pytest.mark.parametrize("state", ["physical", "action_scaled"])

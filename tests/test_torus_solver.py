@@ -1,6 +1,7 @@
 """Torus solver: exact conjugation oracle, convergence, gates, round trips."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from kamlab.fourier_taylor import (
     HamiltonianSpec,
     quadratic_from_matrices,
 )
+from kamlab.measure_scan import ball_samples
 from kamlab.normal_form import one_step_normal_form, prepare_time_scaled
 from kamlab import torus_solver as ts
 
@@ -597,3 +599,52 @@ def test_stack_of_none_solves_nothing():
     h3, _ = family_spec()
     assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30) == []
     assert ts._certify_stack(h3, np.zeros((0, 2)), None, 1.5, None, 16) == []
+
+
+def test_a_sweep_holds_few_arrays_beside_its_state():
+    # a sweep frees its correction temporaries before the next defect and
+    # runs its transforms in place: the traced peak of a 64-torus grid-16
+    # stack stays within 5x its own u_hat and v_hat (7.6x when every
+    # temporary lived until the next sweep rebound it)
+    h3, _ = family_spec()
+    S, grid = 64, 16
+    actions = 0.8 * ball_samples(2, S)
+    targets = ts._certify_stack(h3, actions, None, 1.5, None, grid)
+    ts._solve_stack(h3, targets, actions, grid, 1e-11, 30)
+    tracemalloc.start()
+    try:
+        outcomes = ts._solve_stack(h3, targets, actions, grid, 1e-11, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(out.error is None for out in outcomes)
+    state = 2 * S * 2 * grid ** 2 * np.dtype(complex).itemsize
+    assert peak <= 5 * state, f"peak {peak / state:.2f}x the state"
+
+
+def test_a_sweep_writes_only_into_what_it_allocated():
+    # the in-place steps never reach the caller's coefficients or symbols
+    h3, _ = family_spec()
+    emb = ts.solve_torus(h3, I_T, grid=16)
+    rng = np.random.default_rng(5)
+    u_hat = np.stack([emb.u_hat, 1e-3 * rng.standard_normal(emb.u_hat.shape)
+                      + 1e-3j * rng.standard_normal(emb.u_hat.shape)])
+    v_hat = np.stack([emb.v_hat, emb.v_hat[:, ::-1]])
+    L_Omega = 2j * math.pi * rng.standard_normal((2, 16, 16))
+    I0 = np.stack([emb.I0, emb.I0[::-1]])
+    drift = np.stack([emb.target.shift] * 2)
+    inputs = (u_hat, v_hat, L_Omega, I0, drift)
+    before = [a.tobytes() for a in inputs]
+    comp = h3.perturbation(include_extra=True).compile()
+    for grid in (16, 32):
+        ts._defect(comp, u_hat, v_hat, I0, L_Omega, drift, grid)
+        assert [a.tobytes() for a in inputs] == before
+        for stack, symbol in ((0, None), (1, None), (1, L_Omega[:, None])):
+            hat = u_hat[0] if stack == 0 else u_hat
+            kept = hat.tobytes()
+            ts._grid_values(hat, grid, stack, symbol)
+            assert hat.tobytes() == kept and [a.tobytes() for a in inputs] == before
+    for values in (np.swapaxes(u_hat.real, 1, 2), u_hat):
+        kept = values.tobytes()
+        ts._hat(values, 2)
+        assert values.tobytes() == kept
