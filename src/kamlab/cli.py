@@ -27,7 +27,7 @@ from . import measure_scan as ms
 from .errors import InsufficientSpan, KamlabError
 from .fourier_taylor import (
     FLOW_STEP_BUDGET,
-    TIME_SCALED,
+    PHYSICAL,
     HamiltonianSpec,
     flow_steps,
     integrate_flow,
@@ -166,12 +166,6 @@ _PARSERS = {"omega": _frequency,
             "plan": lambda rec: ms.ScanPlan.from_record(rec)}
 
 
-def _time_scaled(spec: HamiltonianSpec) -> HamiltonianSpec:
-    if spec.state == TIME_SCALED:
-        return spec
-    return prepare_time_scaled(spec)
-
-
 def _action(i0: str | None, n: int) -> np.ndarray:
     """The comma-separated --i0 as an action of n components; absent, zero."""
     act = np.zeros(n) if i0 is None else np.array([float(v) for v in i0.split(",")])
@@ -276,9 +270,13 @@ def freq(sink, omega, qmax, eps, alpha, cbar):
 def nf(sink, spec, eps, c, omega, alpha, cbar):
     """One normal-form step plus its independent estimate checks."""
     if eps is not None:
+        # a scaled spec's coefficients and prefactor carry its own epsilon
+        if spec.state != PHYSICAL:
+            raise ValueError(f"--eps overrides the epsilon of a {PHYSICAL!r} spec only; "
+                             f"this spec is in state {spec.state!r}")
         spec = replace(spec, epsilon=eps)
     freq_vec = FrequencyVector(spec.omega) if omega is None else omega
-    result = one_step_normal_form(_time_scaled(spec), freq_vec, c=c,
+    result = one_step_normal_form(prepare_time_scaled(spec), freq_vec, c=c,
                                   gevrey_alpha=alpha, gevrey_c_bar=cbar)
     sink.write_json("normal_form.json", result.to_record())
     sink.write_json("estimates.json",
@@ -305,7 +303,7 @@ def torus(sink, spec, i0, gamma, tau, tol, grid, t_final):
     check_grid(grid, spec.n)
     # non-resonance guard on the base frequency, depth = solve grid
     FrequencyVector(spec.omega, q_check=grid)
-    h3 = _time_scaled(spec)
+    h3 = prepare_time_scaled(spec)
     emb = solve_torus(h3, I_target, gamma=gamma, tau=tau, grid=grid, tol=tol)
     sink.write_json("torus.json", emb.to_record())
     phis = emb.grid_phis()

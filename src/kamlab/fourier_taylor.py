@@ -412,8 +412,8 @@ class HamiltonianSpec:
     """H = omega_prefactor * (omega . I) + quad + rest + extra_prefactor * extra.
 
     state "physical":       quad = A(theta) I.I, rest = O(I^3), prefactor 1.
-    state "action_scaled":  after I -> eps I, H -> H/eps: quad carries eps,
-                            rest carries eps^(deg-1).
+    state "action_scaled":  after I -> eps I, H -> H/eps: a term of action
+                            degree deg, in quad or rest, carries eps^(deg-1).
     state "time_scaled":    after H -> H/eps, t -> eps t: prefactor 1/eps.
 
     `extra` is the slot for a remainder produced by a normal-form step,
@@ -470,11 +470,10 @@ class HamiltonianSpec:
         if self.rest.min_action_degree() < 3 and len(self.rest):
             raise StateMismatch("rest part must be O(I^3) in the physical state")
         eps = self.epsilon
-        quad = self.quad.scale(eps)
         try:
-            rest = FourierTaylorSeries(
-                self.n,
-                {key: c * eps ** (sum(key[1]) - 1) for key, c in self.rest.terms().items()})
+            quad, rest = [FourierTaylorSeries(
+                self.n, {key: c * eps ** (sum(key[1]) - 1) for key, c in s.terms().items()})
+                for s in (self.quad, self.rest)]
             finite = all(cmath.isfinite(c) for s in (quad, rest) for c in s.terms().values())
         except OverflowError:
             finite = False

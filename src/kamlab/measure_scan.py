@@ -7,24 +7,25 @@ then a Newton solve on the normal-form output.  Each step runs on the
 stack of samples left by the one before, in blocks of at most
 GRID_POINT_BUDGET // grid^n samples (one block per slice up to density 1024
 at grid 16); per sample it gives what a one-sample run gives, bit for bit.
-A block's Newton sweep holds about 8 arrays of n grid^n complex values per
-torus (61 KB at grid 16 and n = 2, measured), so a full block peaks near
-61 MB.
+A block's Newton sweep holds about 7 arrays of n grid^n complex values per
+torus (58 KB at grid 16 and n = 2, measured), so a full block peaks near
+59 MB.
 Everything the pipeline cannot construct counts toward the complement, so
 the reported fraction is a conservative sampled stand-in for the measure of
 the bad set.
 
 The selection rule has two parts (stay b*sqrt(mu) away from the boundary of
-the ball, certify the target frequency) and both rejections land in the
-same selection-rejected bucket of the counting identity
+the ball, certify the target frequency), and a report's `detail` counts
+each rejection on its own in the counting identity
 
-    samples = selection_rejected + newton_failed + converged.
+    samples = margin_rejected + dioph_rejected + newton_failed + converged,
+
+with samples - selected the two selection rejections together.
 
 fit_scaling recovers the exponent of complement_fraction against mu and
 brackets the normalized ratio complement/sqrt(mu) from above and below.
-A Gevrey-mode sweep carries nu alongside mu; fit_scaling(normalize="nu"),
-not the scan command, normalizes by sqrt(nu).  gevrey_forecast produces
-the arithmetic-only prediction table.
+A Gevrey-mode sweep carries nu alongside mu, and gevrey_forecast produces
+the arithmetic-only prediction table of sqrt(nu).
 """
 
 from __future__ import annotations
@@ -147,14 +148,6 @@ class MeasureReport:
             if parts != self.samples:
                 raise ValueError("detail counts break the counting identity")
 
-    @property
-    def selection_rejected(self) -> int:
-        return self.samples - self.selected
-
-    @property
-    def newton_failed(self) -> int:
-        return self.selected - self.converged
-
     def to_record(self) -> dict:
         rec = dataclass_record(self, "measure_report", detail=dict)
         nu = rec.pop("nu")              # last, and only in Gevrey mode
@@ -203,6 +196,10 @@ class ScanPlan:
                              f"got {self.epsilons!r}") from None
         if self.base.state != PHYSICAL:
             raise ValueError("plan template must be a physical-state spec")
+        if not np.array_equal(self.base.omega, self.freq.components):
+            raise ValueError(f"field 'base' has omega {self.base.omega.tolist()}, which "
+                             f"differs from the components {self.freq.components.tolist()} "
+                             f"of field 'freq'")
         for name in ("density", "max_iter", "grid"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
@@ -281,7 +278,7 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
     block = GRID_POINT_BUDGET // plan.grid ** plan.n
     selected = converged = sweeps = 0
     for part in np.split(inside, range(block, len(inside), block)):
-        targets = _certify_stack(spec, part, gamma, plan.tau, None, plan.grid)
+        targets = _certify_stack(spec, part, gamma, plan.tau, plan.grid)
         certified = [i for i, t in enumerate(targets)
                      if not isinstance(t, SmallDivisorBreakdown)]
         outcomes = _solve_stack(spec, [targets[i] for i in certified], part[certified],
@@ -330,15 +327,12 @@ class FitResult:
         return dataclass_from_record(cls, rec, "fit_result")
 
 
-def fit_scaling(reports: Sequence[MeasureReport],
-                normalize: str = "mu") -> FitResult:
+def fit_scaling(reports: Sequence[MeasureReport]) -> FitResult:
     """Least-squares exponent of complement_fraction against mu, plus the
-    bracket [c_low, c_high] of complement_fraction / sqrt(scale).
+    bracket [c_low, c_high] of complement_fraction / sqrt(mu).
 
-    `normalize` picks the scale for the bracket: "mu" (default) or "nu"
-    (requires every report to carry the Gevrey column).  Raises
-    InsufficientSpan when fewer than 4 reports, less than 2 decades of mu,
-    or a vanishing complement fraction make the log fit meaningless.
+    Raises InsufficientSpan when fewer than 4 reports, less than 2 decades
+    of mu, or a vanishing complement fraction make the log fit meaningless.
     """
     if len(reports) < 4:
         raise InsufficientSpan(f"need at least 4 reports, got {len(reports)}")
@@ -351,15 +345,7 @@ def fit_scaling(reports: Sequence[MeasureReport],
         raise InsufficientSpan("complement fraction vanished at some epsilon; "
                                "log fit undefined")
     exponent = float(np.polyfit(np.log(mus), np.log(cfs), 1)[0])
-    if normalize == "mu":
-        scale = mus
-    elif normalize == "nu":
-        if any(r.nu is None for r in reports):
-            raise ValueError("nu normalization needs Gevrey-mode reports")
-        scale = np.array([r.nu for r in reports], dtype=np.float64)
-    else:
-        raise ValueError(f"unknown normalization {normalize!r}")
-    ratios = cfs / np.sqrt(scale)
+    ratios = cfs / np.sqrt(mus)
     return FitResult(exponent=exponent, c_low=float(ratios.min()),
                      c_high=float(ratios.max()), points=len(reports))
 

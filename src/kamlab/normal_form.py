@@ -293,5 +293,8 @@ def verify_estimates(result: NormalFormResult, seed: int = 0) -> dict:
 
 
 def prepare_time_scaled(spec: HamiltonianSpec) -> HamiltonianSpec:
-    """Run the physical -> action_scaled -> time_scaled chain."""
+    """The time-scaled spec: a physical one run through the physical ->
+    action_scaled -> time_scaled chain, a time-scaled one as it is."""
+    if spec.state == TIME_SCALED:
+        return spec
     return spec.rescale_actions().rescale_time()

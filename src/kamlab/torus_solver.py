@@ -47,10 +47,10 @@ PULLBACK_MARGIN = 0.9
 
 # most collocation points grid^n of one torus: 16 times the largest grid in
 # use (grid 128 at n = 2, and the doubled grid of invariance_defect on a
-# grid-64 torus).  A Newton sweep peaks at 3.8 to 3.9 times the bytes of its
-# u_hat and v_hat, about 8 arrays of n grid^n complex values per torus
-# (tracemalloc, n = 2, stacks of 16 to 1024 tori at grid 16 and 32): 61 KB
-# per grid-16 torus, 61 MB for a stack that fills this budget
+# grid-64 torus).  A Newton sweep peaks at 3.5 to 3.7 times the bytes of its
+# u_hat and v_hat, about 7 arrays of n grid^n complex values per torus
+# (tracemalloc, n = 2, stacks of 64 to 1024 tori at grid 16 and 32): 58 KB
+# per grid-16 torus, 59 MB for a stack that fills this budget
 GRID_POINT_BUDGET = 2 ** 18
 
 # a torus record keeps the Fourier coefficients above this modulus
@@ -226,26 +226,26 @@ class TargetFrequency:
 
 def certify_target(spec: HamiltonianSpec, I_target: np.ndarray,
                    gamma: Optional[float] = None, tau: float = 1.5,
-                   q_max: Optional[int] = None, grid: int = 64) -> TargetFrequency:
+                   grid: int = 64) -> TargetFrequency:
     """Frequency-map image of I_target with a (gamma, tau) Diophantine check.
 
-    The default q_max is four times the grid's Fourier truncation, which
-    covers every representable mode on the solve grid through n = 4.  gamma
-    None picks the largest certifiable value (99% of the measured minimum of
-    |k.w| |k|_1^tau), so the certificate always records an honest margin;
-    pass an explicit gamma to make selection meaningful.  Raises
-    SmallDivisorBreakdown when the check fails.
+    The check runs over the ball |k|_1 <= q_max = 4 * (grid // 2), four times
+    the grid's Fourier truncation, which covers every representable mode on
+    the solve grid through n = 4.  gamma None picks the largest certifiable
+    value (99% of the measured minimum of |k.w| |k|_1^tau), so the certificate
+    always records an honest margin; pass an explicit gamma to make selection
+    meaningful.  Raises SmallDivisorBreakdown when the check fails, a zero
+    minimum (a resonance inside the ball) included.
     """
     I_target = np.asarray(I_target, dtype=np.float64)
-    out, = _certify_stack(spec, I_target[None], gamma, tau, q_max, grid)
+    out, = _certify_stack(spec, I_target[None], gamma, tau, grid)
     if isinstance(out, SmallDivisorBreakdown):
         raise out
     return out
 
 
 def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
-                   gamma: Optional[float], tau: float, q_max: Optional[int],
-                   grid: int) -> list:
+                   gamma: Optional[float], tau: float, grid: int) -> list:
     """certify_target for S target actions (S, n) of one Hamiltonian, with one
     divisor table for all their frequencies.  Entry s is the TargetFrequency
     certify_target returns for I_targets[s], or the SmallDivisorBreakdown it
@@ -263,8 +263,7 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     shift = np.stack([f_avg.batch_field(zero, I[None])[0][0] for I in I_targets])
     Omega = spec.frequency_vector() + shift
     omega_slow = spec.epsilon * Omega
-    if q_max is None:
-        q_max = 4 * (grid // 2)
+    q_max = 4 * (grid // 2)
     # a non-finite frequency has no divisor floor (its column's floor would
     # be inf or NaN, and neither fails the test below), so only the finite
     # ones enter the table
@@ -281,7 +280,7 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
                 f"target frequency {omega_slow[s].tolist()} is not finite"))
             continue
         g = 0.99 * floor_measured if gamma is None else gamma
-        if floor_measured < g:
+        if not 0 < g <= floor_measured:
             out.append(SmallDivisorBreakdown(
                 f"target frequency fails ({g:g}, {tau:g}) certification at "
                 f"k={tuple(int(v) for v in witnesses[s])}: "
@@ -290,7 +289,7 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
         out.append(TargetFrequency(
             I0=I_targets[s], Omega=Omega[s], shift=shift[s],
             omega_slow=omega_slow[s], gamma=float(g), tau=float(tau),
-            q_max=int(q_max), margin=floor_measured / g if g > 0 else math.inf))
+            q_max=int(q_max), margin=floor_measured / g))
     return out
 
 
@@ -349,12 +348,6 @@ class TorusEmbedding:
         theta = phi + vals[:n].T
         act = self.I0[None, :] + vals[n:].T
         return theta, act
-
-    def sup_u(self) -> float:
-        return float(np.max(np.abs(_grid_values(self.u_hat, self.grid))))
-
-    def sup_v(self) -> float:
-        return float(np.max(np.abs(_grid_values(self.v_hat, self.grid))))
 
     def to_record(self) -> dict:
         K = _wavevectors(self.grid, self.n)
@@ -464,7 +457,6 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     # the samples still iterating and their state, one row each
     ids, L_Omega = _floored_symbols(spec, targets, K, knorm, live, outcomes)
     state = {"ids": ids, "L_Omega": L_Omega,
-             "denom": np.where(live, L_Omega, 1.0)[:, None],
              "drift": np.stack([t.shift for t in targets])[ids],
              "u_hat": np.zeros((ids.size, n) + shape, dtype=complex),
              "v_hat": np.zeros((ids.size, n) + shape, dtype=complex),
@@ -474,14 +466,13 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     del L_Omega        # only the state's copy, cut as samples drop out, stays
 
     def drop(fail: np.ndarray, error, *sweep) -> list:
-        """Give each sample flagged in `fail` the exception error(i) (none
-        when `error` is None), keep the others in the state, and return the
-        arrays of `sweep` cut to them."""
+        """End each sample flagged in `fail` with the error error(i), None for
+        a solved one, keep the others in the state, and return the arrays of
+        `sweep` cut to them."""
         if not fail.any():
             return list(sweep)
         for i in np.flatnonzero(fail):
-            if error is not None:
-                outcomes[state["ids"][i]].error = error(i)
+            outcomes[state["ids"][i]].error = error(i)
         for key, value in state.items():
             state[key] = value[~fail]
         return [a[~fail] for a in sweep]
@@ -489,7 +480,8 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     def cohomological(rhs: np.ndarray) -> np.ndarray:
         """Coefficients of the zero-mean w with L_Omega w = rhs, (S, grid^n, n)."""
         c = _hat(np.swapaxes(rhs, 1, 2).reshape((rhs.shape[0], n) + shape), n)
-        c /= state["denom"]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c /= state["L_Omega"][:, None]
         c[..., dead] = 0.0
         return c
 
@@ -497,8 +489,8 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
 
     def checked(iteration: int) -> Optional[tuple]:
         """Defects of the samples still iterating, each appended to its
-        history; a converged sample keeps its solution, and a stalled one or
-        one with a degenerate twist drops out with its exception.  Returns
+        history; a converged sample drops out with its solution, and a
+        stalled one or one with a degenerate twist with its exception.  Returns
         E_ang, E_act, the twist T = d2H/dI2 (K) (S, pts, n, n) and its grid
         mean for the samples left, or None when none is; the grid points of
         K die here, once T is built."""
@@ -514,15 +506,13 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
             if done[i]:
                 outcomes[s].u_hat, outcomes[s].v_hat, outcomes[s].I0 = (
                     state[key][i].copy() for key in ("u_hat", "v_hat", "I0"))
-        theta, acts, E_ang, E_act, defect = drop(done, None, theta, acts,
-                                                 E_ang, E_act, defect)
         # a sweep that fails to shave 5% off the best defect counts as
         # stalled; three in a row and the iteration is going nowhere
         state["stall"] = np.where(defect > 0.95 * state["best"], state["stall"] + 1, 0)
         state["best"] = np.where(defect < state["best"], defect, state["best"])
         theta, acts, E_ang, E_act = drop(
-            state["stall"] >= 3,
-            lambda i: NonConvergence(
+            done | (state["stall"] >= 3),
+            lambda i: None if done[i] else NonConvergence(
                 f"defect stagnated at {defect[i]:.3e} after {iteration + 1} sweeps "
                 f"(history {['%.1e' % h for h in outcomes[state['ids'][i]].history]})"),
             theta, acts, E_ang, E_act)
@@ -605,7 +595,8 @@ def _floored_symbols(spec: HamiltonianSpec, targets: list, K: np.ndarray,
 
 def _post_diagnostics(spec: HamiltonianSpec, emb: TorusEmbedding,
                       history: list) -> dict:
-    theta, acts = emb.grid_points()
+    u, v = (_grid_values(hat, emb.grid) for hat in (emb.u_hat, emb.v_hat))
+    theta, acts = emb.grid_phis() + u, emb.I0[None, :] + v
     full = spec.combined_series().compile()
     energies = full.batch_value(theta, acts)
     e_scale = max(1.0, float(np.max(np.abs(energies))))
@@ -613,8 +604,8 @@ def _post_diagnostics(spec: HamiltonianSpec, emb: TorusEmbedding,
         "newton_defects": history,
         "iterations": len(history),
         "final_defect": history[-1],
-        "sup_u": emb.sup_u(),
-        "sup_v": emb.sup_v(),
+        "sup_u": float(np.max(np.abs(u))),
+        "sup_v": float(np.max(np.abs(v))),
         "energy_variation": float(np.ptp(energies)) / e_scale,
         "lagrangian_defect": lagrangian_defect(emb),
         "mean_u": float(np.max(np.abs(emb.u_hat.reshape(emb.n, -1)[:, 0].real))),

@@ -298,14 +298,16 @@ def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, e
 
 # plan fields of the wrong type or range; unrefused, each ended in a
 # traceback (max_iter 0 or less in an IndexError after the Newton sweeps),
-# or, a density beyond SAMPLE_BUDGET, ran for as long as its samples took
+# or, a density beyond SAMPLE_BUDGET, ran for as long as its samples took;
+# a misspelled field was read past, and the scan ran at the default density
 _BAD_PLAN_FIELDS = [("density", 1.5), ("density", True), ("max_iter", 0), ("max_iter", -3),
                     ("max_iter", 2.5), ("grid", "x"), ("tau", "x"), ("tol", "x"),
                     ("tol", 0.0), ("c", math.inf), ("mu_gate", "x"), ("sqrt_mu_gate", -1.0),
                     ("gamma_coeff", math.nan), ("margin_coeff", "x"),
                     ("gamma_floor", -1.0), ("gevrey_alpha", "x"), ("gevrey_c_bar", 0.0),
                     ("record_timings", 1), ("epsilons", [1e-3, math.inf]),
-                    ("epsilons", ["x"]), ("epsilons", [[1e-3]]), ("density", 2 ** 14 + 1)]
+                    ("epsilons", ["x"]), ("epsilons", [[1e-3]]), ("density", 2 ** 14 + 1),
+                    ("densty", 1024)]
 
 
 @pytest.mark.parametrize("field, value", _BAD_PLAN_FIELDS,
@@ -556,6 +558,57 @@ def test_an_epsilon_that_overflows_the_rescaling_is_refused(files, cmd, eps):
     assert err["kind"] == "ValueError"
     assert f"epsilon {eps!r} is too large" in err["message"]
     assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def _only_error(out, kind: str, text: str):
+    """out holds only an error.json of `kind` whose message holds `text`."""
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == kind and text in err["message"], err
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_nf_eps_overrides_only_a_physical_spec(files):
+    # on a time-scaled spec the override replaced epsilon without undoing the
+    # scaling: epsilon 0.01 beside omega_prefactor 1000.0 from eps 1e-3
+    (files / "scaled.json").write_text(json.dumps(prepare_time_scaled(family_base()).to_record()))
+    out = files / "nf-scaled"
+    res = invoke("nf", "--spec", files / "scaled.json", "--eps", "1e-2", "--out", out)
+    assert res.exit_code == 2
+    _only_error(out, "ValueError", "this spec is in state 'time_scaled'")
+    out = files / "nf-physical"
+    assert invoke("nf", "--spec", files / "spec.json", "--eps", "1e-2",
+                  "--out", out).exit_code == 0
+    spec_out = json.loads((out / "normal_form.json").read_text())["spec_out"]
+    assert (spec_out["epsilon"], spec_out["omega_prefactor"]) == (0.01, 100.0)
+
+
+def test_torus_refuses_a_resonant_target(files):
+    # omega (1, 1/16) at I0 = 0 resonates at k = (1, -16), past the base
+    # guard's depth 16 and inside the grid-16 certification ball; it used to
+    # certify gamma 0.0 with margin inf and solve
+    rec = family_base().to_record()
+    rec["omega"] = ["1.0", "0.0625"]
+    (files / "resonant.json").write_text(json.dumps(rec))
+    out = files / "resonant"
+    res = invoke("torus", "--spec", files / "resonant.json", "--i0", "0,0", "--grid", 16,
+                 "--out", out)
+    assert res.exit_code == 2
+    _only_error(out, "SmallDivisorBreakdown", "k=(1, -16)")
+
+
+def test_scan_refuses_a_freq_that_is_not_the_base_omega(files, monkeypatch):
+    # accepted, the plan failed in the first slice's normal form
+    def no_scan(*args, **kwargs):
+        raise AssertionError("run_plan ran on a plan refused up front")
+
+    monkeypatch.setattr(ms, "run_plan", no_scan)
+    rec = json.loads((files / "plan.json").read_text())
+    rec["freq"] = fa.make_test_frequency("diophantine").to_record()
+    (files / "mismatched.json").write_text(json.dumps(rec))
+    out = files / "mismatched"
+    res = invoke("scan", "--plan", files / "mismatched.json", "--out", out)
+    assert res.exit_code == 2
+    _only_error(out, "ValueError", "field 'freq'")
 
 
 def _bodies(out) -> dict:

@@ -370,6 +370,26 @@ def test_scaling_chain_conjugacies():
     assert s3.evaluate(TH, II) == pytest.approx(s2.evaluate(TH, II) / eps, rel=1e-12)
 
 
+def test_a_term_rescales_by_its_degree_in_quad_as_in_rest():
+    # I -> eps I with H -> H / eps scales a term of degree deg by eps^(deg-1),
+    # in quad as in rest, and H -> H / eps then by 1 / eps: a cubic term ends
+    # at 0.05 * eps.  quad used to scale every term by eps, so a cubic one
+    # there stayed at 0.05, 1/eps times too large
+    eps = 1e-3
+    quad = quadratic_from_matrices(N, A0)
+    cubic = FourierTaylorSeries.monomial(N, (3, 0), 0.05)
+    in_quad = HamiltonianSpec(omega=OMEGA, quad=quad + cubic,
+                              rest=FourierTaylorSeries.zero(N), epsilon=eps)
+    in_rest = HamiltonianSpec(omega=OMEGA, quad=quad, rest=cubic, epsilon=eps)
+    key = ((0,) * N, (3,) + (0,) * (N - 1))
+    got = in_quad.rescale_actions().rescale_time().quad.terms()[key]
+    assert got == in_rest.rescale_actions().rescale_time().rest.terms()[key]
+    assert got == pytest.approx(5e-5, rel=1e-12)
+    # a quadratic term keeps the bits of eps * c
+    assert in_rest.rescale_actions().quad.terms() == {key: eps * c for key, c
+                                                      in quad.terms().items()}
+
+
 def test_scaling_state_guards():
     spec = sample_spec()
     with pytest.raises(StateMismatch):

@@ -193,7 +193,7 @@ def test_batched_certification_equals_certify_target(monkeypatch):
     calls = _capture(monkeypatch, "_certify_stack")
     ms.run_plan(family_plan(density=96))
     rejected = []
-    for (spec, actions, gamma, tau, _, grid), got in calls:
+    for (spec, actions, gamma, tau, grid), got in calls:
         q_max = 4 * (grid // 2)
         auto = [ts.certify_target(spec, I, tau=tau, grid=grid) for I in actions]
         floors, witnesses = fa._DivisorTable(
@@ -254,14 +254,14 @@ def test_slice_compiles_independent_of_density(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_counting_identity_and_properties(sweep):
+def test_counting_identity_in_detail(sweep):
     _, reports = sweep
     for r in reports:
-        assert r.samples == (r.selection_rejected + r.newton_failed
-                             + r.converged)
-        assert r.selection_rejected == (r.detail["margin_rejected"]
-                                        + r.detail["dioph_rejected"])
-        assert r.newton_failed == r.detail["newton_failed"]
+        d = r.detail
+        assert r.samples == (d["margin_rejected"] + d["dioph_rejected"]
+                             + d["newton_failed"] + r.converged)
+        assert r.samples - r.selected == d["margin_rejected"] + d["dioph_rejected"]
+        assert r.selected - r.converged == d["newton_failed"]
         assert r.complement_fraction == (r.samples - r.converged) / r.samples
 
 
@@ -309,7 +309,7 @@ def test_integrable_converges_everywhere_selected():
     assert rep.converged == rep.selected == 65
     assert rep.detail["newton_failed"] == 0
     # complement is purely the selection rejections
-    assert rep.complement_fraction == rep.selection_rejected / rep.samples
+    assert rep.complement_fraction == (rep.samples - rep.selected) / rep.samples
 
 
 def test_gamma_floor_rejects_every_certification():
@@ -346,6 +346,17 @@ def test_plan_validation():
         family_plan(epsilons=(1e-3, -1.0))
     with pytest.raises(ValueError, match="positive"):
         family_plan(margin_coeff=0.0)
+
+
+def test_plan_refuses_a_freq_that_is_not_its_base_omega():
+    # accepted, the plan failed in the first slice's normal form, after that
+    # slice's divisor arithmetic had run
+    with pytest.raises(ValueError, match="field 'base' has omega .* field 'freq'"):
+        family_plan(freq=fa.make_test_frequency("diophantine"))
+    rec = family_plan().to_record()
+    rec["freq"] = fa.make_test_frequency("diophantine").to_record()
+    with pytest.raises(ValueError, match="field 'freq'"):
+        ms.ScanPlan.from_record(rec)
 
 
 def test_report_validation():
@@ -417,6 +428,12 @@ def test_records_round_trip(sweep):
         ms.ScanPlan.from_record(rec)
     rec["epsilons"] = [1e-3]
     assert ms.ScanPlan.from_record(rec).density == 512
+    # a key that is no field is refused by name, not read past
+    for obj in (plan, report, target, fit):
+        rec = obj.to_record()
+        rec["densty"] = 1024
+        with pytest.raises(ValueError, match=f"{rec['record']} record has no field 'densty'"):
+            type(obj).from_record(rec)
 
 
 def synthetic_reports(coeff=0.3, samples=1000, ks=(10, 20, 40, 80, 160)):
@@ -454,18 +471,18 @@ def test_fit_scaling_span_guards():
         complement_fraction=0.0))
     with pytest.raises(InsufficientSpan, match="vanished"):
         ms.fit_scaling(dead)
-    with pytest.raises(ValueError, match="normalization"):
-        ms.fit_scaling(reps, normalize="log")
-    with pytest.raises(ValueError, match="nu"):
-        ms.fit_scaling(reps, normalize="nu")
 
 
-def test_fit_scaling_normalizes_gevrey_reports_by_nu():
-    reps = [replace(r, nu=r.mu ** 3) for r in synthetic_reports()]
-    fit = ms.fit_scaling(reps, normalize="nu")
-    ratios = [r.complement_fraction / math.sqrt(r.nu) for r in reps]
+def test_fit_scaling_brackets_gevrey_reports_by_mu():
+    # a Gevrey report's nu column leaves the fit as it is: the bracket is
+    # complement / sqrt(mu), as for any report
+    plain = [replace(r, mu=r.mu * (1.0 + 0.1 * i))
+             for i, r in enumerate(synthetic_reports())]
+    reps = [replace(r, nu=r.mu ** 3) for r in plain]
+    fit = ms.fit_scaling(reps)
+    ratios = [r.complement_fraction / math.sqrt(r.mu) for r in reps]
     assert (fit.c_low, fit.c_high) == (min(ratios), max(ratios))
-    assert fit.exponent == ms.fit_scaling(reps).exponent
+    assert fit == ms.fit_scaling(plain)
     assert fit.c_high > fit.c_low
 
 

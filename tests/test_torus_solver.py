@@ -1,5 +1,6 @@
 """Torus solver: exact conjugation oracle, convergence, gates, round trips."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -229,7 +230,7 @@ def test_certification_refuses_gamma_or_tau_not_finite_and_positive(name, value)
         ts.certify_target(h3, I_T, **{name: value})
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         ts._certify_stack(h3, I_T[None], **{"gamma": 0.01, "tau": 1.5, name: value},
-                          q_max=None, grid=16)
+                          grid=16)
     # a tau at or below n - 1 is a certificate of its own, and stays allowed
     assert ts.certify_target(h3, I_T, tau=1.0, grid=16).tau == 1.0
 
@@ -247,6 +248,18 @@ def test_newton_needs_one_sweep_at_least():
             ts.solve_torus(h3, I_T, grid=16, tol=tol)
 
 
+def under_covering(spec: HamiltonianSpec, tau: float) -> ts.TargetFrequency:
+    """The target of I = 0 certified on the ball |k|_1 <= 2 only, as a target
+    certified on another grid may be: its grid-8 certificate with the gamma,
+    q_max and margin of that ball put in by dataclasses.replace."""
+    tgt = ts.certify_target(spec, np.zeros(2), tau=tau, grid=8)
+    ball = [k for k in itertools.product(range(-2, 3), repeat=2)
+            if 0 < abs(k[0]) + abs(k[1]) <= 2]
+    floor = min(abs(np.dot(k, tgt.omega_slow)) * (abs(k[0]) + abs(k[1])) ** tau
+                for k in ball)
+    return replace(tgt, gamma=0.99 * floor, q_max=2, margin=floor / (0.99 * floor))
+
+
 def test_divisor_floor_violation_mid_solve():
     # near-resonant frequency certified only on |k|_1 <= 2; the grid then
     # exposes the k = (1, -2) mode, which must trip the half-floor guard
@@ -256,27 +269,27 @@ def test_divisor_floor_violation_mid_solve():
     spec = HamiltonianSpec(omega=freq_bad, quad=quad, rest=rest,
                            epsilon=1e-3, state="physical")
     b3 = prepare_time_scaled(spec)
-    tgt = ts.certify_target(b3, np.zeros(2), tau=1.0, q_max=2)
-    assert tgt.margin >= 1.0
+    tgt = under_covering(b3, tau=1.0)
+    assert tgt.gamma == 0.99 * (0.5 + 1e-9) and tgt.margin >= 1.0
     with pytest.raises(SmallDivisorBreakdown, match=r"k=\(1, -2\)"):
         ts.solve_torus(b3, np.zeros(2), grid=8, target=tgt)
 
 
 def test_given_target_is_rechecked_at_its_own_tau():
-    # k = (1, -2) has |k.w| = 0.06, below half the tau = 1 floor (0.0825) and
-    # above half the tau = 1.5 one (0.048): a target certified at tau = 1
-    # trips it whatever tau solve_torus is handed
+    # k = (1, -2) has |k.w| = 0.06, below half the tau = 1 floor (0.0875) and
+    # above half the tau = 1.5 one (0.0505), both of gamma 0.99 * 0.53: a
+    # target certified at tau = 1 trips it whatever tau solve_torus is handed
     freq = np.array([1.0, 0.53])
     quad = quadratic_from_matrices(2, A0, [((1, 0), B, None)])
     rest = FourierTaylorSeries.monomial(2, (3, 0), 0.05)
     b3 = prepare_time_scaled(HamiltonianSpec(omega=freq, quad=quad, rest=rest,
                                              epsilon=1e-3, state="physical"))
-    tgt = ts.certify_target(b3, np.zeros(2), tau=1.0, q_max=2)
+    tgt = under_covering(b3, tau=1.0)
     for tau in (1.0, 1.5, 2.0):
         with pytest.raises(SmallDivisorBreakdown, match=r"k=\(1, -2\)"):
             ts.solve_torus(b3, np.zeros(2), tau=tau, grid=8, target=tgt)
     # certified at tau = 1.5 the same mode passes, whatever tau is handed
-    tgt = ts.certify_target(b3, np.zeros(2), tau=1.5, q_max=2)
+    tgt = under_covering(b3, tau=1.5)
     want = ts.solve_torus(b3, np.zeros(2), grid=8, target=tgt)
     for tau in (1.0, 1.5):
         got = ts.solve_torus(b3, np.zeros(2), tau=tau, grid=8, target=tgt)
@@ -337,9 +350,25 @@ def test_non_finite_target_frequency_fails_certification():
             with pytest.raises(SmallDivisorBreakdown, match="not finite"):
                 ts.certify_target(spec, I_target, gamma=gamma, tau=1.5)
     # in a stack, the finite targets keep the certificates they get alone
-    stack = ts._certify_stack(h3, np.array([[math.nan, 0.0], I_T]), None, 1.5, None, 64)
+    stack = ts._certify_stack(h3, np.array([[math.nan, 0.0], I_T]), None, 1.5, 64)
     assert isinstance(stack[0], SmallDivisorBreakdown)
     assert stack[1].gamma == ts.certify_target(h3, I_T, tau=1.5).gamma
+
+
+def test_a_resonant_target_is_refused_not_certified_at_gamma_zero():
+    # omega (1, 1/16) at I = 0 has no shift, so k = (1, -16) is an exact
+    # resonance inside the grid-16 ball |k|_1 <= 32: a zero floor.  The auto
+    # gamma, 99% of it, used to certify gamma 0.0 with margin inf
+    h3 = prepare_time_scaled(HamiltonianSpec(
+        omega=np.array([1.0, 0.0625]), quad=quadratic_from_matrices(2, A0, [((1, 0), B, None)]),
+        rest=FourierTaylorSeries.monomial(2, (3, 0), 0.05), epsilon=1e-3, state="physical"))
+    for gamma in (None, 1e-300):
+        with pytest.raises(SmallDivisorBreakdown,
+                           match=r"k=\(1, -16\): min \|k\.w\| \|k\|\^tau = 0\.0+e\+00"):
+            ts.certify_target(h3, np.zeros(2), gamma=gamma, grid=16)
+    stack = ts._certify_stack(h3, np.array([[0.0, 0.0], I_T]), None, 1.5, 16)
+    assert isinstance(stack[0], SmallDivisorBreakdown)
+    assert stack[1].gamma == ts.certify_target(h3, I_T, grid=16).gamma > 0
 
 
 def test_pull_back_scales_actions(solved):
@@ -598,7 +627,7 @@ def test_stack_stalls_as_single_solves_did():
 def test_stack_of_none_solves_nothing():
     h3, _ = family_spec()
     assert ts._solve_stack(h3, [], np.zeros((0, 2)), 16, 1e-10, 30) == []
-    assert ts._certify_stack(h3, np.zeros((0, 2)), None, 1.5, None, 16) == []
+    assert ts._certify_stack(h3, np.zeros((0, 2)), None, 1.5, 16) == []
 
 
 def test_a_sweep_holds_few_arrays_beside_its_state():
@@ -609,7 +638,7 @@ def test_a_sweep_holds_few_arrays_beside_its_state():
     h3, _ = family_spec()
     S, grid = 64, 16
     actions = 0.8 * ball_samples(2, S)
-    targets = ts._certify_stack(h3, actions, None, 1.5, None, grid)
+    targets = ts._certify_stack(h3, actions, None, 1.5, grid)
     ts._solve_stack(h3, targets, actions, grid, 1e-11, 30)
     tracemalloc.start()
     try:
