@@ -34,6 +34,7 @@ from .fourier_taylor import (
 )
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled, verify_estimates
+from .records import check_record
 from .torus_solver import check_grid, solve_torus, verify_by_integration
 
 
@@ -153,10 +154,12 @@ def _load_record(path: str):
 
 
 def _frequency(rec: dict) -> FrequencyVector:
-    if "name" in rec and rec.get("record") in (None, "frequency_named"):
-        extras = {k: rec[k] for k in ("n", "tau") if k in rec}
-        return fa.make_test_frequency(rec["name"], **extras)
-    return FrequencyVector.from_record(rec)
+    """A frequency record, or with a name the shorthand for a built-in vector,
+    of kind "frequency_named" whether or not it says so."""
+    if "name" not in rec:
+        return FrequencyVector.from_record(rec)
+    check_record({"record": "frequency_named", **rec}, "frequency_named", ("name", "n", "tau"))
+    return fa.make_test_frequency(rec["name"], **{k: rec[k] for k in ("n", "tau") if k in rec})
 
 
 # the parser of each input-file option, by option name; the methods are

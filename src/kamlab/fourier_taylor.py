@@ -23,6 +23,7 @@ import numpy as np
 
 from ._dop853 import dop853
 from .errors import KolmogorovDegenerate, NonConvergentStep, StateMismatch
+from .records import check_record, dataclass_from_record
 
 
 def _as_key(k, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -258,10 +259,17 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_record(cls, rec: dict) -> "FourierTaylorSeries":
-        if rec.get("record") != "fourier_taylor_series":
-            raise ValueError("not a fourier_taylor_series record")
-        terms = {(tuple(k), tuple(m)): complex(re, im)
-                 for k, m, re, im in rec["terms"]}
+        check_record(rec, "fourier_taylor_series", ("n", "terms"))
+        terms = {}
+        for k, m, re, im in rec["terms"]:
+            key = _as_key(k, m)
+            if key != (tuple(k), tuple(m)):
+                raise ValueError(f"fourier_taylor_series record has a term at k={k!r}, "
+                                 f"m={m!r}: entries must be whole numbers")
+            if key in terms:
+                raise ValueError(f"fourier_taylor_series record lists the term at "
+                                 f"k={key[0]}, m={key[1]} twice")
+            terms[key] = complex(re, im)
         return cls(rec["n"], terms)
 
 
@@ -546,17 +554,10 @@ class HamiltonianSpec:
 
     @classmethod
     def from_record(cls, rec: dict) -> "HamiltonianSpec":
-        if rec.get("record") != "hamiltonian_spec":
-            raise ValueError("not a hamiltonian_spec record")
-        extra = FourierTaylorSeries.from_record(rec["extra"]) if "extra" in rec else None
-        return cls(
-            omega=np.array([float(s) for s in rec["omega"]]),
-            quad=FourierTaylorSeries.from_record(rec["quad"]),
-            rest=FourierTaylorSeries.from_record(rec["rest"]),
-            epsilon=rec["epsilon"], state=rec["state"],
-            omega_prefactor=rec["omega_prefactor"], extra=extra,
-            extra_prefactor=rec.get("extra_prefactor", 0.0),
-            domain_radius=rec.get("domain_radius", 1.0))
+        series = FourierTaylorSeries.from_record
+        return dataclass_from_record(cls, rec, "hamiltonian_spec", derived=("n",),
+                                     omega=lambda strings: [float(s) for s in strings],
+                                     quad=series, rest=series, extra=series)
 
 
 def quadratic_from_matrices(n: int, constant: np.ndarray,

@@ -56,6 +56,7 @@ from .errors import (
     ConstructionFailed,
     ResonanceDetected,
 )
+from .records import check_derived, check_record
 
 # Divisors below RESONANCE_TOL * |k|_1 are treated as exact resonances.
 RESONANCE_TOL = 1e-14
@@ -706,22 +707,22 @@ class FrequencyVector:
 
     @classmethod
     def from_record(cls, rec: dict) -> "FrequencyVector":
-        if rec.get("record") != "frequency_vector":
-            raise ConstructionFailed("not a frequency_vector record")
-        comps = [float(s) for s in rec["components"]]
+        # resonance_tolerance, the writer's RESONANCE_TOL, is read only to be accepted
+        check_record(rec, "frequency_vector", ("n", "kind", "components", "q_checked",
+                                               "resonance_tolerance", "construction",
+                                               "exact_rational"))
         exact = None
         if "exact_rational" in rec:
-            ex = rec["exact_rational"]
+            ex = check_record({"record": "exact_rational", **rec["exact_rational"]},
+                              "exact_rational", ("num", "den", "use_for_delta"))
             exact = ExactCF(Fraction(_int_from_str(ex["num"]), _int_from_str(ex["den"])),
                             use_for_delta=bool(ex.get("use_for_delta", True)))
-        return cls(
-            comps,
-            kind=rec.get("kind", "explicit"),
-            q_check=rec.get("q_checked", 30),
-            decimal_components=list(rec["components"]),
-            exact=exact,
-            construction=rec.get("construction"),
-        )
+        return check_derived(cls([float(s) for s in rec["components"]],
+                                 kind=rec.get("kind", "explicit"),
+                                 q_check=rec.get("q_checked", 30),
+                                 decimal_components=list(rec["components"]),
+                                 exact=exact, construction=rec.get("construction")),
+                             rec, "frequency_vector")
 
 
 # ---------------------------------------------------------------------------

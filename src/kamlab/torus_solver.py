@@ -27,6 +27,7 @@ certify_target and solve_torus are the stacks of one."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .fourier_taylor import COND_MAX, HamiltonianSpec, integrate_flow
 from .freq_arith import _DivisorTable, compensated_dot
-from .records import dataclass_from_record, dataclass_record
+from .records import check_record, dataclass_from_record, dataclass_record
 
 # pulled-back tori must stay inside this fraction of the declared domain
 PULLBACK_MARGIN = 0.9
@@ -214,6 +215,24 @@ class TargetFrequency:
     q_max: int
     margin: float          # min |k.w| |k|^tau / gamma over the checked ball
 
+    def __post_init__(self):
+        for name in _VECTORS:
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.ndim != 1 or value.size != np.size(self.I0) or not np.all(np.isfinite(value)):
+                raise ValueError(f"field {name!r} must be a finite vector of the length of "
+                                 f"'I0', got {value.tolist()!r}")
+            setattr(self, name, value)
+        for name in ("gamma", "tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"field {name!r} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
+        if not 1 <= self.margin < math.inf:
+            raise ValueError(f"field 'margin' must be finite and at least 1, got {self.margin!r}")
+        if isinstance(self.q_max, bool) or not isinstance(self.q_max, numbers.Integral) \
+                or self.q_max < 1:
+            raise ValueError(f"field 'q_max' must be a whole number at least 1, "
+                             f"got {self.q_max!r}")
+
     def to_record(self) -> dict:
         return dataclass_record(self, "target_frequency",
                                 **dict.fromkeys(_VECTORS, _reprs))
@@ -313,6 +332,13 @@ class TorusEmbedding:
     frame: str = "time_scaled"
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        shape = (self.n,) + (self.grid,) * self.n
+        for name in ("u_hat", "v_hat"):
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"field {name!r} has shape {np.shape(getattr(self, name))}, "
+                                 f"but a torus of n = {self.n} at grid {self.grid} needs {shape}")
+
     @property
     def n(self) -> int:
         return self.I0.size
@@ -371,8 +397,8 @@ class TorusEmbedding:
 
     @classmethod
     def from_record(cls, rec: dict) -> "TorusEmbedding":
-        if rec.get("record") != "torus_embedding":
-            raise ValueError("not a torus_embedding record")
+        check_record(rec, "torus_embedding", ("n", "grid", "frame", "epsilon", "I0", "u_coeffs",
+                                              "v_coeffs", "target", "diagnostics"))
         n = rec["n"]
         grid = rec["grid"]
         shape = (n,) + (grid,) * n
@@ -382,6 +408,10 @@ class TorusEmbedding:
         for hat, key in ((u_hat, "u_coeffs"), (v_hat, "v_coeffs")):
             flat = hat.reshape(n, -1)
             for kvec, j, re, im in rec[key]:
+                if j not in range(n) or tuple(kvec) not in index:
+                    raise ValueError(f"torus_embedding record has a {key} entry of component "
+                                     f"{j!r} at wavevector {kvec!r}, not one of an n = {n} "
+                                     f"torus at grid {grid}")
                 flat[j, index[tuple(kvec)]] = complex(re, im)
         return cls(grid=grid, I0=_floats(rec["I0"]), u_hat=u_hat, v_hat=v_hat,
                    target=TargetFrequency.from_record(rec["target"]),

@@ -252,6 +252,19 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     # the named Liouville vector is n = 2 or 3; n = 4 is resonant
     ("freq", "--omega", lambda rec: (rec.clear(), rec.update(name="liouville", n=4)), (),
      "ConstructionFailed", "n = 2 or 3"),
+    # a misspelled key, at the top of a record, in one nested in it or in the
+    # named shorthand, used to be dropped for the default it stood for; a
+    # frequency record of another kind was the one ConstructionFailed
+    ("nf", "--spec", lambda rec: rec.update(domain_radus=0.1), (), "ValueError",
+     "hamiltonian_spec record has no field 'domain_radus'"),
+    ("scan", "--plan", lambda rec: rec["base"].update(domain_radus=0.1), (), "ValueError",
+     "hamiltonian_spec record has no field 'domain_radus'"),
+    ("freq", "--omega", lambda rec: rec.update(q_chekced=60), (), "ValueError",
+     "frequency_vector record has no field 'q_chekced'"),
+    ("freq", "--omega", lambda rec: (rec.clear(), rec.update(name="golden", nn=3)), (),
+     "ValueError", "frequency_named record has no field 'nn'"),
+    ("freq", "--omega", lambda rec: rec.update(record="frequency_vectr"), (), "ValueError",
+     "not a frequency_vector record"),
 ] + [(cmd, "--spec", lambda rec: rec["omega"].__setitem__(0, "nan"), args, "ValueError",
        "'omega'") for cmd, args in (("nf", ()), ("torus", ("--i0", "0.3,-0.2")))]
   + [(cmd, "--spec", lambda rec, f=field, v=value: rec.update({f: v}), (), "ValueError",
@@ -267,7 +280,9 @@ _BAD_FLOW = [("probe", ("--h", 0), "step=0.0"), ("probe", ("--t", "inf"), "t_fin
     ids=["nf-spec-without-quad", "freq-omega-without-components",
          "freq-omega-components-3", "scan-plan-without-base",
          "scan-plan-freq-without-components", "scan-plan-epsilons-5",
-         "freq-near-tie-eps-1e-16", "freq-omega-liouville-n4", "nf-spec-omega-nan",
+         "freq-near-tie-eps-1e-16", "freq-omega-liouville-n4", "nf-spec-domain-radus",
+         "scan-plan-base-domain-radus", "freq-omega-q-chekced", "freq-omega-named-nn",
+         "freq-omega-wrong-kind", "nf-spec-omega-nan",
          "torus-spec-omega-nan"]
     + [f"{cmd}-spec-{field}-{value}" for cmd in ("nf", "probe")
        for field, value in _BAD_SPEC_FIELDS]

@@ -276,6 +276,22 @@ def test_series_record_round_trip():
     assert g.terms() == f.terms()
 
 
+def test_series_record_refuses_a_term_it_would_not_write():
+    rec = sample_series().to_record()
+    # an entry 1.5 used to be read as 1, and a term listed twice to keep its
+    # last coefficient, where the constructor would have summed the two
+    for k, m in (([1.5, 0], [1, 0]), ([1, 0], [1, "2"])):
+        with pytest.raises(ValueError, match="entries must be whole numbers"):
+            FourierTaylorSeries.from_record({**rec, "terms": rec["terms"] + [[k, m, 1.0, 0.0]]})
+    with pytest.raises(ValueError, match=r"lists the term at k=\(-1, 2\), m=\(2, 1\) twice"):
+        FourierTaylorSeries.from_record({**rec, "terms": rec["terms"] + rec["terms"][:1]})
+    # whole numbers written as floats still read
+    floats = [[[float(v) for v in k], [float(v) for v in m], re, im]
+              for k, m, re, im in rec["terms"]]
+    assert FourierTaylorSeries.from_record({**rec, "terms": floats}).terms() == \
+        sample_series().terms()
+
+
 def test_prune_drops_small_terms():
     f = sample_series() + FourierTaylorSeries.monomial(N, (5, 5), 1e-18)
     assert len(f.prune(1e-16)) == len(sample_series())

@@ -375,6 +375,17 @@ def test_record_round_trip_exact_liouville(liouville):
     assert np.array_equal(clone.components, liouville.components)
 
 
+def test_record_of_another_kind_or_key_is_refused(liouville):
+    # another kind used to raise ConstructionFailed, where every other reader
+    # raises ValueError; a misspelled key of the exact tag used to be dropped
+    rec = liouville.to_record()
+    with pytest.raises(ValueError, match="not a frequency_vector record"):
+        FrequencyVector.from_record({**rec, "record": "frequency_vectr"})
+    exact = {**rec["exact_rational"], "use_for_dleta": False}
+    with pytest.raises(ValueError, match="exact_rational record has no field 'use_for_dleta'"):
+        FrequencyVector.from_record({**rec, "exact_rational": exact})
+
+
 def test_bad_constructions_rejected():
     with pytest.raises(ConstructionFailed):
         make_test_frequency("explicit")

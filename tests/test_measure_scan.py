@@ -26,6 +26,7 @@ from kamlab.fourier_taylor import (
     HamiltonianSpec,
     quadratic_from_matrices,
 )
+from kamlab.normal_form import one_step_normal_form, prepare_time_scaled
 
 A0 = np.array([[1.0, 0.25], [0.25, 0.8]])
 B = np.array([[0.3, 0.1], [0.1, 0.2]])
@@ -428,12 +429,48 @@ def test_records_round_trip(sweep):
         ms.ScanPlan.from_record(rec)
     rec["epsilons"] = [1e-3]
     assert ms.ScanPlan.from_record(rec).density == 512
-    # a key that is no field is refused by name, not read past
-    for obj in (plan, report, target, fit):
-        rec = obj.to_record()
-        rec["densty"] = 1024
-        with pytest.raises(ValueError, match=f"{rec['record']} record has no field 'densty'"):
-            type(obj).from_record(rec)
+
+    # every other record the program writes reads back to itself through the
+    # same strict reader: the spec and series nested in normal_form.json,
+    # torus.json in both frames, with its stamp, and frequency records, an
+    # exact one included
+    golden = fa.make_test_frequency("golden")
+    nf = one_step_normal_form(prepare_time_scaled(replace(family_base(), epsilon=1e-3)), golden)
+    nf_rec = json.loads(json.dumps(nf.to_record()))
+    emb = ts.solve_torus(nf.spec_out, np.array([0.3, -0.2]), grid=8)
+    written = [(HamiltonianSpec, nf_rec["spec_out"]), (FourierTaylorSeries, nf_rec["generator"]),
+               (HamiltonianSpec, plan.base.to_record()), (fa.FrequencyVector, golden.to_record()),
+               (fa.FrequencyVector, fa.make_test_frequency("liouville").to_record())]
+    for torus in (emb, ts.pull_back(emb, physical_radius=1.0, nf=nf)):
+        written.append((ts.TorusEmbedding, {**json.loads(json.dumps(torus.to_record())),
+                                            "_meta": {"tool": "kamlab", "config": "0" * 16}}))
+    assert nf_rec["spec_out"]["extra"] and written[-1][1]["frame"] == "physical"
+    for cls, rec in written:
+        assert cls.from_record(rec).to_record() == {k: v for k, v in rec.items() if k != "_meta"}
+
+    # a key that is no field is refused by name, not read past; it used to be
+    # dropped by the spec, series, frequency and torus readers, so a spec with
+    # domain_radus 0.1 loaded with domain radius 1.0
+    typos = {"scan_plan": "densty", "measure_report": "densty", "target_frequency": "gama",
+             "fit_result": "pionts", "hamiltonian_spec": "domain_radus",
+             "fourier_taylor_series": "trems", "frequency_vector": "q_chekced",
+             "torus_embedding": "gird"}
+    read = [(type(obj), obj.to_record()) for obj in (plan, report, target, fit)] + written
+    for cls, rec in read:
+        typo = typos[rec["record"]]
+        with pytest.raises(ValueError, match=f"{rec['record']} record has no field '{typo}'"):
+            cls.from_record({**rec, typo: 1})
+    # so is a typo in a record nested in another
+    with pytest.raises(ValueError, match="hamiltonian_spec record has no field 'domain_radus'"):
+        ms.ScanPlan.from_record({**plan.to_record(),
+                                 "base": {**plan.base.to_record(), "domain_radus": 0.1}})
+    # and so is an n that its fields do not give: a spec or frequency record
+    # with n 7 used to load as n = 2
+    for cls, rec in ((HamiltonianSpec, nf_rec["spec_out"]),
+                     (fa.FrequencyVector, golden.to_record())):
+        with pytest.raises(ValueError, match=f"{rec['record']} record has n 7, "
+                                             "but its fields give n = 2"):
+            cls.from_record({**rec, "n": 7})
 
 
 def synthetic_reports(coeff=0.3, samples=1000, ks=(10, 20, 40, 80, 160)):

@@ -213,6 +213,47 @@ def test_record_round_trip(solved):
         ts.TorusEmbedding.from_record({"record": "something_else"})
 
 
+def test_torus_record_refuses_a_coefficient_off_its_grid():
+    h3, _ = family_spec()
+    rec = ts.solve_torus(h3, I_T, tau=1.5, grid=16).to_record()
+    # a wavevector outside the grid used to end in a bare KeyError: (99, 0),
+    # and component -1 to be written into the last component
+    for key, kvec, j in (("u_coeffs", [99, 0], 0), ("v_coeffs", [1, 0], -1),
+                         ("v_coeffs", [1, 0], 2), ("u_coeffs", [1, 0, 0], 0)):
+        bad = {**rec, key: rec[key] + [[kvec, j, 1e-3, 0.0]]}
+        with pytest.raises(ValueError, match=rf"{key} entry of component {j} at wavevector "
+                                             rf"\[{', '.join(map(str, kvec))}\], not one of "
+                                             "an n = 2 torus at grid 16"):
+            ts.TorusEmbedding.from_record(bad)
+    # an I0 of three components used to load as an n = 3 torus with the
+    # coefficients of an n = 2 one
+    with pytest.raises(ValueError, match=r"field 'u_hat' has shape \(2, 16, 16\), but a torus "
+                                         r"of n = 3 at grid 16 needs \(3, 16, 16, 16\)"):
+        ts.TorusEmbedding.from_record({**rec, "I0": rec["I0"] + ["0.0"]})
+    with pytest.raises(ValueError, match="not one of an n = 3 torus"):
+        ts.TorusEmbedding.from_record({**rec, "n": 3})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.nan), ("gamma", math.inf),
+    ("tau", 0.0), ("tau", math.inf), ("margin", 0.5), ("margin", math.inf),
+    ("margin", math.nan), ("q_max", 0), ("q_max", 1.5), ("q_max", True),
+    ("I0", ["nan", "0.0"]), ("Omega", ["1.0", "0.5", "0.25"]), ("shift", ["0.0"]),
+    ("omega_slow", ["inf", "0.0"])])
+def test_target_refuses_values_no_certificate_has(solved, name, value):
+    # gamma 0 with margin inf used to load, and solve_torus with it skipped the
+    # divisor guard (its floor 0 * inf = NaN passed every half-floor check):
+    # such a target solved the resonant (1, 1/16) torus to defect 0.0
+    target = solved[1].target
+    rec = {**target.to_record(), name: value}
+    with pytest.raises(ValueError, match=f"field {name!r} must be"):
+        ts.TargetFrequency.from_record(rec)
+    with pytest.raises(ValueError, match=f"field {name!r} must be"):
+        replace(target, **{name: ts._floats(value) if name in ts._VECTORS else value})
+    with pytest.raises(ValueError, match="field 'shift' must be"):
+        replace(target, shift=target.shift[None])
+
+
 def test_certification_rejects_excessive_gamma():
     h3, _ = family_spec()
     with pytest.raises(SmallDivisorBreakdown):
