@@ -18,6 +18,7 @@ from .errors import (
     OutsideImage,
     GateFailed,
     InsufficientSpan,
+    WorkerDied,
 )
 from .freq_arith import (
     FrequencyVector,
@@ -75,7 +76,7 @@ __all__ = [
     "KamlabError", "ResonanceDetected", "BelowThreshold", "ConstructionFailed",
     "KolmogorovDegenerate", "StateMismatch", "NonConvergentStep",
     "MuTooLarge", "TailNotConverged", "NonConvergence", "SmallDivisorBreakdown",
-    "OutsideImage", "GateFailed", "InsufficientSpan",
+    "OutsideImage", "GateFailed", "InsufficientSpan", "WorkerDied",
     "FrequencyVector", "DivisorRecord", "ArithmeticProfile", "DiophReport",
     "psi", "psi_table", "delta", "check_delta_invariant", "mu_nu",
     "diophantine_check", "make_test_frequency",

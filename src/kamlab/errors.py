@@ -74,3 +74,8 @@ class GateFailed(KamlabError):
 
 class InsufficientSpan(KamlabError):
     """Scaling fit requested on too few reports or too little mu span."""
+
+
+class WorkerDied(KamlabError):
+    """A scan worker process ended before returning its slice (killed, or out
+    of memory); on one usable core the scan runs in order in its own process."""

@@ -14,6 +14,13 @@ Everything the pipeline cannot construct counts toward the complement, so
 the reported fraction is a conservative sampled stand-in for the measure of
 the bad set.
 
+Slices share no state, so run_plan scans them side by side on Linux, in a
+fork pool of one worker process per usable core (never more than the
+slices), and merges the reports in plan order: every report and error is
+the one an in-order run gives, bit for bit.  Each worker holds its own
+Newton block, so peak memory grows with the worker count.  One usable core,
+one slice or another platform scans in order and starts no process.
+
 The selection rule has two parts (stay b*sqrt(mu) away from the boundary of
 the ball, certify the target frequency), and a report's `detail` counts
 each rejection on its own in the counting identity
@@ -32,6 +39,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -39,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import freq_arith as fa
-from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown
+from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown, WorkerDied
 from .fourier_taylor import PHYSICAL, HamiltonianSpec
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled
@@ -306,8 +316,70 @@ def scan_epsilon(plan: ScanPlan, epsilon: float) -> MeasureReport:
 
 
 def run_plan(plan: ScanPlan) -> list:
-    """Scan every epsilon of the plan in the order given."""
-    return [scan_epsilon(plan, eps) for eps in plan.epsilons]
+    """Scan every epsilon of the plan; the reports come in plan order.
+
+    On Linux the slices run side by side in a fork pool of one worker
+    process per usable core, never more than the slices.  A worker inherits
+    the plan through the fork, is sent slice indices only, and returns each
+    slice's report, the one an in-order run gives.  When slices fail, the
+    error of the first failing slice in plan order is raised, as an in-order
+    run raises it, and the rest are discarded; a worker that dies raises
+    WorkerDied.  Every worker is joined before this returns or raises.
+
+    The slices run in order here, starting no process, on one usable core,
+    for a one-slice plan, on another platform (macOS numpy links Accelerate,
+    which fork breaks), while the caller runs threads of its own (a lock
+    another thread holds at the fork stays held in the worker), and while
+    scan_epsilon is wrapped (it has `__wrapped__`, as functools.wraps leaves
+    it): a wrapper such as a tracer records into this process.  The pool
+    thus forks a process whose only other threads are OpenBLAS's idle pool,
+    which OpenBLAS's own fork handler stops before each fork, so no fork
+    runs beside another thread (the DeprecationWarning of Python 3.12 and
+    later counts them).  A worker keeps that one thread: the scan's BLAS
+    calls are too small for OpenBLAS to start its pool again, so the
+    workers put one busy thread on each core.
+    """
+    workers = 1
+    if (sys.platform == "linux" and threading.active_count() == 1
+            and not hasattr(scan_epsilon, "__wrapped__")):
+        workers = min(len(os.sched_getaffinity(0)), len(plan.epsilons))
+    if workers < 2:
+        return [scan_epsilon(plan, eps) for eps in plan.epsilons]
+    return _run_forked(plan, workers)
+
+
+# the plan of a forked worker, set in the worker only, by the pool's initializer
+_forked_plan: Optional[ScanPlan] = None
+
+
+def _adopt_plan(plan: ScanPlan) -> None:
+    global _forked_plan
+    _forked_plan = plan
+
+
+def _scan_slice(index: int) -> MeasureReport:
+    return scan_epsilon(_forked_plan, _forked_plan.epsilons[index])
+
+
+def _run_forked(plan: ScanPlan, workers: int) -> list:
+    """run_plan's slices in a fork pool of `workers` processes."""
+    # imported here, so that `import kamlab` loads no pool module
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork hands the workers the plan (initargs are not pickled) and the
+    # modules already imported; spawn would import numpy again in each
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_plan, initargs=(plan,))
+    try:
+        futures = [pool.submit(_scan_slice, i) for i in range(len(plan.epsilons))]
+        # in plan order, so the first failing slice's error is the one raised
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise WorkerDied("a scan worker process ended before returning its slice") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)

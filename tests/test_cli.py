@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -723,6 +725,51 @@ def test_scan_reports_fit_and_determinism(files):
     invoke("scan", "--plan", files / "plan.json", "--out", files / "s2")
     for name in ("scan_reports.csv", "scan_fit.json"):
         assert (files / "s1" / name).read_bytes() == (files / "s2" / name).read_bytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="the scan pool needs Linux and two usable cores")
+def test_scan_pool_changes_no_byte_and_no_stamp(gate8, monkeypatch):
+    # the gate-8 scan in the pool, and in order as on one usable core
+    args, stamp = _FROZEN_STAMPS[3]
+    cores = len(os.sched_getaffinity(0))
+    forked = []
+    run_forked = ms._run_forked
+    monkeypatch.setattr(ms, "_run_forked",
+                        lambda plan, workers: forked.append(workers) or run_forked(plan, workers))
+
+    def scan(out):
+        assert _invoke_in(gate8, out, *args).exit_code == 0
+        assert _stamps(gate8 / out) == {stamp}
+        return {p.name: p.read_bytes() for p in (gate8 / out).iterdir()}
+
+    pooled = scan("pooled")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    in_order = scan("in_order")
+    assert forked == [min(cores, 5)]
+    assert sorted(pooled) == ["gevrey_forecast.csv", "scan_fit.json", "scan_reports.csv"]
+    assert in_order == pooled
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="the scan pool needs Linux and two usable cores")
+def test_scan_with_a_dead_worker_writes_error_record(files, fresh_python):
+    code = ("import os\n"
+            "from kamlab import measure_scan as ms\n"
+            "from kamlab.cli import main\n"
+            "parent = os.getpid()\n"
+            "def dying(plan, eps):\n"
+            "    if os.getpid() == parent:\n"
+            "        raise AssertionError('a slice ran in the parent')\n"
+            "    os._exit(1)\n"
+            "ms.scan_epsilon = dying\n"
+            "main(['scan', '--plan', 'plan.json', '--out', 'dead'])\n")
+    res = fresh_python(code, check=False)
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: WorkerDied: ")
+    err = json.loads((files / "dead" / "error.json").read_text())
+    assert err["kind"] == "WorkerDied"
+    assert [p.name for p in (files / "dead").iterdir()] == ["error.json"]
 
 
 def test_scan_short_plan_skips_fit(files):

@@ -1,12 +1,14 @@
 """Measure scan: sampling determinism, selection accounting, scaling fits."""
 
+import functools
 import json
 import math
+import multiprocessing
 import os
-import subprocess
 import sys
+import threading
+import time
 from dataclasses import MISSING, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from kamlab.errors import (
     GateFailed,
     InsufficientSpan,
     SmallDivisorBreakdown,
+    WorkerDied,
 )
 from kamlab.fourier_taylor import (
     CompiledSeries,
@@ -84,7 +87,7 @@ def test_ball_samples_equal_scipy_halton(n, count):
     assert got.tobytes() == want.tobytes()
 
 
-def test_import_leaves_scipy_stats_and_integrate_unloaded(tmp_path):
+def test_import_leaves_scipy_stats_and_integrate_unloaded(fresh_python, tmp_path):
     # kamlab uses no scipy module: importing it loads none, and with scipy
     # unimportable the torus command, its DOP853 verification included, and
     # a recorded dop853 flow still run
@@ -107,16 +110,39 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded(tmp_path):
         "np.zeros((2, 2)), np.ones((2, 2)), 1.0, 0.1, method='dop853', record_every=5)\n"
         "assert flow.times.tolist() == [0.0, 0.5, 1.0]\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    src = str(Path(ms.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for code, loaded in ((imported, "[]"), (blocked, "['scipy']")):
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             timeout=120, capture_output=True, text=True,
-                             cwd=tmp_path).stdout
-        assert out.strip() == loaded
+        assert fresh_python(code).stdout.strip() == loaded
     assert sorted(p.name for p in (tmp_path / "torus").iterdir()) == [
         "torus.json", "torus_surface.csv", "verification.json"]
+
+
+def test_import_and_an_in_order_scan_load_no_pool_module(fresh_python, tmp_path):
+    # the pool modules take 8 to 18 ms to import, so only a scan that starts
+    # a pool imports them; a one-slice plan, and a two-slice plan on one
+    # usable core, fork nothing
+    for name, epsilons in (("one.json", (1e-3,)), ("two.json", (1e-3, 1e-4))):
+        plan = family_plan(epsilons=epsilons, density=8)
+        (tmp_path / name).write_text(json.dumps(plan.to_record()))
+    code = ("import json, os, sys, kamlab, kamlab.cli\n"
+            "def pool_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')]\n"
+            "def scan(name):\n"
+            "    plan = kamlab.ScanPlan.from_record(json.load(open(name)))\n"
+            "    return len(kamlab.run_plan(plan))\n"
+            "print(pool_modules())\n"
+            "forks = []\n"
+            "os.register_at_fork(before=lambda: forks.append(1))\n"
+            "print(scan('one.json'), forks, pool_modules())\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(scan('two.json'), forks, pool_modules())\n")
+    assert fresh_python(code).stdout.splitlines() == ["[]", "1 [] []", "2 [] []"]
+
+
+def _in_order(plan):
+    """The reports of every slice, scanned in order in this process, as a
+    one-core run_plan gives them."""
+    return [ms.scan_epsilon(plan, eps) for eps in plan.epsilons]
 
 
 def _capture(monkeypatch, name):
@@ -134,10 +160,11 @@ def _capture(monkeypatch, name):
 
 
 def test_stacked_scan_equals_single_solves_on_every_slice(monkeypatch):
+    # in order, since a worker's calls would land in its own process
     calls = _capture(monkeypatch, "_solve_stack")
     plan = family_plan(density=32)
-    reports = ms.run_plan(plan)
-    assert len(calls) == len(reports)
+    reports = _in_order(plan)
+    assert calls and len(calls) == len(reports)
     for ((spec, targets, actions, *_), outcomes), report in zip(calls, reports):
         assert len(outcomes) == report.selected > 0
         for target, I, out in zip(targets, actions, outcomes):
@@ -156,12 +183,12 @@ def test_blocked_slices_equal_one_block(monkeypatch):
     # and every solved torus, as one block of the whole slice gives them
     plan = family_plan(density=192)
     calls = _capture(monkeypatch, "_solve_stack")
-    whole = ms.run_plan(plan)
+    whole = _in_order(plan)
     tori = [o for _, outcomes in calls for o in outcomes]
-    assert len(calls) == len(whole)
+    assert calls and len(calls) == len(whole)
     calls.clear()
     monkeypatch.setattr(ms, "GRID_POINT_BUDGET", 7 * plan.grid ** plan.n)
-    blocked = ms.run_plan(plan)
+    blocked = _in_order(plan)
     assert len(calls) > 5 * len(blocked)
     assert [r.to_record() for r in blocked] == [r.to_record() for r in whole]
     got = [o for _, outcomes in calls for o in outcomes]
@@ -192,7 +219,8 @@ def test_batched_certification_equals_certify_target(monkeypatch):
     # the scan-golden slices: every gamma, margin and witness as the one
     # certificate per sample and a fresh divisor table per sample give them
     calls = _capture(monkeypatch, "_certify_stack")
-    ms.run_plan(family_plan(density=96))
+    _in_order(family_plan(density=96))
+    assert calls
     rejected = []
     for (spec, actions, gamma, tau, grid), got in calls:
         q_max = 4 * (grid // 2)
@@ -216,6 +244,152 @@ def test_batched_certification_equals_certify_target(monkeypatch):
             for name in ("I0", "Omega", "shift", "omega_slow"):
                 assert getattr(out, name).tobytes() == getattr(want, name).tobytes()
     assert rejected == [5, 0, 0, 0, 0]
+
+
+# slices run side by side only with fork and a second usable core
+needs_pool = pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="the scan pool needs Linux and two usable cores")
+
+
+def _in_order_and_pooled(make_plan, monkeypatch):
+    """The outcome of a fresh plan scanned in order and by run_plan's pool:
+    the report records, or the error's class and message.  The pool must
+    start and leave no process behind."""
+    forked = []
+    run_forked = ms._run_forked
+
+    def counted(plan, workers):
+        forked.append(workers)
+        return run_forked(plan, workers)
+
+    monkeypatch.setattr(ms, "_run_forked", counted)
+    outcomes = []
+    for scan in (_in_order, ms.run_plan):
+        try:
+            outcomes.append([r.to_record() for r in scan(make_plan())])
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+        assert multiprocessing.active_children() == []
+    slices = len(make_plan().epsilons)
+    assert forked == [min(len(os.sched_getaffinity(0)), slices)]
+    return outcomes
+
+
+@needs_pool
+@pytest.mark.parametrize("over", [dict(density=96),
+                                  dict(epsilons=(1e-2, 1e-3), density=48, gevrey_alpha=1.0)],
+                         ids=["gate-96", "gevrey-48"])
+def test_pool_gives_the_in_order_reports(monkeypatch, over):
+    in_order, pooled = _in_order_and_pooled(lambda: family_plan(**over), monkeypatch)
+    assert pooled == in_order
+    assert [r["epsilon"] for r in pooled] == list(family_plan(**over).epsilons)
+
+
+@needs_pool
+def test_pool_raises_the_in_order_gate_error(monkeypatch):
+    outcomes = _in_order_and_pooled(
+        lambda: family_plan(epsilons=(1e-3, 1e-4, 0.5, 1e-5), density=96), monkeypatch)
+    assert outcomes == [(GateFailed, "mu = 1 exceeds the gate 0.3")] * 2
+
+
+@needs_pool
+def test_pool_raises_the_first_failing_slice_error(monkeypatch):
+    # slice 1 fails after slice 2 has failed its gate; slice 1's error is
+    # the one an in-order run raises
+    scan = ms.scan_epsilon
+
+    def late_failure(plan, eps):
+        if eps == plan.epsilons[1]:
+            time.sleep(0.5)
+            raise ConstructionFailed("slice 1 failed")
+        return scan(plan, eps)
+
+    monkeypatch.setattr(ms, "scan_epsilon", late_failure)
+    outcomes = _in_order_and_pooled(
+        lambda: family_plan(epsilons=(1e-3, 1e-4, 0.5, 1e-5), density=32), monkeypatch)
+    assert outcomes == [(ConstructionFailed, "slice 1 failed")] * 2
+
+
+@needs_pool
+def test_a_dead_worker_ends_the_scan_in_an_error(fresh_python, tmp_path):
+    # in a fresh interpreter, so that a pool that waited for the dead worker
+    # would end in the subprocess timeout rather than hang the suite
+    (tmp_path / "plan.json").write_text(json.dumps(family_plan(density=16).to_record()))
+    code = ("import json, multiprocessing, os, time\n"
+            "from kamlab import measure_scan as ms\n"
+            "parent = os.getpid()\n"
+            "def dying(plan, eps):\n"
+            "    if os.getpid() == parent:\n"
+            "        raise AssertionError('a slice ran in the parent')\n"
+            "    os._exit(1)\n"
+            "ms.scan_epsilon = dying\n"
+            "plan = ms.ScanPlan.from_record(json.load(open('plan.json')))\n"
+            "t0 = time.perf_counter()\n"
+            "try:\n"
+            "    ms.run_plan(plan)\n"
+            "except Exception as exc:\n"
+            "    print(json.dumps({'seconds': time.perf_counter() - t0, 'kind': type(exc).__name__,\n"
+            "                      'children': len(multiprocessing.active_children())}))\n")
+    got = json.loads(fresh_python(code).stdout)
+    assert got["kind"] == WorkerDied.__name__ and got["children"] == 0
+    assert got["seconds"] < 10
+
+
+def _threads():
+    """The OS threads of this process."""
+    with open(f"/proc/{os.getpid()}/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+@needs_pool
+def test_pool_workers_run_one_thread(monkeypatch):
+    # OpenBLAS stops its thread pool before each fork, and the scan's BLAS
+    # calls are too small to start it again, so the workers, one per core,
+    # put one busy thread on each core
+    scan = ms.scan_epsilon
+
+    def threads_around(plan, eps):
+        before = _threads()
+        scan(plan, eps)
+        return os.getpid(), before, _threads()
+
+    monkeypatch.setattr(ms, "scan_epsilon", threads_around)
+    got = ms.run_plan(family_plan(density=192, epsilons=(1e-2, 1e-3, 1e-4)))
+    assert all(pid != os.getpid() and (before, after) == (1, 1)
+               for pid, before, after in got)
+    assert multiprocessing.active_children() == []
+
+
+@needs_pool
+def test_a_wrapped_scan_or_a_threaded_caller_scans_in_order(monkeypatch):
+    # a wrapper (a tracer) records into this process, and a fork beside a
+    # running thread may copy a lock that thread holds
+    forked = []
+    monkeypatch.setattr(ms, "_run_forked", lambda plan, workers: forked.append(workers))
+    plan = family_plan(epsilons=(1e-2, 1e-3))
+
+    def slice_pid(plan, eps):
+        return os.getpid()
+
+    @functools.wraps(slice_pid)
+    def wrapped(plan, eps):
+        return slice_pid(plan, eps)
+
+    monkeypatch.setattr(ms, "scan_epsilon", wrapped)
+    assert ms.run_plan(plan) == [os.getpid()] * 2
+    monkeypatch.setattr(ms, "scan_epsilon", slice_pid)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        assert ms.run_plan(plan) == [os.getpid()] * 2
+    finally:
+        done.set()
+        waiter.join()
+    assert forked == []
+    ms.run_plan(plan)
+    assert forked == [2]
 
 
 def test_newton_sweeps_frozen(sweep):
