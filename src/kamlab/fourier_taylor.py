@@ -263,9 +263,10 @@ class FourierTaylorSeries:
         terms = {}
         for k, m, re, im in rec["terms"]:
             key = _as_key(k, m)
-            if key != (tuple(k), tuple(m)):
+            if key != (tuple(k), tuple(m)) or max(key[1], default=0) > ACTION_EXPONENT_BUDGET:
                 raise ValueError(f"fourier_taylor_series record has a term at k={k!r}, "
-                                 f"m={m!r}: entries must be whole numbers")
+                                 f"m={m!r}: entries must be whole numbers and action "
+                                 f"exponents at most {ACTION_EXPONENT_BUDGET}")
             if key in terms:
                 raise ValueError(f"fourier_taylor_series record lists the term at "
                                  f"k={key[0]}, m={key[1]} twice")
@@ -649,6 +650,10 @@ class FlowResult:
 # most steps of one flow: 10 times the longest in use (t_final = 1e3 at
 # step 1e-2)
 FLOW_STEP_BUDGET = 10 ** 6
+
+# largest action exponent of a series record, the planes of n values per point
+# of an evaluation's power table: over 5 times 11, the gate family's at eps 3e-2
+ACTION_EXPONENT_BUDGET = 64
 
 # a midpoint step's fixed point is reached when no half-step increment moves
 # by more than this, relative to 1 + |I|, within FIXED_POINT_MAX_ITER

@@ -33,10 +33,12 @@ own table's bits.  Each block of rows holds whole shells, so each shell is
 merged exactly once.  Of the rows that reach a shell's minimum the table
 keeps the first by the position of their first nonzero component, then
 lexicographically; each block carries its rows, and the merge computes this
-from them.  A growth beyond ROW_BUDGET divisors is refused up front in
-either mode.  Vectors built from continued fractions can carry an exact
-rational tag; ``delta``/``diophantine_check`` then use exact convergent
-windows, which stay meaningful far beyond float64 resolution.
+from them.  One depth rule, in ``_DivisorTable.ensure``, bounds every float
+table: a depth past ENUMERATION_CAP, or a growth past ROW_BUDGET divisors in
+either mode, raises before the table grows; no caller keeps a cap of its
+own.  Vectors built from continued fractions can carry an exact rational
+tag; ``delta``/``diophantine_check`` then use exact convergent windows,
+which stay meaningful far beyond float64 resolution and the cap.
 """
 
 from __future__ import annotations
@@ -61,18 +63,17 @@ from .records import check_derived, check_record
 # Divisors below RESONANCE_TOL * |k|_1 are treated as exact resonances.
 RESONANCE_TOL = 1e-14
 
-# Largest Q the float enumeration path will attempt before demanding an
-# exact tag.  For n=2 the table's 8 rows per shell up to the cap (1.6M) stay
-# within ROW_BUDGET, so the cap is what binds; for n >= 3 the budget binds
-# first (it counts about 8 Q^2 unscreened candidates of an n=3 table to depth
-# Q, although the screen evaluates only a few rows per shell).
+# Deepest float divisor table, one vector or a stack: _DivisorTable.ensure
+# refuses a larger Q, whoever asks.  For n=2 the 8 rows per shell up to the
+# cap (1.6M) stay within ROW_BUDGET, so the cap binds; for n >= 3 the budget
+# binds first (about 8 Q^2 unscreened candidates of an n=3 table to depth Q,
+# although the screen evaluates only a few rows per shell).
 ENUMERATION_CAP = 200_000
 
 # Divisors (rows times vectors) per merge pass of the divisor table.
 _CHUNK = 65536
 
-# Most divisors one growth of a divisor table may evaluate; beyond it the
-# growth raises ConstructionFailed before enumerating anything.
+# Most divisors one growth of a divisor table may evaluate: ensure refuses more.
 ROW_BUDGET = 2 ** 25
 
 
@@ -169,8 +170,9 @@ class _Block(NamedTuple):
 
 
 def _shell_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]:
-    """Yield blocks holding, for every shell s in (lo, hi], each half-lattice
-    row that can carry the shell's first smallest compensated divisor.
+    """The blocks holding, for every shell s in (lo, hi], each half-lattice
+    row that can carry the shell's first smallest compensated divisor, made
+    as they are iterated.
 
     Write a row of shell s as (k1, k2, t) with tail t = (k3..kn) and
     r = s - |t|_1.  Shell s pairs with every tail with |t|_1 < s and with
@@ -192,7 +194,7 @@ def _shell_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]:
     u |k . w| + O(n^2 u^2) s max|w|.  So a slope above 4u s max|w| rules out
     a rounding tie with a row not kept, and the root, with t.w_tail summed
     by math.fsum, is within 1/2 of the exact one.  A growth whose divisors
-    before the screen exceed ROW_BUDGET raises before any tail is built:
+    before the screen exceed ROW_BUDGET raises here, before any tail is built:
     in candidate mode 8 per pair with r >= 1 and 1 per pair with r = 0 (8
     per shell for n=2, 8(2s - 1) + 1 for n=3), in whole mode every row times
     the columns.
@@ -336,13 +338,14 @@ def _shell_blocks(w: np.ndarray, lo: int, hi: int) -> Iterator[_Block]:
         starts = np.searchsorted(pair, np.cumsum(per) - per)
         return _Block(np.abs(div, out=div), starts, shells[start:stop], rows)
 
-    start = 0
-    while start < len(shells):
-        # whole shells, at most _CHUNK divisors before the screen, or one
-        stop = int(np.searchsorted(ends, ends[start] + _CHUNK, side="right")) - 1
-        stop = max(start + 1, stop)
-        yield block(start, stop)
-        start = stop
+    def blocks() -> Iterator[_Block]:
+        start = 0
+        while start < len(shells):
+            # whole shells, at most _CHUNK divisors before the screen, or one
+            stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _CHUNK, "right")) - 1)
+            yield block(start, stop)
+            start = stop
+    return blocks()
 
 
 class _DivisorTable:
@@ -360,9 +363,14 @@ class _DivisorTable:
         self.shell_arg = np.empty((0,) + self.cols + (self.n,), dtype=np.int64)
 
     def ensure(self, Q: int) -> None:
-        """Grow the table to exactly Q shells, enumerating only (q_built, Q]."""
+        """Grow the table to exactly Q shells, enumerating only (q_built, Q]; a Q
+        past ENUMERATION_CAP or a growth past ROW_BUDGET raises before it grows."""
         if Q <= self.q_built:
             return
+        if Q > ENUMERATION_CAP:
+            raise ConstructionFailed(f"enumeration beyond the enumeration cap Q={ENUMERATION_CAP} "
+                                     f"(asked for Q={Q}); use an exact-tagged vector")
+        blocks = _shell_blocks(self.w, self.q_built, Q)      # the row budget raises here
         grow = (Q - self.q_built,) + self.cols
         smin = np.concatenate([self.shell_min, np.full(grow, np.inf)])
         sarg = np.concatenate([self.shell_arg, np.zeros(grow + (self.n,), dtype=np.int64)])
@@ -386,7 +394,7 @@ class _DivisorTable:
             table_min[block.shells - 1] = low
             table_arg[block.shells[cell[first] // div.shape[1]] - 1, col[first]] = rows[:, first].T
 
-        for block in _shell_blocks(self.w, self.q_built, Q):
+        for block in blocks:
             merge(block)
         self.shell_min, self.shell_arg, self.q_built = smin, sarg, Q
         self._prefix_min = np.minimum.accumulate(smin)
@@ -729,16 +737,10 @@ class FrequencyVector:
 # operations
 # ---------------------------------------------------------------------------
 
-def _check_cap(Q: int) -> None:
-    if Q > ENUMERATION_CAP:
-        raise ConstructionFailed(f"enumeration beyond Q={ENUMERATION_CAP} not supported")
-
-
 def psi(omega: FrequencyVector, Q: int) -> DivisorRecord:
     """Reciprocal smallest divisor over 0 < |k|_1 <= Q (float enumeration)."""
     if Q < 1:
         raise BelowThreshold("psi needs Q >= 1")
-    _check_cap(Q)
     d, k = omega._table.min_divisor(int(Q))
     return DivisorRecord(Q=int(Q), min_divisor=d,
                          argmin_k=tuple(int(v) for v in k), psi=1.0 / d)
@@ -753,7 +755,7 @@ def psi_table(omega: FrequencyVector, Q: int) -> list[DivisorRecord]:
     if Q < 1:
         return []
     d, k = omega._table.prefix_minima(0, min(Q, ENUMERATION_CAP))
-    _check_cap(Q)
+    omega._table.ensure(Q)
     return [DivisorRecord(q, dq, tuple(kq), 1.0 / dq)
             for q, dq, kq in zip(range(1, Q + 1), d.tolist(), k.tolist())]
 
@@ -762,8 +764,9 @@ def delta(omega: FrequencyVector, x: float) -> int:
     """Largest integer Q >= 1 with Q * Psi(Q) <= x.
 
     Uses the exact convergent-window path when the vector carries a rational
-    tag marked for it; otherwise doubles the enumeration radius and reads the
-    crossing off the strictly increasing table of Q * Psi(Q).
+    tag marked for it; otherwise doubles the enumeration radius, clipped at
+    ENUMERATION_CAP, and reads the crossing off the strictly increasing table
+    of Q * Psi(Q): every Delta below the cap is answered, a larger one refused.
     """
     if omega.exact is not None and omega.exact.use_for_delta:
         return omega.exact.delta_exact(Fraction(x))
@@ -771,12 +774,7 @@ def delta(omega: FrequencyVector, x: float) -> int:
         raise ConstructionFailed("delta needs x finite in float64")
     x, table, q_hi = float(x), omega._table, 1
     while (arr := table.q_psi_array(q_hi))[-1] <= x:
-        q_hi *= 2
-        if q_hi > ENUMERATION_CAP:
-            raise ConstructionFailed(
-                "delta search exceeded the enumeration cap; "
-                "use an exact-tagged vector for this scale"
-            )
+        q_hi = min(2 * q_hi, max(q_hi + 1, ENUMERATION_CAP))
     if arr[0] > x:
         raise BelowThreshold(f"x={x:g} is below 1*Psi(1)={arr[0]:.12g}")
     D = int(np.searchsorted(arr, x, side="right"))
@@ -819,7 +817,6 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
                              f"got epsilon={epsilon!r}, c={c!r}")
     D = delta(omega, Fraction(c) / Fraction(epsilon))
     mu = 1.0 / D
-    nu = None
     if alpha is not None:
         check_gevrey(alpha, c_bar)
         cb = 1.0 if c_bar is None else float(c_bar)
@@ -848,34 +845,32 @@ def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,
     """Certify |k . w| >= gamma * |k|_1^(-tau) for all 0 < |k|_1 <= q_max.
 
     method "enumerate" walks the lattice ball (float divisors); "cf" uses the
-    exact rational tag (required beyond the enumeration cap); "auto" picks
-    "cf" when the tag exists and the request is out of enumeration range.
+    exact rational tag; "auto" picks "cf" when the tag exists and is marked for
+    delta or the divisor table refuses q_max, and "enumerate" otherwise.
     """
     if not (0 < gamma < math.inf and 0 < tau < math.inf) or q_max < 1:
         raise ConstructionFailed("diophantine_check needs finite gamma, tau > 0, "
                                  "q_max >= 1")
-    use_cf = False
-    if method == "cf":
-        use_cf = True
-    elif method == "auto":
-        use_cf = omega.exact is not None and (
-            omega.exact.use_for_delta or q_max > ENUMERATION_CAP
-        )
-    if use_cf:
-        if omega.exact is None:
-            raise ConstructionFailed("cf method requires an exact rational tag")
-        log_min, witness = omega.exact.dioph_min_log(q_max, tau)
-        margin_log10 = (log_min - math.log(gamma)) / math.log(10.0)
-        return DiophReport(ok=margin_log10 >= 0, gamma=gamma, tau=tau, q_max=q_max,
-                           witness=witness if margin_log10 < 0 else None,
-                           margin_log10=margin_log10, method="cf")
-    prod, k = omega._table.floor(q_max, tau)
-    prod = float(prod)
-    ok = prod >= gamma
-    margin_log10 = math.log10(prod / gamma) if prod > 0 else float("-inf")
-    return DiophReport(ok=ok, gamma=gamma, tau=tau, q_max=q_max,
-                       witness=None if ok else tuple(int(v) for v in k),
-                       margin_log10=margin_log10, method="enumerate")
+    exact = omega.exact
+    if method != "cf" and not (method == "auto" and exact is not None and exact.use_for_delta):
+        try:
+            prod, k = omega._table.floor(q_max, tau)
+        except ConstructionFailed:
+            if method != "auto" or exact is None:
+                raise
+        else:
+            ok = float(prod) >= gamma
+            return DiophReport(ok=ok, gamma=gamma, tau=tau, q_max=q_max,
+                               witness=None if ok else tuple(int(v) for v in k),
+                               margin_log10=math.log10(prod / gamma) if prod > 0 else -math.inf,
+                               method="enumerate")
+    if exact is None:
+        raise ConstructionFailed("cf method requires an exact rational tag")
+    log_min, witness = exact.dioph_min_log(q_max, tau)
+    margin_log10 = (log_min - math.log(gamma)) / math.log(10.0)
+    return DiophReport(ok=margin_log10 >= 0, gamma=gamma, tau=tau, q_max=q_max,
+                       witness=witness if margin_log10 < 0 else None,
+                       margin_log10=margin_log10, method="cf")
 
 
 # ---------------------------------------------------------------------------

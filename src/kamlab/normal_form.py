@@ -256,16 +256,12 @@ def verify_homological(chihat: FourierTaylorSeries, target: FourierTaylorSeries,
 
 
 def verify_estimates(result: NormalFormResult, seed: int = 0) -> dict:
-    """Independent checks that the declared decomposition is the real one.
-
-    * bookkeeping: linear + fbar + mu*ftilde rebuilt from spec_out matches the
-      Lie-transformed series exactly (identity by construction; verified).
-    * realization: H(Phi(z)) == (H o Phi)(z) at random probe points, with
-      Phi computed as the time-1 midpoint flow of the generator, an entirely
-      different route than the Lie series, at ESTIMATE_PROBES points drawn
-      from `seed`.
-    * size: ||ftilde|| / ||f|| ratio, which the truncation choice keeps O(1).
-    """
+    """The estimates of a normal form: "composition_error", the largest
+    |H_out(z) - H_in(Phi(z))| over ESTIMATE_PROBES points z drawn from `seed`
+    (relative to max(|H_out|, 1) at a reference point, with Phi the time-1
+    midpoint flow of the generator, a route independent of the Lie series),
+    and the result's f_tilde_ratio, homological_residual, tail_ratio and
+    kolmogorov_cond."""
     spec_in, spec_out = result.spec_in, result.spec_out
     h_in = spec_in.combined_series().compile()
     h_out = spec_out.combined_series().compile()

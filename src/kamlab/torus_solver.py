@@ -73,8 +73,9 @@ def check_grid(grid: int, n: int) -> None:
     GRID_POINT_BUDGET."""
     if grid % 2 or grid < 4:
         raise ValueError("grid must be even and at least 4")
-    if grid ** n > GRID_POINT_BUDGET:
-        raise ValueError(f"grid {grid} in {n} angles has {grid ** n} points, beyond "
+    # grid >= 4, so n past the budget's bit length is past it; grid^n is not formed
+    if grid ** min(n, GRID_POINT_BUDGET.bit_length()) > GRID_POINT_BUDGET:
+        raise ValueError(f"grid {grid} in {n} angles has {grid}^{n} points, beyond "
                          f"the budget of {GRID_POINT_BUDGET} points per torus")
 
 
@@ -399,8 +400,10 @@ class TorusEmbedding:
     def from_record(cls, rec: dict) -> "TorusEmbedding":
         check_record(rec, "torus_embedding", ("n", "grid", "frame", "epsilon", "I0", "u_coeffs",
                                               "v_coeffs", "target", "diagnostics"))
-        n = rec["n"]
-        grid = rec["grid"]
+        n, grid = rec["n"], rec["grid"]
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"torus_embedding record has n={n!r}, not a whole number >= 1")
+        check_grid(grid, n)
         shape = (n,) + (grid,) * n
         u_hat = np.zeros(shape, dtype=complex)
         v_hat = np.zeros(shape, dtype=complex)

@@ -313,6 +313,31 @@ def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, e
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+# a frequency record checked past the enumeration cap, read by freq and by
+# nf --omega, and a spec whose rest has an action exponent past the budget;
+# unrefused, the first two built a golden table to Q=300,000 and probe
+# evaluated the exponent's power table.  CI runs the same at 10^9
+@pytest.mark.parametrize("cmd", ["freq", "nf", "probe"])
+def test_a_record_past_the_depth_or_exponent_bound_is_refused(files, cmd):
+    deep = {**fa.make_test_frequency("golden").to_record(), "q_checked": 300_000}
+    steep = family_base().to_record()
+    steep["rest"]["terms"].append([[0, 0], [65, 0], 1e-3, 0.0])
+    (files / "deep.json").write_text(json.dumps(deep))
+    (files / "steep.json").write_text(json.dumps(steep))
+    args, kind, text = {
+        "freq": (("--omega", files / "deep.json"), "ConstructionFailed", "enumeration cap"),
+        "nf": (("--spec", files / "spec.json", "--omega", files / "deep.json"),
+               "ConstructionFailed", "enumeration cap"),
+        "probe": (("--spec", files / "steep.json", "--t", 1, "--h", 0.01),
+                  "ValueError", "m=[65, 0]: entries must be whole numbers and action")}[cmd]
+    out = files / "refused"
+    res = invoke(cmd, *args, "--out", out)
+    assert res.exit_code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["kind"] == kind and text in err["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 # plan fields of the wrong type or range; unrefused, each ended in a
 # traceback (max_iter 0 or less in an IndexError after the Newton sweeps),
 # or, a density beyond SAMPLE_BUDGET, ran for as long as its samples took;

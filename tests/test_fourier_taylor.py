@@ -292,6 +292,26 @@ def test_series_record_refuses_a_term_it_would_not_write():
         sample_series().terms()
 
 
+def test_series_record_bounds_its_action_exponents():
+    # an exponent of 10^9 used to load, and an evaluation then filled a power
+    # table of 10^9 + 1 planes; the bound names the term
+    rec = sample_series().to_record()
+    top = fourier_taylor.ACTION_EXPONENT_BUDGET
+    for m in ([top, 0], [0, top]):
+        FourierTaylorSeries.from_record({**rec, "terms": rec["terms"] + [[[1, 0], m, 1.0, 0.0]]})
+    for m in ([top + 1, 0], [2, 10 ** 9], [float(top + 1), 0.0]):
+        with pytest.raises(ValueError, match=rf"term at k=\[1, 0\], m={re.escape(repr(m))}: "
+                                             rf"entries must be whole numbers and action "
+                                             rf"exponents at most {top}"):
+            FourierTaylorSeries.from_record({**rec, "terms": rec["terms"] + [[[1, 0], m, 1.0, 0.0]]})
+    spec = HamiltonianSpec(omega=[1.0, 0.5], quad=quadratic_from_matrices(2, np.eye(2)),
+                           rest=FourierTaylorSeries.monomial(2, (3, 0), 0.05),
+                           epsilon=1e-3).to_record()
+    spec["rest"]["terms"].append([[0, 0], [top + 1, 0], 1e-3, 0.0])
+    with pytest.raises(ValueError, match=f"m=\\[{top + 1}, 0\\]"):
+        HamiltonianSpec.from_record(spec)
+
+
 def test_prune_drops_small_terms():
     f = sample_series() + FourierTaylorSeries.monomial(N, (5, 5), 1e-18)
     assert len(f.prune(1e-16)) == len(sample_series())

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -815,6 +816,47 @@ def test_whole_shells_beyond_the_row_budget_raise_before_enumerating(monkeypatch
 
 def test_enumeration_cap_fits_the_n2_row_budget():
     assert 8 * fa.ENUMERATION_CAP <= fa.ROW_BUDGET
+
+
+def test_delta_answers_every_depth_below_the_enumeration_cap():
+    # the doubling search used to stop at 2^17: golden's Delta 131,071 was
+    # answered, and 131,072 to 199,999 refused
+    w = make_test_frequency("golden")
+    arr = w._table.q_psi_array(fa.ENUMERATION_CAP)
+    for D in (131_071, 131_072, 199_999):
+        x = float(arr[D - 1])
+        assert delta(w, x) == D and check_delta_invariant(w, x, D)
+    with pytest.raises(ConstructionFailed, match="enumeration beyond the enumeration cap"):
+        delta(w, float(arr[-1]))
+    assert w._table.q_built == fa.ENUMERATION_CAP
+
+
+def test_a_resonance_check_or_enumerated_floor_past_the_cap_is_refused():
+    # both used to build tables past the cap
+    golden = make_test_frequency("golden")
+    with pytest.raises(ConstructionFailed, match="enumeration beyond the enumeration cap"):
+        FrequencyVector(golden.components, q_check=300_000)
+    with pytest.raises(ConstructionFailed, match="enumeration beyond the enumeration cap"):
+        diophantine_check(golden, 0.1, 1.5, 400_000, method="enumerate")
+    assert golden._table.q_built == 200
+
+
+def test_a_refused_growth_allocates_nothing_and_leaves_the_table():
+    # the n=3 table used to allocate its grown shell_min and shell_arg before
+    # the refusal: 8.0 MB to Q=150,000 and 106.8 MB to Q=2*10^6
+    table = _DivisorTable(np.array(_CUBIC))
+    table.ensure(40)
+    state = _table_state(table)
+    for Q, text in ((150_000, "row budget"), (2_000_000, "enumeration cap")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstructionFailed, match=text):
+                table.ensure(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (Q, peak)
+        assert table.q_built == 40 and _table_state(table) == state
 
 
 def test_enumerated_dioph_floor_matches_whole_shells():

@@ -234,6 +234,28 @@ def test_torus_record_refuses_a_coefficient_off_its_grid():
         ts.TorusEmbedding.from_record({**rec, "n": 3})
 
 
+def test_torus_record_bounds_its_size_before_it_allocates():
+    # grid 514 is the first even grid past GRID_POINT_BUDGET at n = 2; a
+    # grid-16 record edited to grid 1024 used to load, in 9.6 s and a 252 MB
+    # traced peak.  Past the budget's bit length in angles the point count is
+    # not formed
+    h3, _ = family_spec()
+    rec = ts.solve_torus(h3, I_T, tau=1.5, grid=16).to_record()
+    for edit, text in (({"grid": 514}, r"grid 514 in 2 angles has 514\^2 points, beyond"),
+                       ({"n": 20}, r"grid 16 in 20 angles has 16\^20 points, beyond"),
+                       ({"n": 0}, "has n=0, not a whole number >= 1"),
+                       ({"n": 1.5}, "has n=1.5, not a whole number >= 1"),
+                       ({"n": "2"}, "has n='2', not a whole number >= 1")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=text):
+                ts.TorusEmbedding.from_record({**rec, **edit})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (edit, peak)
+
+
 @pytest.mark.parametrize("name, value", [
     ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.nan), ("gamma", math.inf),
     ("tau", 0.0), ("tau", math.inf), ("margin", 0.5), ("margin", math.inf),
