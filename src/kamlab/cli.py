@@ -6,8 +6,8 @@ and a hash of the configuration: the command name and every option, with
 each input file as the JSON that was parsed and --out left out.  Each input
 file is read once.  Numeric cells are written in round-trip precision, and
 runs are deterministic end to end: the same inputs give byte-identical
-outputs.  On a pipeline error the partial artifacts are removed and a
-machine-readable `error.json` is written with a nonzero exit status.
+outputs.  On any failure, of reading or of the command, the partial artifacts
+are removed and a machine-readable `error.json` is written with exit status 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .fourier_taylor import (
 )
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled, verify_estimates
-from .records import check_record
+from .records import check_record, whole
 from .torus_solver import check_grid, solve_torus, verify_by_integration
 
 
@@ -192,11 +192,11 @@ def _command(*names):
     covers the command name and every option, each input as the JSON read,
     so identical inputs stamp identical artifacts.  A run leaves in --out
     either its own artifacts or only error.json: a success removes a stale
-    error.json and the command's artifacts it did not write.  On a pipeline
-    error, or an output that cannot be written, the command's artifacts are
-    removed and error.json is kept, stamped `unresolved` if an input could
-    not be read, and written if it can be.  A stale file is removed only if
-    it carries kamlab's stamp and is not one of the run's inputs.
+    error.json and the command's artifacts it did not write.  Any failure
+    (a pipeline or Python error, an unwritable output) removes the command's
+    artifacts and keeps error.json, stamped `unresolved` if an input could not
+    be read and written if it can be; the exit status is 2.  A stale file is
+    removed only if it carries kamlab's stamp and is not one of the run's inputs.
     """
     def register(fn):
         @functools.wraps(fn)
@@ -213,7 +213,7 @@ def _command(*names):
                 parsed = {key: parse(_PARSERS[key]) for key, (_, parse) in inputs.items()}
                 fn(sink, **{**options, **parsed})
                 sink.remove_stale()
-            except (KamlabError, ValueError, np.linalg.LinAlgError, OSError) as exc:
+            except Exception as exc:
                 sink = sink or _Sink(out, "unresolved", names, given)
                 try:
                     sink.discard()
@@ -242,9 +242,7 @@ def _command(*names):
 @click.option("--cbar", default=None, type=float, help="nu rate constant")
 def freq(sink, omega, qmax, eps, alpha, cbar):
     """Tabulate the reciprocal smallest divisor and the smallness scales."""
-    if qmax < 1:
-        raise ValueError(f"--qmax must be at least 1, got {qmax}")
-    records = fa.psi_table(omega, qmax)
+    records = fa.psi_table(omega, whole(qmax, "--qmax", least=1))
     rows = [(r.Q, r.psi, r.min_divisor,
              ";".join(str(v) for v in r.argmin_k)) for r in records]
     sink.write_csv("psi_table.csv", ["Q", "psi", "min_divisor", "argmin_k"], rows)
@@ -363,12 +361,10 @@ def probe(sink, spec, t, h, i0, points):
     """Integrate trajectories and report drift diagnostics."""
     n = spec.n
     act0 = _action(i0, n)
-    if points < 1:
-        raise ValueError(f"--points must be at least 1, got {points}")
     steps = flow_steps(t, h)
     # at most what the torus command's verification may take: 8 trajectories
     # of FLOW_STEP_BUDGET steps
-    if points * steps > 8 * FLOW_STEP_BUDGET:
+    if whole(points, "--points", least=1) * steps > 8 * FLOW_STEP_BUDGET:
         raise ValueError(f"--points {points} at {steps} steps takes {points * steps} "
                          f"trajectory steps, beyond the budget of {8 * FLOW_STEP_BUDGET}")
     every = max(1, steps // 256)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._dop853 import dop853
 from .errors import KolmogorovDegenerate, NonConvergentStep, StateMismatch
-from .records import check_record, dataclass_from_record
+from .records import check_record, dataclass_from_record, real, whole
 
 
 def _as_key(k, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -263,10 +262,12 @@ class FourierTaylorSeries:
         terms = {}
         for k, m, re, im in rec["terms"]:
             key = _as_key(k, m)
-            if key != (tuple(k), tuple(m)) or max(key[1], default=0) > ACTION_EXPONENT_BUDGET:
+            if (key != (tuple(k), tuple(m)) or max(key[1], default=0) > ACTION_EXPONENT_BUDGET
+                    or max(map(abs, key[0]), default=0) > WAVEVECTOR_BUDGET):
                 raise ValueError(f"fourier_taylor_series record has a term at k={k!r}, "
                                  f"m={m!r}: entries must be whole numbers and action "
-                                 f"exponents at most {ACTION_EXPONENT_BUDGET}")
+                                 f"exponents at most {ACTION_EXPONENT_BUDGET}, wavevector "
+                                 f"components at most {WAVEVECTOR_BUDGET} in magnitude")
             if key in terms:
                 raise ValueError(f"fourier_taylor_series record lists the term at "
                                  f"k={key[0]}, m={key[1]} twice")
@@ -449,14 +450,12 @@ class HamiltonianSpec:
         if not np.all(np.isfinite(self.omega)):
             raise ValueError(f"field 'omega' must hold finite real numbers, "
                              f"got {self.omega.tolist()!r}")
-        for name in ("epsilon", "domain_radius", "omega_prefactor", "extra_prefactor"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"field {name!r} must be a finite real number, "
-                                 f"got {value!r}")
-            if value <= 0 and name in ("epsilon", "domain_radius"):
-                raise ValueError(f"field {name!r} must be positive, got {value!r}")
+        real(self.epsilon, "field 'epsilon'", positive=True)
+        # a norm's weight radius ** ACTION_EXPONENT_BUDGET must be a float, below 2^1024
+        real(self.domain_radius, "field 'domain_radius'", positive=True,
+             below=2.0 ** (1024 / ACTION_EXPONENT_BUDGET))
+        real(self.omega_prefactor, "field 'omega_prefactor'")
+        real(self.extra_prefactor, "field 'extra_prefactor'")
         if self.state not in (PHYSICAL, ACTION_SCALED, TIME_SCALED):
             raise ValueError(f"field 'state' must be one of {PHYSICAL!r}, "
                              f"{ACTION_SCALED!r}, {TIME_SCALED!r}, got {self.state!r}")
@@ -655,6 +654,10 @@ FLOW_STEP_BUDGET = 10 ** 6
 # of an evaluation's power table: over 5 times 11, the gate family's at eps 3e-2
 ACTION_EXPONENT_BUDGET = 64
 
+# largest |k_j| of a series record: over 5 times ENUMERATION_CAP, the deepest
+# truncation order, and 10^5 times the harmonics in use (|k|_1 <= 3)
+WAVEVECTOR_BUDGET = 2 ** 20
+
 # a midpoint step's fixed point is reached when no half-step increment moves
 # by more than this, relative to 1 + |I|, within FIXED_POINT_MAX_ITER
 # iterations
@@ -700,8 +703,7 @@ def integrate_flow(hamiltonian: FourierTaylorSeries, theta, I,
     iterating; dop853 makes one adaptive solve of the whole stack.
     """
     n_steps = flow_steps(t_final, step)
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 0):
-        raise ValueError(f"record_every must be a whole number >= 0, got {record_every!r}")
+    whole(record_every, "record_every")
     comp = hamiltonian.compile()
     theta, I = (np.asarray(side, dtype=np.float64) for side in (theta, I))
     n_pts, n = theta.shape

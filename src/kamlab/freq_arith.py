@@ -44,7 +44,6 @@ which stay meaningful far beyond float64 resolution and the cap.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -58,7 +57,7 @@ from .errors import (
     ConstructionFailed,
     ResonanceDetected,
 )
-from .records import check_derived, check_record
+from .records import check_derived, check_record, real, whole
 
 # Divisors below RESONANCE_TOL * |k|_1 are treated as exact resonances.
 RESONANCE_TOL = 1e-14
@@ -686,7 +685,7 @@ class FrequencyVector:
         )
         self._table = _DivisorTable(arr)
         self.q_checked = 0
-        if q_check and q_check > 0:
+        if whole(q_check, "q_checked") > 0:
             self._table.min_divisor(q_check)   # raises ResonanceDetected on failure
             self.q_checked = q_check
 
@@ -832,12 +831,13 @@ def mu_nu(omega: FrequencyVector, epsilon: float, c: float = 1.0,
 def check_gevrey(alpha, c_bar) -> None:
     """Raise ConstructionFailed unless the Gevrey alpha and c_bar are each
     None or a finite positive real number."""
-    for value in (alpha, c_bar):
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, numbers.Real)
-                                  or not 0 < value < math.inf):
-            raise ConstructionFailed(f"Gevrey alpha and c_bar must be finite and "
-                                     f"positive, got alpha={alpha!r}, c_bar={c_bar!r}")
+    try:
+        for value in (alpha, c_bar):
+            if value is not None:
+                real(value, "Gevrey alpha and c_bar", positive=True)
+    except ValueError:
+        raise ConstructionFailed(f"Gevrey alpha and c_bar must be finite and positive, "
+                                 f"got alpha={alpha!r}, c_bar={c_bar!r}") from None
 
 
 def diophantine_check(omega: FrequencyVector, gamma: float, tau: float,

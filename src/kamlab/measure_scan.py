@@ -38,7 +38,6 @@ the arithmetic-only prediction table of sqrt(nu).
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import threading
@@ -53,7 +52,7 @@ from .errors import GateFailed, InsufficientSpan, SmallDivisorBreakdown, WorkerD
 from .fourier_taylor import PHYSICAL, HamiltonianSpec
 from .freq_arith import FrequencyVector
 from .normal_form import one_step_normal_form, prepare_time_scaled
-from .records import dataclass_from_record, dataclass_record
+from .records import dataclass_from_record, dataclass_record, real, whole
 from .torus_solver import GRID_POINT_BUDGET, _certify_stack, _solve_stack, check_grid
 
 __all__ = [
@@ -200,8 +199,9 @@ class ScanPlan:
 
     def __post_init__(self):
         try:
-            self.epsilons = tuple(float(e) for e in self.epsilons)
-        except (TypeError, ValueError):
+            self.epsilons = tuple(float(real(e, "field 'epsilons'", positive=True))
+                                  for e in self.epsilons)
+        except TypeError:
             raise ValueError(f"field 'epsilons' must be a list of real numbers, "
                              f"got {self.epsilons!r}") from None
         if self.base.state != PHYSICAL:
@@ -210,24 +210,14 @@ class ScanPlan:
             raise ValueError(f"field 'base' has omega {self.base.omega.tolist()}, which "
                              f"differs from the components {self.freq.components.tolist()} "
                              f"of field 'freq'")
-        for name in ("density", "max_iter", "grid"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
-                raise ValueError(f"field {name!r} must be a positive integer, "
-                                 f"got {value!r}")
-        if self.density > SAMPLE_BUDGET:
+        if whole(self.density, "field 'density'", least=1) > SAMPLE_BUDGET:
             raise ValueError(f"field 'density' must be at most {SAMPLE_BUDGET}, "
                              f"got {self.density!r}")
+        whole(self.max_iter, "field 'max_iter'", least=1)
         for name in ("tau", "tol", "c", "mu_gate", "sqrt_mu_gate", "gamma_coeff",
-                     "margin_coeff", "gamma_floor"):
-            value = getattr(self, name)
-            positive = name != "gamma_floor"        # a zero floor leaves gamma_coeff
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0 or (positive and value == 0)):
-                raise ValueError(f"field {name!r} must be a finite "
-                                 f"{'positive' if positive else 'non-negative'} real "
-                                 f"number, got {value!r}")
+                     "margin_coeff"):
+            real(getattr(self, name), f"field {name!r}", positive=True)
+        real(self.gamma_floor, "field 'gamma_floor'", least=0)    # 0 leaves gamma_coeff
         fa.check_gevrey(self.gevrey_alpha, self.gevrey_c_bar)
         if not isinstance(self.record_timings, bool):
             raise ValueError(f"field 'record_timings' must be a bool, "
@@ -235,8 +225,6 @@ class ScanPlan:
         n = self.base.n
         if not self.tau > n - 1:
             raise ValueError(f"tau must exceed n-1 = {n - 1}")
-        if not all(0 < e < math.inf for e in self.epsilons):
-            raise ValueError("epsilons must be finite and positive")
         check_grid(self.grid, n)
 
     @property

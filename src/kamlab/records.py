@@ -1,8 +1,11 @@
 """Records: the JSON-ready dict of an object holds its kind under "record",
 then its fields; dataclass_record writes each field under its own name, in
-declaration order.  Every reader passes check_record, the one rule: a record of
-another kind, or a key its reader does not read, is refused by name."""
+declaration order.  Every reader passes check_record, the one record rule, and
+every number read from outside passes whole or real, the one number rule."""
 
+import math
+import numbers
+import sys
 from dataclasses import MISSING, fields
 
 
@@ -19,6 +22,29 @@ def check_record(rec: dict, kind: str, keys) -> dict:
     if unknown:
         raise ValueError(f"{kind} record has no field {unknown[0]!r}")
     return rec
+
+
+def whole(value, name: str, least: int = 0):
+    """`value` if it is a whole number, not a bool, from `least` to the largest
+    float; else ValueError naming `name`."""
+    # the builtin types are tested first: an ABC's isinstance is the slow one
+    if (type(value) is not bool and isinstance(value, (int, numbers.Integral))
+            and least <= value <= sys.float_info.max):
+        return value
+    raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
+def real(value, name: str, positive: bool = False, least: float = -math.inf,
+         below: float = math.inf):
+    """`value` if it is a real number, not a bool, that is finite, above 0 if
+    `positive`, at least `least` and below `below`; else ValueError naming `name`."""
+    if (type(value) is not bool and isinstance(value, (float, int, numbers.Real))
+            and abs(value) <= sys.float_info.max
+            and (value > 0 or not positive) and least <= value < below):
+        return value
+    bounds = (["finite"] + ["positive"] * positive + [f"at least {least!r}"] * (least > -math.inf)
+              + [f"below {below!r}"] * (below < math.inf))
+    raise ValueError(f"{name} must be {' and '.join(bounds)}, got {value!r}")
 
 
 def check_derived(obj, rec: dict, kind: str, names=("n",)):

@@ -27,7 +27,6 @@ certify_target and solve_torus are the stacks of one."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,7 +40,7 @@ from .errors import (
 )
 from .fourier_taylor import COND_MAX, HamiltonianSpec, integrate_flow
 from .freq_arith import _DivisorTable, compensated_dot
-from .records import check_record, dataclass_from_record, dataclass_record
+from .records import check_record, dataclass_from_record, dataclass_record, real, whole
 
 # pulled-back tori must stay inside this fraction of the declared domain
 PULLBACK_MARGIN = 0.9
@@ -69,10 +68,10 @@ PULLBACK_FLOW_STEP = 0.125
 
 def check_grid(grid: int, n: int) -> None:
     """Raise ValueError unless a torus of n angles can be solved or evaluated
-    on `grid` points per axis: grid even, at least 4, and grid^n within
-    GRID_POINT_BUDGET."""
-    if grid % 2 or grid < 4:
-        raise ValueError("grid must be even and at least 4")
+    on `grid` points per axis: grid a whole number, even, at least 4, and
+    grid^n within GRID_POINT_BUDGET."""
+    if whole(grid, "grid", least=4) % 2:
+        raise ValueError(f"grid must be even, got {grid!r}")
     # grid >= 4, so n past the budget's bit length is past it; grid^n is not formed
     if grid ** min(n, GRID_POINT_BUDGET.bit_length()) > GRID_POINT_BUDGET:
         raise ValueError(f"grid {grid} in {n} angles has {grid}^{n} points, beyond "
@@ -223,16 +222,10 @@ class TargetFrequency:
                 raise ValueError(f"field {name!r} must be a finite vector of the length of "
                                  f"'I0', got {value.tolist()!r}")
             setattr(self, name, value)
-        for name in ("gamma", "tau"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"field {name!r} must be finite and positive, "
-                                 f"got {getattr(self, name)!r}")
-        if not 1 <= self.margin < math.inf:
-            raise ValueError(f"field 'margin' must be finite and at least 1, got {self.margin!r}")
-        if isinstance(self.q_max, bool) or not isinstance(self.q_max, numbers.Integral) \
-                or self.q_max < 1:
-            raise ValueError(f"field 'q_max' must be a whole number at least 1, "
-                             f"got {self.q_max!r}")
+        real(self.gamma, "field 'gamma'", positive=True)
+        real(self.tau, "field 'tau'", positive=True)
+        real(self.margin, "field 'margin'", least=1)
+        whole(self.q_max, "field 'q_max'", least=1)
 
     def to_record(self) -> dict:
         return dataclass_record(self, "target_frequency",
@@ -270,10 +263,9 @@ def _certify_stack(spec: HamiltonianSpec, I_targets: np.ndarray,
     divisor table for all their frequencies.  Entry s is the TargetFrequency
     certify_target returns for I_targets[s], or the SmallDivisorBreakdown it
     raises."""
-    if gamma is not None and not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be finite and positive, got {tau!r}")
+    if gamma is not None:
+        real(gamma, "gamma", positive=True)
+    real(tau, "tau", positive=True)
     if not len(I_targets):
         return []
     f_avg = spec.perturbation(include_extra=True).average().compile()
@@ -400,9 +392,7 @@ class TorusEmbedding:
     def from_record(cls, rec: dict) -> "TorusEmbedding":
         check_record(rec, "torus_embedding", ("n", "grid", "frame", "epsilon", "I0", "u_coeffs",
                                               "v_coeffs", "target", "diagnostics"))
-        n, grid = rec["n"], rec["grid"]
-        if not (isinstance(n, int) and n >= 1):
-            raise ValueError(f"torus_embedding record has n={n!r}, not a whole number >= 1")
+        n, grid = whole(rec["n"], "field 'n'", least=1), rec["grid"]
         check_grid(grid, n)
         shape = (n,) + (grid,) * n
         u_hat = np.zeros(shape, dtype=complex)
@@ -418,8 +408,8 @@ class TorusEmbedding:
                 flat[j, index[tuple(kvec)]] = complex(re, im)
         return cls(grid=grid, I0=_floats(rec["I0"]), u_hat=u_hat, v_hat=v_hat,
                    target=TargetFrequency.from_record(rec["target"]),
-                   epsilon=rec["epsilon"], frame=rec["frame"],
-                   diagnostics=rec.get("diagnostics", {}))
+                   epsilon=real(rec["epsilon"], "field 'epsilon'", positive=True),
+                   frame=rec["frame"], diagnostics=rec.get("diagnostics", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +462,8 @@ def _solve_stack(spec: HamiltonianSpec, targets: list, I_start: np.ndarray,
     condition and the counterterm solve.  A sample that fails drops out with
     the exception solve_torus raises for it and the others go on.  Returns
     one _Outcome per sample, in order."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    whole(max_iter, "max_iter", least=1)
+    real(tol, "tol", positive=True)
     S, n = I_start.shape
     outcomes = [_Outcome() for _ in range(S)]
     if not S:

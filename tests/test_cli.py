@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,6 @@ from kamlab import cli
 from kamlab import freq_arith as fa
 from kamlab import measure_scan as ms
 from kamlab import normal_form
-from kamlab.errors import KamlabError
 from kamlab.fourier_taylor import (
     FourierTaylorSeries,
     HamiltonianSpec,
@@ -313,23 +313,56 @@ def test_malformed_record_writes_error_record(files, monkeypatch, cmd, option, e
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
-# a frequency record checked past the enumeration cap, read by freq and by
-# nf --omega, and a spec whose rest has an action exponent past the budget;
-# unrefused, the first two built a golden table to Q=300,000 and probe
-# evaluated the exponent's power table.  CI runs the same at 10^9
-@pytest.mark.parametrize("cmd", ["freq", "nf", "probe"])
-def test_a_record_past_the_depth_or_exponent_bound_is_refused(files, cmd):
-    deep = {**fa.make_test_frequency("golden").to_record(), "q_checked": 300_000}
-    steep = family_base().to_record()
-    steep["rest"]["terms"].append([[0, 0], [65, 0], 1e-3, 0.0])
-    (files / "deep.json").write_text(json.dumps(deep))
-    (files / "steep.json").write_text(json.dumps(steep))
-    args, kind, text = {
-        "freq": (("--omega", files / "deep.json"), "ConstructionFailed", "enumeration cap"),
-        "nf": (("--spec", files / "spec.json", "--omega", files / "deep.json"),
-               "ConstructionFailed", "enumeration cap"),
-        "probe": (("--spec", files / "steep.json", "--t", 1, "--h", 0.01),
-                  "ValueError", "m=[65, 0]: entries must be whole numbers and action")}[cmd]
+# a frequency record checked past the enumeration cap, or to a q_checked
+# that is no whole number, read by freq and by nf --omega; a spec whose rest
+# has an action exponent or a wavevector component past its bound, or whose
+# domain radius overflows at that exponent, read by nf, probe or (as a plan's
+# base) scan.  Unrefused, the deep record built a golden table to Q=300,000,
+# the steep spec had its power table evaluated, the wide wavevector and the
+# wide radius ended in an OverflowError traceback (nf on the wide wavevector
+# leaving normal_form.json behind), q_checked null was read as 0, skipping
+# the resonance check, and the other q_checked values were refused as a
+# malformed field 'components'.  CI runs the same at 10^9
+_Q_CHECKED = [1.5, "60", True, None, [30]]
+_PAST_BOUND = (
+    [(cmd, "q_checked", 300_000, "ConstructionFailed", "enumeration cap")
+     for cmd in ("freq", "nf")]
+    + [("probe", "term", [[0, 0], [65, 0], 1e-3, 0.0], "ValueError",
+        "m=[65, 0]: entries must be whole numbers and action")]
+    + [(cmd, "q_checked", value, "ValueError", f"q_checked must be a whole number >= 0, "
+        f"got {value!r}") for cmd in ("freq", "nf") for value in _Q_CHECKED]
+    + [(cmd, "term", [[1e308, 0], [3, 0], 1e-3, 0.0], "ValueError",
+        "k=[1e+308, 0], m=[3, 0]: entries must be whole numbers and action exponents at "
+        "most 64, wavevector components at most 1048576") for cmd in ("nf", "probe")]
+    + [(cmd, "domain_radius", 1e308, "ValueError",
+        "field 'domain_radius' must be finite and positive and below 65536.0, got 1e+308")
+       for cmd in ("nf", "scan")])
+
+
+@pytest.mark.parametrize(
+    "cmd, field, value, kind, text", _PAST_BOUND,
+    ids=["freq", "nf", "probe"]
+    + [f"{cmd}-q_checked-{value}" for cmd in ("freq", "nf-omega") for value in _Q_CHECKED]
+    + ["nf-wavevector-1e308", "probe-wavevector-1e308", "nf-domain_radius-1e308",
+       "scan-base-domain_radius-1e308"])
+def test_a_record_past_the_depth_or_exponent_bound_is_refused(files, cmd, field, value,
+                                                              kind, text):
+    spec = family_base().to_record()
+    if field == "q_checked":
+        bad = {**fa.make_test_frequency("golden").to_record(), "q_checked": value}
+    elif field == "term":
+        bad = spec
+        bad["rest"]["terms"].append(value)
+    else:
+        bad = {**spec, "domain_radius": value}
+    (files / "bad.json").write_text(json.dumps(bad))
+    plan = json.loads((files / "plan.json").read_text())
+    (files / "bad_plan.json").write_text(json.dumps({**plan, "base": bad}))
+    args = {"freq": ("--omega", files / "bad.json"),
+            "nf": ("--spec", files / "spec.json", "--omega", files / "bad.json")
+            if field == "q_checked" else ("--spec", files / "bad.json"),
+            "probe": ("--spec", files / "bad.json", "--t", 1, "--h", 0.01),
+            "scan": ("--plan", files / "bad_plan.json")}[cmd]
     out = files / "refused"
     res = invoke(cmd, *args, "--out", out)
     assert res.exit_code == 2
@@ -387,8 +420,14 @@ def test_torus_refuses_gamma_or_tau_not_finite_and_positive(files, option, value
 
 
 _DROP = object()
-_PARSERS = {"--spec": HamiltonianSpec.from_record, "--omega": cli._frequency,
-            "--plan": ms.ScanPlan.from_record}
+
+# each record kind through a command that reads it, and the artifacts the
+# command may write: a spec through a one-step probe, a frequency through a
+# depth-5 table and a plan of one slice at density 8 through its scan
+_FUZZED = {"--spec": (("probe", "--t", 0.01, "--h", 0.01),
+                      {"probe_trajectories.csv", "probe_summary.json"}),
+           "--omega": (("freq", "--qmax", 5), {"psi_table.csv"}),
+           "--plan": (("scan",), {"scan_reports.csv", "scan_fit.json", "gevrey_forecast.csv"})}
 
 
 def _field_paths(rec: dict, prefix=()):
@@ -398,14 +437,17 @@ def _field_paths(rec: dict, prefix=()):
             yield from _field_paths(value, prefix + (key,))
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_loader_refuses_a_dropped_or_retyped_field(files, data):
-    # every record the CLI reads either parses or ends in a ValueError (or a
-    # kamlab error), so the command writes error.json instead of a traceback
-    option = data.draw(st.sampled_from(sorted(_PARSERS)))
-    rec = _records(files)[option]
+    # every record the CLI reads, with one field dropped or retyped, either
+    # runs to the command's artifacts or ends in exit 2 with only error.json,
+    # never a traceback; a missing field is named
+    option = data.draw(st.sampled_from(sorted(_FUZZED)))
+    rec = {**_records(files), "--plan": ms.ScanPlan(
+        base=family_base(), freq=fa.make_test_frequency("golden"), epsilons=(1e-3,),
+        density=8).to_record()}[option]
     path = data.draw(st.sampled_from(list(_field_paths(rec))))
     value = data.draw(st.sampled_from(
         [_DROP, None, True, 0, -1, 2.5, "x", [], {}, [1], ["x"], [[1]], 10 ** 400]))
@@ -417,14 +459,19 @@ def test_loader_refuses_a_dropped_or_retyped_field(files, data):
     else:
         parent[path[-1]] = value
     (files / "fuzzed.json").write_text(json.dumps(rec))
-    try:
-        _, parse = cli._load_record(str(files / "fuzzed.json"))
-        parse(_PARSERS[option])
-    except KamlabError:
-        pass
-    except ValueError as exc:
-        if "lacks the field" in str(exc):
-            assert repr(path[-1]) in str(exc)
+    (cmd, *args), artifacts = _FUZZED[option]
+    out = files / "fuzzed"
+    res = invoke(cmd, *args, option, files / "fuzzed.json", "--out", out)
+    written = {p.name: p.read_text() for p in out.iterdir()} if out.is_dir() else {}
+    shutil.rmtree(out, ignore_errors=True)
+    if res.exit_code == 0:
+        assert written and set(written) <= artifacts
+        return
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert list(written) == ["error.json"]
+    message = json.loads(written["error.json"])["message"]
+    if "lacks the field" in message:
+        assert repr(path[-1]) in message
 
 
 @pytest.fixture()
@@ -544,6 +591,24 @@ def test_every_option_and_no_formatting_changes_the_stamp(gate8, monkeypatch, cm
     # the stamp hashes a record, not its file's bytes, nor where output goes
     spec_option = {"--spec": "spec_indented.json"} if "--spec" in _OPTIONS[cmd] else {}
     assert stamp({}, "again", **spec_option) == base
+
+
+@pytest.mark.parametrize("cmd", sorted(_OPTIONS))
+def test_a_foreign_exception_ends_in_error_json(gate8, monkeypatch, cmd):
+    # a failure of a kind no handler named, such as the OverflowError of a
+    # spec past a bound, used to escape: exit 1, a traceback and, when it
+    # came after a write, the artifacts written so far
+    def foreign(*args, **kwargs):
+        raise RuntimeError("foreign failure")
+
+    monkeypatch.setattr(*_FIRST_CALL[cmd], foreign)
+    args = next(args for args, _ in _FROZEN_STAMPS if args[0] == cmd)
+    res = _invoke_in(gate8, "out", *args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    err = json.loads((gate8 / "out" / "error.json").read_text())
+    assert (err["kind"], err["message"]) == ("RuntimeError", "foreign failure")
+    assert [p.name for p in (gate8 / "out").iterdir()] == ["error.json"]
+    assert "error: RuntimeError: foreign failure" in res.output
 
 
 def test_freq_resonant_omega_reports_kind(files):

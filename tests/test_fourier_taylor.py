@@ -312,6 +312,28 @@ def test_series_record_bounds_its_action_exponents():
         HamiltonianSpec.from_record(spec)
 
 
+def test_records_bound_the_wavevectors_and_the_domain_radius():
+    # a wavevector component of 1e308 used to load, and its evaluation ended
+    # in an OverflowError converting it to int64; a domain radius of 1e308,
+    # in one raising it to an action exponent in the normal form's norms
+    rec = sample_series().to_record()
+    top = fourier_taylor.WAVEVECTOR_BUDGET
+    FourierTaylorSeries.from_record({**rec, "terms": [[[top, -top], [1, 0], 1.0, 0.0]]})
+    for k in ([top + 1, 0], [0, -top - 1], [1e308, 0]):
+        with pytest.raises(ValueError, match=f"wavevector components at most {top} in"):
+            FourierTaylorSeries.from_record({**rec, "terms": [[k, [1, 0], 1.0, 0.0]]})
+    spec = HamiltonianSpec(omega=[1.0, 0.5], quad=quadratic_from_matrices(2, np.eye(2)),
+                           rest=FourierTaylorSeries.monomial(2, (3, 0), 0.05), epsilon=1e-3)
+    widest = math.nextafter(65536.0, 0.0)
+    assert math.isfinite(widest ** fourier_taylor.ACTION_EXPONENT_BUDGET)
+    assert HamiltonianSpec.from_record({**spec.to_record(), "domain_radius": widest}) \
+        .domain_radius == widest
+    for radius in (65536.0, 1e308, True):
+        with pytest.raises(ValueError, match="field 'domain_radius' must be finite and "
+                                             "positive and below 65536.0"):
+            HamiltonianSpec.from_record({**spec.to_record(), "domain_radius": radius})
+
+
 def test_prune_drops_small_terms():
     f = sample_series() + FourierTaylorSeries.monomial(N, (5, 5), 1e-18)
     assert len(f.prune(1e-16)) == len(sample_series())

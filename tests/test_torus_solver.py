@@ -243,9 +243,14 @@ def test_torus_record_bounds_its_size_before_it_allocates():
     rec = ts.solve_torus(h3, I_T, tau=1.5, grid=16).to_record()
     for edit, text in (({"grid": 514}, r"grid 514 in 2 angles has 514\^2 points, beyond"),
                        ({"n": 20}, r"grid 16 in 20 angles has 16\^20 points, beyond"),
-                       ({"n": 0}, "has n=0, not a whole number >= 1"),
-                       ({"n": 1.5}, "has n=1.5, not a whole number >= 1"),
-                       ({"n": "2"}, "has n='2', not a whole number >= 1")):
+                       ({"n": 0}, "field 'n' must be a whole number >= 1, got 0"),
+                       ({"n": 1.5}, "field 'n' must be a whole number >= 1, got 1.5"),
+                       ({"n": "2"}, "field 'n' must be a whole number >= 1, got '2'"),
+                       # grid 16.0 and "16" used to end in a TypeError naming no
+                       # field, and true in "grid must be even"
+                       ({"grid": 16.0}, "grid must be a whole number >= 4, got 16.0"),
+                       ({"grid": "16"}, "grid must be a whole number >= 4, got '16'"),
+                       ({"grid": True}, "grid must be a whole number >= 4, got True")):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=text):
@@ -261,7 +266,9 @@ def test_torus_record_bounds_its_size_before_it_allocates():
     ("tau", 0.0), ("tau", math.inf), ("margin", 0.5), ("margin", math.inf),
     ("margin", math.nan), ("q_max", 0), ("q_max", 1.5), ("q_max", True),
     ("I0", ["nan", "0.0"]), ("Omega", ["1.0", "0.5", "0.25"]), ("shift", ["0.0"]),
-    ("omega_slow", ["inf", "0.0"])])
+    ("omega_slow", ["inf", "0.0"]),
+    # a bool gamma or tau used to be read as 1
+    ("gamma", True), ("tau", True)])
 def test_target_refuses_values_no_certificate_has(solved, name, value):
     # gamma 0 with margin inf used to load, and solve_torus with it skipped the
     # divisor guard (its floor 0 * inf = NaN passed every half-floor check):
